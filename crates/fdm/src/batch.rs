@@ -202,7 +202,7 @@ impl HeatProblem {
         let mut base = self.clone();
         base.set_boundary(face, BoundaryCondition::Adiabatic)?;
         let assembly_span = telemetry::span("fdm.batch.assemble");
-        let Assembly { matrix, rhs, free_index, dirichlet } = base.assemble();
+        let Assembly { matrix, rhs, free_index, dirichlet } = base.assemble()?;
         drop(assembly_span);
         let grid = *self.grid();
         let n_nodes = grid.node_count();

@@ -325,7 +325,12 @@ impl HeatProblem {
     /// Assembles the steady operator over the free (non-Dirichlet) nodes:
     /// `A T = b` with `A` SPD. Reused by [`HeatProblem::solve`] and the
     /// transient stepper.
-    pub(crate) fn assemble(&self) -> Assembly {
+    ///
+    /// # Errors
+    ///
+    /// Only if the assembly produced an entry outside the free-node
+    /// operator, which the free-row numbering rules out.
+    pub(crate) fn assemble(&self) -> Result<Assembly, FdmError> {
         let g = &self.grid;
         let n = g.node_count();
         let (nx, ny, nz) = (g.nx(), g.ny(), g.nz());
@@ -356,7 +361,6 @@ impl HeatProblem {
                 .collect()
         };
         let n_free = free_index.iter().flatten().count();
-        let mut coo = CooMatrix::new(n_free, n_free);
         let mut rhs = vec![0.0; n_free];
 
         // Volumetric sources integrated over control volumes.
@@ -375,14 +379,16 @@ impl HeatProblem {
         // the worker pool, each producing local COO-entry and RHS-delta
         // buffers. Chunk boundaries depend only on the grid shape, each
         // chunk traverses its planes in the serial k-j-i order, and the
-        // buffers merge in chunk order below — so the accumulated entry
-        // sequence (and therefore `to_csr`'s duplicate-summation order and
-        // every bit of the operator) is identical to a serial assembly at
-        // any thread count.
+        // buffers are appended in chunk order below — so the accumulated
+        // entry sequence (and therefore `to_csr`'s push-order duplicate
+        // sums and every bit of the operator) is identical to a serial
+        // assembly at any thread count.
         let cv = |i: usize, nn: usize, d: f64| if i == 0 || i == nn - 1 { d / 2.0 } else { d };
         let planes_per_chunk = (ASSEMBLY_CHUNK_NODES / (nx * ny).max(1)).clamp(1, nz.max(1));
         let chunks = parallel::par_map_chunks(nz, planes_per_chunk, |krange| {
-            let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+            // At most three links per node, four entries per link.
+            let mut entries: Vec<(usize, usize, f64)> =
+                Vec::with_capacity(12 * krange.len() * nx * ny);
             let mut rhs_adds: Vec<(usize, f64)> = Vec::new();
             for k in krange {
                 for j in 0..ny {
@@ -418,10 +424,12 @@ impl HeatProblem {
             }
             (entries, rhs_adds)
         });
-        for (entries, rhs_adds) in chunks {
-            for (r, c, v) in entries {
-                coo.push(r, c, v);
-            }
+        // Convection below adds at most one entry per boundary node.
+        let boundary_nodes = 2 * (nx * ny + ny * nz + nx * nz);
+        let link_entries: usize = chunks.iter().map(|(entries, _)| entries.len()).sum();
+        let mut coo = CooMatrix::with_capacity(n_free, n_free, link_entries + boundary_nodes);
+        for (mut entries, rhs_adds) in chunks {
+            coo.append(&mut entries)?;
             for (row, dv) in rhs_adds {
                 rhs[row] += dv;
             }
@@ -450,7 +458,7 @@ impl HeatProblem {
 
         let matrix = coo.to_csr();
         debug_assert!(matrix.is_symmetric(1e-9), "assembled operator must be symmetric");
-        Assembly { matrix, rhs, free_index, dirichlet }
+        Ok(Assembly { matrix, rhs, free_index, dirichlet })
     }
 
     /// Solves the steady heat equation, returning the temperature field.
@@ -475,7 +483,7 @@ impl HeatProblem {
         let g = &self.grid;
         let n = g.node_count();
         let assembly_span = telemetry::span("fdm.assemble");
-        let Assembly { matrix, rhs, free_index, dirichlet } = self.assemble();
+        let Assembly { matrix, rhs, free_index, dirichlet } = self.assemble()?;
         drop(assembly_span);
         if matrix.rows() == 0 {
             // Every node is pinned: the solution is the Dirichlet data itself.
@@ -1060,7 +1068,7 @@ mod tests {
         // preconditioners: one SSOR (shared by rungs 0 and 1), one Jacobi,
         // one IC(0) — three constructions total, not one per attempt.
         let problem = convective_chip();
-        let assembly = problem.assemble();
+        let assembly = problem.assemble().unwrap();
         let cache = PreconditionerCache::new(&assembly.matrix, 1.5).unwrap();
         assert_eq!(cache.constructions(), 1, "only SSOR is built eagerly");
 
@@ -1081,7 +1089,7 @@ mod tests {
         // Seeding the ladder with an already-converged iterate must be
         // accepted on the spot (modulo one cheap confirming attempt).
         let problem = convective_chip();
-        let assembly = problem.assemble();
+        let assembly = problem.assemble().unwrap();
         let cache = PreconditionerCache::new(&assembly.matrix, 1.5).unwrap();
         let options = SolveOptions::default();
         let cold = cg_ladder(&assembly.matrix, &assembly.rhs, None, &cache, &options).unwrap();

@@ -206,7 +206,7 @@ impl HeatProblem {
         }
 
         let grid = *self.grid();
-        let assembly = self.assemble();
+        let assembly = self.assemble()?;
         let n_free = assembly.matrix.rows();
 
         // Lumped heat capacity per free node, divided by dt.

@@ -23,6 +23,11 @@
 //! Converged columns are *deflated*: they leave the active block, so late
 //! stragglers keep iterating on a thin block instead of dragging the whole
 //! batch through extra GEMMs.
+//!
+//! The preconditioner sees the whole residual block at once through
+//! [`Preconditioner::apply_rows`], which gives each row the bits of
+//! [`Preconditioner::apply`]; SSOR uses it to stream its triangles once
+//! per group of right-hand sides instead of once per column.
 
 use crate::{dot, norm2, Cholesky, CsrMatrix, LinalgError, Matrix, Preconditioner};
 
@@ -344,9 +349,7 @@ pub fn block_cg<P: Preconditioner>(
                 }
             }
             let mut z = Matrix::zeros(ka, n);
-            for slot in 0..ka {
-                preconditioner.apply(r.row(slot), z.row_mut(slot));
-            }
+            preconditioner.apply_rows(&r, &mut z);
             let p = z.clone();
             let rho = gram(&r, &z);
             Ok((r, z, p, rho))
@@ -471,9 +474,7 @@ pub fn block_cg<P: Preconditioner>(
         }
 
         // Z = M⁻¹R, ρ' = RᵀZ, then P = Z + βᵀP with ρ β = ρ'.
-        for slot in 0..ka {
-            preconditioner.apply(r.row(slot), z.row_mut(slot));
-        }
+        preconditioner.apply_rows(&r, &mut z);
         let rho_new = gram(&r, &z);
         let beta_t = if ka == 1 {
             // Mirrors the scalar `beta = rz_new / rz` (which performs the

@@ -4,13 +4,17 @@
 //! `axpy` — all dispatch to the persistent `deepoheat-parallel` pool with
 //! fixed, thread-count-independent chunking, so a CG trace (iterates,
 //! residuals, convergence history) is bit-identical whether the pool has
-//! 1 thread or 64. The SSOR and IC(0) preconditioner sweeps are inherently
-//! sequential triangular solves and intentionally stay serial: their
-//! recurrences carry loop-to-loop dependences, and parallelising them with
-//! level-scheduling would change the rounding order and break the
-//! determinism contract for no measurable win at these system sizes.
+//! 1 thread or 64. The SSOR and IC(0) preconditioner sweeps are triangular
+//! solves and stay serial per vector. Reordering the rows by level sets
+//! would not change any row's arithmetic, but it scatters the sweep's
+//! reads: on the 7-point operators here a global level order measured
+//! 1.3–2.3× slower and a block-local one no faster. SSOR gains by batching
+//! right-hand sides instead: [`Preconditioner::apply_rows`] carries up to
+//! eight vectors through one sweep, so the operator streams once per
+//! group and the lanes' independent recurrences overlap.
 
-use crate::{axpy, dot, norm2, CsrMatrix, LinalgError};
+use crate::sparse::Triangle;
+use crate::{axpy, dot, norm2, CsrMatrix, LinalgError, Matrix};
 
 /// A preconditioner for the conjugate-gradient solver: given a residual `r`
 /// it computes `z ≈ A⁻¹ r`.
@@ -27,11 +31,29 @@ use crate::{axpy, dot, norm2, CsrMatrix, LinalgError};
 pub trait Preconditioner {
     /// Applies the preconditioner, writing `z ≈ A⁻¹ r` into `z`.
     fn apply(&self, r: &[f64], z: &mut [f64]);
+
+    /// Applies the preconditioner to a block of residuals, one per row:
+    /// row `i` of `z` receives `A⁻¹` applied to row `i` of `r`. `r` and `z`
+    /// have the same shape, with the operator's dimension as row length.
+    ///
+    /// The default calls [`Preconditioner::apply`] once per row. An
+    /// override must give every row the bits `apply` gives it; block CG
+    /// relies on that for its width-1 correspondence with scalar CG.
+    fn apply_rows(&self, r: &Matrix, z: &mut Matrix) {
+        debug_assert_eq!(r.shape(), z.shape(), "apply_rows: block shape mismatch");
+        for i in 0..r.rows() {
+            self.apply(r.row(i), z.row_mut(i));
+        }
+    }
 }
 
 impl<P: Preconditioner + ?Sized> Preconditioner for &P {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z)
+    }
+
+    fn apply_rows(&self, r: &Matrix, z: &mut Matrix) {
+        (**self).apply_rows(r, z)
     }
 }
 
@@ -85,70 +107,141 @@ impl Preconditioner for JacobiPreconditioner {
 
 /// Symmetric successive over-relaxation (SSOR) preconditioner.
 ///
-/// Applies `z = (D/ω + L)⁻ᵀ · (D/ω) · (D/ω + L)⁻¹ r` scaled so the operator
+/// Applies `z = (D/ω + U)⁻¹ · (D/ω) · (D/ω + L)⁻¹ r` scaled so the operator
 /// stays SPD. Converges in noticeably fewer CG iterations than Jacobi on the
 /// anisotropic grids produced by thin chip stacks.
+///
+/// The matrix is stored as its strict lower triangle `L`, diagonal `D` and
+/// strict upper triangle `U`, each row in column order, so a sweep walks
+/// exactly the entries it needs. Every row's operations run in the order
+/// of a sweep over the full rows, so the result does not depend on the
+/// split, and [`Preconditioner::apply_rows`] gives each row the bits
+/// [`Preconditioner::apply`] gives it.
 #[derive(Debug, Clone)]
 pub struct SsorPreconditioner {
-    a: CsrMatrix,
+    lower: Triangle,
     diag: Vec<f64>,
+    upper: Triangle,
     omega: f64,
 }
+
+/// Most right-hand sides one SSOR sweep carries per matrix row.
+const SSOR_LANES: usize = 8;
 
 impl SsorPreconditioner {
     /// Builds an SSOR preconditioner with relaxation factor `omega`.
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::InvalidDimension`] if `omega` is outside `(0, 2)`.
+    /// * [`LinalgError::InvalidDimension`] if `a` is not square or `omega`
+    ///   is outside `(0, 2)`.
     /// * [`LinalgError::NotPositiveDefinite`] if a diagonal entry is not
     ///   strictly positive.
     pub fn new(a: &CsrMatrix, omega: f64) -> Result<Self, LinalgError> {
+        if a.rows() != a.cols() {
+            return Err(LinalgError::InvalidDimension {
+                op: "ssor",
+                what: format!("matrix is {}x{}, expected square", a.rows(), a.cols()),
+            });
+        }
         if !(0.0..2.0).contains(&omega) || omega == 0.0 {
             return Err(LinalgError::InvalidDimension {
                 op: "ssor",
                 what: format!("omega must be in (0, 2), got {omega}"),
             });
         }
-        let diag = a.diagonal();
+        let (lower, diag, upper) = a.split_triangles();
         for (i, &d) in diag.iter().enumerate() {
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { pivot: i, value: d });
             }
         }
-        Ok(SsorPreconditioner { a: a.clone(), diag, omega })
+        Ok(SsorPreconditioner { lower, diag, upper, omega })
+    }
+
+    /// Both sweeps over `L` vectors at once. `r(i)` gives entry `i` of
+    /// every lane's residual, `t[i]` holds the lanes' intermediate entries,
+    /// and `z(i, ·)` receives entry `i` of their results as the backward
+    /// sweep finishes it. The lanes span vectors and never a row's
+    /// reduction, so each lane gets the bits of a one-lane sweep.
+    fn sweep<const L: usize>(
+        &self,
+        t: &mut [[f64; L]],
+        r: impl Fn(usize) -> [f64; L],
+        mut z: impl FnMut(usize, [f64; L]),
+    ) {
+        let n = self.diag.len();
+        debug_assert_eq!(t.len(), n, "ssor: residual length mismatch");
+        let w = self.omega;
+        // Forward sweep: (D/ω + L) y = r.
+        for i in 0..n {
+            let mut acc = r(i);
+            for &(c, v) in self.lower.row(i) {
+                let y = t[c];
+                for l in 0..L {
+                    acc[l] -= v * y[l];
+                }
+            }
+            let d = self.diag[i];
+            t[i] = acc.map(|a| a * w / d);
+        }
+        // Backward sweep: (D/ω + U) z = (D/ω) y, scaling each y as its row
+        // is reached.
+        for i in (0..n).rev() {
+            let d = self.diag[i];
+            let scale = d / w;
+            let mut acc = t[i].map(|y| y * scale);
+            for &(c, v) in self.upper.row(i) {
+                let zc = t[c];
+                for l in 0..L {
+                    acc[l] -= v * zc[l];
+                }
+            }
+            t[i] = acc.map(|a| a * w / d);
+            z(i, t[i]);
+        }
+    }
+
+    /// Sweeps rows `first..first + count` of `r` into the same rows of
+    /// `z` as one `L`-lane group (`count <= L`; spare lanes sweep zeros).
+    fn sweep_rows<const L: usize>(&self, r: &Matrix, z: &mut Matrix, first: usize, count: usize) {
+        let n = self.diag.len();
+        let rows = first * n..(first + count) * n;
+        let (rs, zs) = (&r.as_slice()[rows.clone()], &mut z.as_mut_slice()[rows]);
+        let mut t = vec![[0.0; L]; n];
+        self.sweep(
+            &mut t,
+            |i| std::array::from_fn(|l| if l < count { rs[l * n + i] } else { 0.0 }),
+            |i, out| {
+                for (l, &v) in out.iter().enumerate().take(count) {
+                    zs[l * n + i] = v;
+                }
+            },
+        );
     }
 }
 
 impl Preconditioner for SsorPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.diag.len();
-        debug_assert_eq!(r.len(), n, "ssor: residual length mismatch");
-        let w = self.omega;
-        // Forward sweep: (D/ω + L) y = r.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut acc = r[i];
-            for (c, v) in self.a.row_entries(i) {
-                if c < i {
-                    acc -= v * y[c];
-                }
+        // One lane, swept in place: `z` holds y, then z.
+        let (t, _) = z.as_chunks_mut::<1>();
+        self.sweep(t, |i| [r[i]], |_, _| {});
+    }
+
+    fn apply_rows(&self, r: &Matrix, z: &mut Matrix) {
+        debug_assert_eq!(r.shape(), z.shape(), "ssor: block shape mismatch");
+        // A sweep is bound by each row's dependence chain, not by its
+        // arithmetic, so a few spare lanes cost less than another sweep.
+        let mut first = 0;
+        while first < r.rows() {
+            let count = (r.rows() - first).min(SSOR_LANES);
+            match count {
+                5.. => self.sweep_rows::<SSOR_LANES>(r, z, first, count),
+                3..=4 => self.sweep_rows::<4>(r, z, first, count),
+                2 => self.sweep_rows::<2>(r, z, first, count),
+                _ => self.sweep_rows::<1>(r, z, first, count),
             }
-            y[i] = acc * w / self.diag[i];
-        }
-        // Scale by D/ω.
-        for i in 0..n {
-            y[i] *= self.diag[i] / w;
-        }
-        // Backward sweep: (D/ω + U) z = y.
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for (c, v) in self.a.row_entries(i) {
-                if c > i {
-                    acc -= v * z[c];
-                }
-            }
-            z[i] = acc * w / self.diag[i];
+            first += count;
         }
     }
 }
@@ -704,6 +797,20 @@ mod tests {
             CgOptions::default(),
         );
         assert!(matches!(err, Err(LinalgError::SolverDidNotConverge { .. })));
+    }
+
+    #[test]
+    fn ssor_rejects_non_square_matrix() {
+        // A 2×3 matrix with an entry past the square part: building used to
+        // succeed and `apply` then indexed past `z`.
+        let mut coo = CooMatrix::new(2, 3);
+        coo.push(0, 0, 2.0);
+        coo.push(1, 1, 2.0);
+        coo.push(0, 2, -1.0);
+        assert!(matches!(
+            SsorPreconditioner::new(&coo.to_csr(), 1.0),
+            Err(LinalgError::InvalidDimension { .. })
+        ));
     }
 
     #[test]

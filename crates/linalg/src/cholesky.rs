@@ -215,9 +215,9 @@ impl IncompleteCholesky {
                     a_ii = v;
                 }
             }
-            row_i.sort_unstable_by_key(|&(c, _)| c);
             // l_ij = (a_ij − Σₖ l_ik l_jk) / l_jj over the shared pattern
-            // k < j; the two-pointer walk exploits both rows being sorted.
+            // k < j; the two-pointer walk exploits both rows being sorted,
+            // as every CSR row is.
             for idx in 0..row_i.len() {
                 let j = row_i[idx].0;
                 let mut v = row_i[idx].1;

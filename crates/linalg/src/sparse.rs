@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use deepoheat_parallel as parallel;
 
 use crate::{LinalgError, Matrix};
@@ -7,12 +9,49 @@ use crate::{LinalgError, Matrix};
 /// thread count — so the work decomposition is reproducible.
 const SPMV_ROW_CHUNK: usize = 2048;
 
+/// Width of the fixed-size copy [`append_run`] uses for short runs: a
+/// 7-point operator row has at most three entries on each side of its
+/// diagonal.
+const RUN: usize = 4;
+
+/// Appends entries `run` of a CSR matrix's `cols`/`vals` arrays to `dst`
+/// as `(col, value)` pairs. A run of at most [`RUN`] entries copies a
+/// fixed [`RUN`]-wide window and cuts it back, which compiles to a few
+/// moves instead of a length-dependent loop: the triangle split copies two
+/// such runs per matrix row. Callers reserve [`RUN`] spare slots so the
+/// window never reallocates.
+fn append_run(dst: &mut Vec<(usize, f64)>, cols: &[usize], vals: &[f64], run: Range<usize>) {
+    let copy = if run.len() <= RUN && run.start + RUN <= cols.len() {
+        run.start..run.start + RUN
+    } else {
+        run.clone()
+    };
+    let keep = dst.len() + run.len();
+    dst.extend(cols[copy.clone()].iter().copied().zip(vals[copy].iter().copied()));
+    dst.truncate(keep);
+}
+
+/// One strict triangle of a square matrix: each row's `(col, value)`
+/// entries on one side of the diagonal, in column order.
+#[derive(Debug, Clone)]
+pub(crate) struct Triangle {
+    row_ptr: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Triangle {
+    /// Row `r`'s entries, in column order.
+    pub(crate) fn row(&self, r: usize) -> &[(usize, f64)] {
+        &self.entries[self.row_ptr[r]..self.row_ptr[r + 1]]
+    }
+}
+
 /// A sparse matrix in coordinate (triplet) form, used as a mutable builder
 /// for [`CsrMatrix`].
 ///
-/// Duplicate entries are *summed* on conversion, which matches how a
-/// finite-volume assembly accumulates face contributions into the system
-/// matrix.
+/// Duplicate entries are *summed* on conversion, in the order they were
+/// pushed, which matches how a finite-volume assembly accumulates face
+/// contributions into the system matrix.
 ///
 /// # Examples
 ///
@@ -41,6 +80,11 @@ impl CooMatrix {
         CooMatrix { rows, cols, entries: Vec::new() }
     }
 
+    /// Creates an empty builder with room for `capacity` entries.
+    pub fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
+        CooMatrix { rows, cols, entries: Vec::with_capacity(capacity) }
+    }
+
     /// Adds `value` at `(row, col)`; repeated pushes accumulate.
     ///
     /// # Panics
@@ -56,6 +100,27 @@ impl CooMatrix {
         self.entries.push((row, col, value));
     }
 
+    /// Moves every `(row, col, value)` entry of `entries` onto the end of
+    /// the builder, in order, leaving `entries` empty: the same matrix as
+    /// pushing them one by one, with one bounds check pass and one copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidDimension`] if an entry is out of
+    /// bounds; nothing is appended then.
+    pub fn append(&mut self, entries: &mut Vec<(usize, usize, f64)>) -> Result<(), LinalgError> {
+        if let Some(&(row, col, _)) =
+            entries.iter().find(|&&(r, c, _)| r >= self.rows || c >= self.cols)
+        {
+            return Err(LinalgError::InvalidDimension {
+                op: "coo append",
+                what: format!("entry ({row}, {col}) out of bounds for {}x{}", self.rows, self.cols),
+            });
+        }
+        self.entries.append(entries);
+        Ok(())
+    }
+
     /// Returns the number of stored (possibly duplicate) entries.
     pub fn nnz(&self) -> usize {
         self.entries.len()
@@ -66,29 +131,51 @@ impl CooMatrix {
         (self.rows, self.cols)
     }
 
-    /// Converts to compressed sparse row form, summing duplicates.
+    /// Converts to compressed sparse row form, summing duplicates in the
+    /// order they were pushed.
+    ///
+    /// Runs in `O(nnz)`: a counting sort scatters the entries by row, which
+    /// keeps each row's entries in push order; each (short) row is then
+    /// stably sorted by column, and runs of one column are summed left to
+    /// right. The result is the same for any interleaving of the rows'
+    /// pushes.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut entries = self.entries.clone();
-        entries.sort_unstable_by_key(|e| (e.0, e.1));
-        let mut col_idx: Vec<usize> = Vec::with_capacity(entries.len());
-        let mut values: Vec<f64> = Vec::with_capacity(entries.len());
-        let mut merged_rows: Vec<usize> = Vec::with_capacity(entries.len());
-        for &(r, c, v) in &entries {
-            if merged_rows.last() == Some(&r) && col_idx.last() == Some(&c) {
-                *values.last_mut().expect("invariant: values and col_idx grow in lockstep") += v;
-            } else {
-                merged_rows.push(r);
-                col_idx.push(c);
-                values.push(v);
-            }
-        }
         let mut row_ptr = vec![0usize; self.rows + 1];
-        for &r in &merged_rows {
+        for &(r, _, _) in &self.entries {
             row_ptr[r + 1] += 1;
         }
         for r in 0..self.rows {
             row_ptr[r + 1] += row_ptr[r];
         }
+        let mut slots = vec![(0usize, 0.0f64); self.entries.len()];
+        let mut next = row_ptr.clone();
+        for &(r, c, v) in &self.entries {
+            slots[next[r]] = (c, v);
+            next[r] += 1;
+        }
+        // Sort and merge row by row, compacting in place: the merged row
+        // never starts after its raw entries, so `kept <= start` throughout.
+        let mut kept = 0;
+        let mut start = 0;
+        for r in 0..self.rows {
+            let end = row_ptr[r + 1];
+            slots[start..end].sort_by_key(|&(c, _)| c);
+            let row_start = kept;
+            for k in start..end {
+                let (c, v) = slots[k];
+                if kept > row_start && slots[kept - 1].0 == c {
+                    slots[kept - 1].1 += v;
+                } else {
+                    slots[kept] = (c, v);
+                    kept += 1;
+                }
+            }
+            row_ptr[r + 1] = kept;
+            start = end;
+        }
+        slots.truncate(kept);
+        let col_idx = slots.iter().map(|&(c, _)| c).collect();
+        let values = slots.iter().map(|&(_, v)| v).collect();
         CsrMatrix { rows: self.rows, cols: self.cols, row_ptr, col_idx, values }
     }
 }
@@ -115,7 +202,10 @@ impl CsrMatrix {
     ///
     /// Returns [`LinalgError::InvalidDimension`] if the arrays are
     /// structurally inconsistent (wrong `row_ptr` length, non-monotone
-    /// `row_ptr`, column indices out of range, or length mismatches).
+    /// `row_ptr`, column indices out of range, or length mismatches), or if
+    /// a row's column indices are not strictly increasing: [`CsrMatrix::get`]
+    /// and [`CsrMatrix::diagonal`] binary-search each row, so an unsorted or
+    /// repeated column would be read wrongly.
     pub fn from_raw(
         rows: usize,
         cols: usize,
@@ -151,6 +241,15 @@ impl CsrMatrix {
             return Err(LinalgError::InvalidDimension {
                 op: "csr from_raw",
                 what: "column index out of range".into(),
+            });
+        }
+        if let Some(r) = row_ptr
+            .windows(2)
+            .position(|w| col_idx[w[0]..w[1]].windows(2).any(|pair| pair[0] >= pair[1]))
+        {
+            return Err(LinalgError::InvalidDimension {
+                op: "csr from_raw",
+                what: format!("row {r} has unsorted or repeated column indices"),
             });
         }
         Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
@@ -201,6 +300,46 @@ impl CsrMatrix {
         let start = self.row_ptr[r];
         let end = self.row_ptr[r + 1];
         self.col_idx[start..end].iter().copied().zip(self.values[start..end].iter().copied())
+    }
+
+    /// Splits a square matrix into its strict lower triangle, its diagonal
+    /// (missing entries are `0.0`) and its strict upper triangle, in one
+    /// pass over the rows.
+    ///
+    /// Each triangle reserves half the off-diagonal entries: its exact
+    /// size when the pattern is symmetric and every diagonal entry is
+    /// stored, as in the SPD operators SSOR preconditions. Any other
+    /// pattern grows a triangle as it fills.
+    pub(crate) fn split_triangles(&self) -> (Triangle, Vec<f64>, Triangle) {
+        debug_assert_eq!(self.rows, self.cols, "split_triangles: matrix must be square");
+        let n = self.rows;
+        let room = self.nnz().saturating_sub(n) / 2 + RUN;
+        let (mut lower, mut upper) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        let mut lower_ptr = Vec::with_capacity(n + 1);
+        let mut upper_ptr = Vec::with_capacity(n + 1);
+        lower_ptr.push(0);
+        upper_ptr.push(0);
+        let mut diag = vec![0.0; n];
+        for (i, d) in diag.iter_mut().enumerate() {
+            let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            // Sorted columns: `lo` entries lie left of the diagonal, which
+            // sits at `lo` when it is stored.
+            let cols = &self.col_idx[start..end];
+            let lo = cols.partition_point(|&c| c < i);
+            let hi = lo + usize::from(cols.get(lo) == Some(&i));
+            append_run(&mut lower, &self.col_idx, &self.values, start..start + lo);
+            append_run(&mut upper, &self.col_idx, &self.values, start + hi..end);
+            if lo < hi {
+                *d = self.values[start + lo];
+            }
+            lower_ptr.push(lower.len());
+            upper_ptr.push(upper.len());
+        }
+        (
+            Triangle { row_ptr: lower_ptr, entries: lower },
+            diag,
+            Triangle { row_ptr: upper_ptr, entries: upper },
+        )
     }
 
     /// Sparse matrix–vector product `y = A x`.
@@ -425,6 +564,63 @@ mod tests {
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err()); // non-monotone
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 1.0]).is_err()); // col oob
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 1.0]).is_ok());
+        // Column order: unsorted, repeated, and repeated out of order (the
+        // last would otherwise report diagonal()[0] = 1 while A·e₀ = 4).
+        let unsorted = CsrMatrix::from_raw(2, 2, vec![0, 2, 3], vec![1, 0, 1], vec![1.0; 3]);
+        assert!(matches!(unsorted, Err(LinalgError::InvalidDimension { .. })));
+        let repeated = CsrMatrix::from_raw(2, 2, vec![0, 2, 3], vec![0, 0, 1], vec![1.0; 3]);
+        assert!(matches!(repeated, Err(LinalgError::InvalidDimension { .. })));
+        let shadowed = CsrMatrix::from_raw(1, 2, vec![0, 3], vec![0, 1, 0], vec![1.0, 2.0, 3.0]);
+        assert!(matches!(shadowed, Err(LinalgError::InvalidDimension { .. })));
+        // Sorted rows, empty rows and a 0×0 matrix stay valid.
+        assert!(CsrMatrix::from_raw(3, 3, vec![0, 2, 2, 3], vec![0, 2, 1], vec![1.0; 3]).is_ok());
+        assert!(CsrMatrix::from_raw(0, 0, vec![0], vec![], vec![]).is_ok());
+    }
+
+    #[test]
+    fn append_matches_pushes_and_rejects_out_of_bounds() {
+        let entries = vec![(1, 0, 2.0), (0, 1, -1.0), (1, 0, 0.5), (0, 0, 3.0)];
+        let mut pushed = CooMatrix::new(2, 2);
+        for &(r, c, v) in &entries {
+            pushed.push(r, c, v);
+        }
+        let mut appended = CooMatrix::with_capacity(2, 2, entries.len());
+        let mut buffer = entries.clone();
+        appended.append(&mut buffer).unwrap();
+        assert!(buffer.is_empty());
+        assert_eq!(appended.nnz(), pushed.nnz());
+        assert_eq!(appended.to_csr(), pushed.to_csr());
+
+        let mut bad = vec![(0, 0, 1.0), (2, 0, 1.0)];
+        assert!(matches!(appended.append(&mut bad), Err(LinalgError::InvalidDimension { .. })));
+        assert_eq!(bad.len(), 2, "a rejected append moves nothing");
+        assert_eq!(appended.nnz(), entries.len());
+    }
+
+    #[test]
+    fn split_triangles_partitions_rows_without_a_diagonal_too() {
+        // Row 1 has no stored diagonal, row 2 is empty, row 6 has more
+        // entries on each side than one fixed-width copy holds, and the
+        // last row's run ends the arrays.
+        let n = 12;
+        let mut coo = CooMatrix::new(n, n);
+        for (r, c, v) in [(0, 0, 4.0), (0, 5, -1.0), (1, 0, -2.0), (1, 3, 1.5), (11, 0, 3.0)] {
+            coo.push(r, c, v);
+        }
+        for c in 0..n {
+            coo.push(6, c, c as f64 + 1.0);
+        }
+        coo.push(4, 4, 1.0);
+        let a = coo.to_csr();
+        let (lower, diag, upper) = a.split_triangles();
+        assert_eq!(diag, a.diagonal());
+        assert_eq!(&diag[..7], &[4.0, 0.0, 0.0, 0.0, 1.0, 0.0, 7.0]);
+        for r in 0..n {
+            let below: Vec<_> = a.row_entries(r).filter(|&(c, _)| c < r).collect();
+            let above: Vec<_> = a.row_entries(r).filter(|&(c, _)| c > r).collect();
+            assert_eq!(lower.row(r), below, "row {r}");
+            assert_eq!(upper.row(r), above, "row {r}");
+        }
     }
 
     #[test]
