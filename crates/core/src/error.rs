@@ -41,6 +41,9 @@ pub enum DeepOHeatError {
         /// Iteration at which the loss stopped being finite.
         iteration: usize,
     },
+    /// A chunked evaluation stopped at a chunk boundary because the
+    /// caller's stop predicate fired (a serving deadline, for instance).
+    Stopped,
 }
 
 impl fmt::Display for DeepOHeatError {
@@ -59,6 +62,7 @@ impl fmt::Display for DeepOHeatError {
             DeepOHeatError::Diverged { iteration } => {
                 write!(f, "training diverged at iteration {iteration} (non-finite loss)")
             }
+            DeepOHeatError::Stopped => write!(f, "evaluation stopped at a chunk boundary"),
         }
     }
 }

@@ -607,11 +607,9 @@ impl HtcExperiment {
         let u1 = Matrix::from_fn(pairs.len(), 1, |i, _| pairs[i].0 / HTC_INPUT_SCALE);
         let u2 = Matrix::from_fn(pairs.len(), 1, |i, _| pairs[i].1 / HTC_INPUT_SCALE);
         let embedding = self.model.encode_branches(&[&u1, &u2])?;
-        let t = self.model.eval_trunk_batch(
-            &embedding,
-            &self.eval_coords,
-            crate::DEFAULT_TRUNK_CHUNK,
-        )?;
+        let basis =
+            self.model.trunk_basis(&self.eval_coords, crate::DEFAULT_TRUNK_CHUNK, &|| false)?;
+        let t = basis.combine(&embedding)?;
         Ok((0..pairs.len()).map(|i| t.row(i).to_vec()).collect())
     }
 

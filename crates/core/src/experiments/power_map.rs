@@ -592,8 +592,8 @@ impl PowerMapExperiment {
         let sensors = self.config.nx * self.config.ny;
         let input = Matrix::from_fn(maps.len(), sensors, |i, j| maps[i].as_slice()[j]);
         let embedding = self.model.encode_branches(&[&input])?;
-        let t =
-            self.model.eval_trunk_batch(&embedding, &self.coords, crate::DEFAULT_TRUNK_CHUNK)?;
+        let basis = self.model.trunk_basis(&self.coords, crate::DEFAULT_TRUNK_CHUNK, &|| false)?;
+        let t = basis.combine(&embedding)?;
         Ok((0..maps.len()).map(|i| t.row(i).to_vec()).collect())
     }
 

@@ -52,6 +52,7 @@
 //! # Ok::<(), deepoheat::DeepOHeatError>(())
 //! ```
 
+mod basis;
 mod error;
 
 pub mod checkpoint;
@@ -64,6 +65,7 @@ pub mod physics;
 pub mod report;
 pub mod resilience;
 
+pub use basis::TrunkBasis;
 pub use checkpoint::{CheckpointError, TrainingSnapshot};
 pub use error::DeepOHeatError;
 pub use lowered::TrunkF32;

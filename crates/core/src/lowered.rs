@@ -4,10 +4,10 @@
 //! trained [`DeepOHeat`] model: the Fourier layer, the trunk MLP, the
 //! MIONet combine `B Φᵀ` and the affine output transform all run through
 //! the `Matrix32` fused kernels of `deepoheat-linalg`. Parameters are
-//! narrowed once at lowering time; each batched evaluation widens its
-//! result back to `f64` at the end (exactly — every `f32` is
-//! representable), so callers see the same `Matrix` interface as
-//! [`DeepOHeat::eval_trunk_batch`].
+//! narrowed once at lowering time. [`TrunkF32::trunk_basis`] builds the
+//! same [`TrunkBasis`] type as [`DeepOHeat::trunk_basis`], so both
+//! precisions share one combine, which widens its result back to `f64`
+//! (exactly — every `f32` is representable).
 //!
 //! **Determinism contract.** Within the `f32` precision, results are
 //! bitwise independent of thread count and chunk size — the lowering uses
@@ -20,11 +20,12 @@
 use deepoheat_linalg::{Matrix, Matrix32};
 use deepoheat_nn::{LoweredFourier, LoweredMlp};
 
-use crate::{BranchEmbedding, DeepOHeat, DeepOHeatError};
+use crate::basis::{self, TrunkBasis};
+use crate::{DeepOHeat, DeepOHeatError};
 
 /// An `f32` lowering of the trunk-side inference path of a [`DeepOHeat`]
 /// model; build one with [`DeepOHeat::lower_trunk`] and evaluate with
-/// [`TrunkF32::eval_trunk_batch`].
+/// [`TrunkF32::trunk_basis`] and [`TrunkBasis::combine`].
 #[derive(Debug, Clone)]
 pub struct TrunkF32 {
     fourier: Option<LoweredFourier>,
@@ -56,75 +57,47 @@ impl TrunkF32 {
         self.trunk.output_dim()
     }
 
-    /// Single-precision counterpart of [`DeepOHeat::eval_trunk_batch`]:
-    /// evaluates the temperature of every encoded configuration at every
-    /// query coordinate, returning an `n_configs × n_points` `f64` matrix
-    /// (widened exactly from the `f32` computation).
-    ///
-    /// Chunk boundaries are derived from `coords.rows()` and `chunk_rows`
-    /// exactly as in the `f64` path, so the result is bit-identical at any
-    /// pool width and any chunking.
+    /// Single-precision counterpart of [`DeepOHeat::trunk_basis`]: the
+    /// lowered trunk's `Φ` for every row of `coords`, packed chunk by
+    /// chunk, with the narrowed output transform. Chunk boundaries and the
+    /// `stop` contract are exactly those of the `f64` path, so the
+    /// combined result is bit-identical at any pool width and any
+    /// chunking.
     ///
     /// # Errors
     ///
-    /// Returns [`DeepOHeatError::InputMismatch`] if the embedding's latent
-    /// width does not match this trunk or `coords` is not `points × 3`.
-    pub fn eval_trunk_batch(
+    /// Returns [`DeepOHeatError::InputMismatch`] unless `coords` is
+    /// `points × 3`, and [`DeepOHeatError::Stopped`] when `stop` fired.
+    pub fn trunk_basis(
         &self,
-        embedding: &BranchEmbedding,
         coords: &Matrix,
         chunk_rows: usize,
-    ) -> Result<Matrix, DeepOHeatError> {
-        let _span = deepoheat_telemetry::span("model.trunk_batch_f32");
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Result<TrunkBasis, DeepOHeatError> {
+        let _span = deepoheat_telemetry::span("model.trunk_basis_f32");
         if coords.cols() != 3 {
             return Err(DeepOHeatError::InputMismatch {
                 what: format!("coordinates must be points x 3, got {:?}", coords.shape()),
             });
         }
-        if embedding.latent_dim() != self.latent_dim() {
-            return Err(DeepOHeatError::InputMismatch {
-                what: format!(
-                    "embedding has latent width {}, lowered trunk expects {}",
-                    embedding.latent_dim(),
-                    self.latent_dim()
-                ),
-            });
-        }
-        // Narrow the branch features once per call; the per-chunk work
-        // below reuses this matrix for every combine.
-        let b32 = Matrix32::from_f64(embedding.features());
         let n_points = coords.rows();
-        let n_configs = embedding.n_configs();
         let chunk = if chunk_rows == 0 { n_points.max(1) } else { chunk_rows };
-        let blocks = deepoheat_parallel::par_try_map_chunks(n_points, chunk, |range| {
-            let sub = Matrix32::from_f64(&coords.row_block(range)?);
-            let phi = {
-                let trunk_in = match &self.fourier {
-                    Some(ff) => ff.forward(&sub)?,
-                    None => sub,
-                };
-                self.trunk.forward(&trunk_in)?
+        let packed = Matrix32::pack_row_chunks(n_points, self.latent_dim(), chunk, |rows| {
+            let sub = Matrix32::from_f64(&basis::chunk_coords(coords, rows, stop)?);
+            let trunk_in = match &self.fourier {
+                Some(ff) => ff.forward(&sub)?,
+                None => sub,
             };
-            let theta =
-                b32.matmul_transposed_affine(&phi, self.output_offset, self.output_scale)?;
-            Ok::<Matrix, DeepOHeatError>(theta.to_f64())
+            Ok::<Matrix32, DeepOHeatError>(self.trunk.forward(&trunk_in)?)
         })?;
-        let mut out = Matrix::zeros(n_configs, n_points);
-        let mut col = 0;
-        for block in blocks {
-            for r in 0..n_configs {
-                out.row_mut(r)[col..col + block.cols()].copy_from_slice(block.row(r));
-            }
-            col += block.cols();
-        }
-        Ok(out)
+        Ok(TrunkBasis::f32(packed, self.output_offset, self.output_scale))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeepOHeatConfig;
+    use crate::{BranchEmbedding, DeepOHeatConfig};
     use rand::SeedableRng;
 
     fn model() -> DeepOHeat {
@@ -133,6 +106,14 @@ mod tests {
             .with_fourier(8, 1.0)
             .with_output_transform(298.15, 10.0);
         DeepOHeat::new(&cfg, &mut rng).unwrap()
+    }
+
+    fn eval(low: &TrunkF32, emb: &BranchEmbedding, y: &Matrix, chunk: usize) -> Matrix {
+        low.trunk_basis(y, chunk, &|| false).unwrap().combine(emb).unwrap()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.iter().map(|v| v.to_bits()).collect()
     }
 
     fn inputs() -> (Matrix, Matrix) {
@@ -148,8 +129,8 @@ mod tests {
         assert_eq!(low.latent_dim(), model.latent_dim());
         let (u, y) = inputs();
         let emb = model.encode_branches(&[&u]).unwrap();
-        let full = model.eval_trunk_batch(&emb, &y, 16).unwrap();
-        let narrow = low.eval_trunk_batch(&emb, &y, 16).unwrap();
+        let full = model.predict(&[&u], &y).unwrap();
+        let narrow = eval(&low, &emb, &y, 16);
         assert_eq!(full.shape(), narrow.shape());
         // The output transform maps to ~298 K; f32 carries ~7 significant
         // decimal digits, so after a few narrowed matmuls the fields should
@@ -169,15 +150,14 @@ mod tests {
         let low = model.lower_trunk();
         let (u, y) = inputs();
         let emb = model.encode_branches(&[&u]).unwrap();
-        let base = low.eval_trunk_batch(&emb, &y, 8).unwrap();
+        let base = bits(&eval(&low, &emb, &y, 8));
         for chunk in [0, 1, 5, 57, 4096] {
-            let got = low.eval_trunk_batch(&emb, &y, chunk).unwrap();
-            assert_eq!(base, got, "chunk_rows = {chunk}");
+            assert_eq!(base, bits(&eval(&low, &emb, &y, chunk)), "chunk_rows = {chunk}");
         }
         for threads in [1, 2, 4] {
             let pool = deepoheat_parallel::ThreadPool::new(threads);
-            let got = pool.install(|| low.eval_trunk_batch(&emb, &y, 8)).unwrap();
-            assert_eq!(base, got, "threads = {threads}");
+            let got = pool.install(|| eval(&low, &emb, &y, 8));
+            assert_eq!(base, bits(&got), "threads = {threads}");
         }
     }
 
@@ -186,14 +166,16 @@ mod tests {
         let model = model();
         let low = model.lower_trunk();
         let (u, _) = inputs();
-        let emb = model.encode_branches(&[&u]).unwrap();
-        assert!(low.eval_trunk_batch(&emb, &Matrix::zeros(5, 2), 8).is_err());
+        assert!(low.trunk_basis(&Matrix::zeros(5, 2), 8, &|| false).is_err());
+        assert!(low.trunk_basis(&inputs().1, 8, &|| true).is_err());
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         let other =
             DeepOHeat::new(&DeepOHeatConfig::single_branch(4, &[8], &[8], 3), &mut rng).unwrap();
         let wrong = other.encode_branches(&[&Matrix::zeros(3, 4)]).unwrap();
-        assert!(low.eval_trunk_batch(&wrong, &Matrix::zeros(5, 3), 8).is_err());
+        let basis = low.trunk_basis(&Matrix::zeros(5, 3), 8, &|| false).unwrap();
+        assert!(basis.combine(&wrong).is_err());
+        assert!(basis.combine(&model.encode_branches(&[&u]).unwrap()).is_ok());
     }
 
     #[test]
@@ -204,8 +186,8 @@ mod tests {
         let low = model.lower_trunk();
         let (u, y) = inputs();
         let emb = model.encode_branches(&[&u]).unwrap();
-        let full = model.eval_trunk_batch(&emb, &y, 16).unwrap();
-        let narrow = low.eval_trunk_batch(&emb, &y, 16).unwrap();
+        let full = model.predict(&[&u], &y).unwrap();
+        let narrow = eval(&low, &emb, &y, 16);
         let scale = full.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for (a, b) in full.iter().zip(narrow.iter()) {
             assert!((a - b).abs() <= 1e-4 * scale, "{a} vs {b}");

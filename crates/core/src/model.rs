@@ -5,6 +5,7 @@ use deepoheat_nn::{
 };
 use rand::Rng;
 
+use crate::basis::{self, TrunkBasis};
 use crate::DeepOHeatError;
 
 /// The jet of the predicted temperature field: `T`, `∂T/∂xᵢ` and
@@ -12,7 +13,7 @@ use crate::DeepOHeatError;
 /// `n_configs × n_points` graph node.
 pub type TemperatureJet = Jet3;
 
-/// Default row-chunk size for [`DeepOHeat::eval_trunk_batch`]: large
+/// Default row-chunk size for [`DeepOHeat::trunk_basis`]: large
 /// enough that per-chunk dispatch cost is negligible against the trunk
 /// matmuls, small enough that a full-mesh query (4851 points in §V.A)
 /// still splits across workers. Chunk boundaries derive from this
@@ -27,8 +28,8 @@ pub const DEFAULT_TRUNK_CHUNK: usize = 256;
 /// only on the input functions (power map, HTC, …) and `Φ` only on the
 /// query coordinates, so one embedding serves every query point of every
 /// repeated design. Produced by [`DeepOHeat::encode_branches`], consumed
-/// by [`DeepOHeat::eval_trunk_batch`]; the `deepoheat-serve` engine
-/// caches these keyed by sensor content.
+/// by [`TrunkBasis::combine`]; the `deepoheat-serve` engine caches these
+/// keyed by sensor content.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BranchEmbedding {
     features: Matrix,
@@ -309,9 +310,9 @@ impl DeepOHeat {
     ///
     /// The embedding depends only on the input functions — not on any
     /// query coordinate — so callers evaluating many points (or the same
-    /// design repeatedly) should encode once and feed the result to
-    /// [`DeepOHeat::eval_trunk_batch`]; `deepoheat-serve` adds the
-    /// content-addressed cache on top.
+    /// design repeatedly) should encode once and combine the result with
+    /// a [`TrunkBasis`]; `deepoheat-serve` adds the content-addressed
+    /// caches on top.
     ///
     /// # Errors
     ///
@@ -353,72 +354,46 @@ impl DeepOHeat {
         Ok(self.trunk.forward_inference_chunked(&trunk_in, DEFAULT_TRUNK_CHUNK)?)
     }
 
-    /// Evaluates the temperature (Kelvin, after the output transform) of
-    /// every encoded configuration at every query coordinate, batching
-    /// the trunk through the `deepoheat-parallel` pool in fixed
-    /// `chunk_rows`-sized query chunks.
+    /// The trunk basis of a query mesh: `Φ` for every row of `coords`,
+    /// computed in fixed `chunk_rows`-row chunks on the `deepoheat-parallel`
+    /// pool (the Fourier layer, when configured, then the trunk MLP) and
+    /// packed chunk by chunk into the combine kernel's panel layout. Pair
+    /// it with any number of embeddings through [`TrunkBasis::combine`].
     ///
-    /// Per chunk this computes the trunk features and then a single fused
-    /// combine-and-transform kernel `T = offset + scale · (B Φᵀ)`
-    /// ([`Matrix::matmul_transposed_affine`]), which applies the output
-    /// transform in the matmul store epilogue instead of materialising the
-    /// raw `θ` matrix and mapping it in a second pass. Chunks are stitched
-    /// back in chunk-index order. Because every per-point quantity is a
-    /// function of that point's row alone — and the fused epilogue rounds
-    /// identically to the two-pass form — the result is **bit-identical**
-    /// to [`DeepOHeat::predict`] — and to a point-at-a-time loop — at any
-    /// thread count and any `chunk_rows` (`0` means "one chunk").
+    /// `stop` is checked before each chunk; once it returns `true` the
+    /// remaining chunks do no work and the call fails with
+    /// [`DeepOHeatError::Stopped`], so a caller with a deadline never gets
+    /// a partial basis. Pass `&|| false` to run to completion.
+    ///
+    /// Every per-point quantity is a function of that point's row alone,
+    /// so `basis.combine(&embedding)` is **bit-identical** to
+    /// [`DeepOHeat::predict`] — and to a point-at-a-time loop — at any
+    /// thread count and any `chunk_rows` (`0` means "one chunk"; chunks are
+    /// rounded up to the kernel's 8-row panel width).
     ///
     /// # Errors
     ///
-    /// Returns [`DeepOHeatError::InputMismatch`] if the embedding's latent
-    /// width does not match this model or `coords` is not `points × 3`.
-    pub fn eval_trunk_batch(
+    /// Returns [`DeepOHeatError::InputMismatch`] unless `coords` is
+    /// `points × 3`, and [`DeepOHeatError::Stopped`] when `stop` fired.
+    pub fn trunk_basis(
         &self,
-        embedding: &BranchEmbedding,
         coords: &Matrix,
         chunk_rows: usize,
-    ) -> Result<Matrix, DeepOHeatError> {
-        let _span = deepoheat_telemetry::span("model.trunk_batch");
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Result<TrunkBasis, DeepOHeatError> {
+        let _span = deepoheat_telemetry::span("model.trunk_basis");
         self.check_coords(coords)?;
-        if embedding.latent_dim() != self.latent_dim() {
-            return Err(DeepOHeatError::InputMismatch {
-                what: format!(
-                    "embedding has latent width {}, model expects {}",
-                    embedding.latent_dim(),
-                    self.latent_dim()
-                ),
-            });
-        }
         let n_points = coords.rows();
-        let n_configs = embedding.n_configs();
         let chunk = if chunk_rows == 0 { n_points.max(1) } else { chunk_rows };
-        let blocks = deepoheat_parallel::par_try_map_chunks(n_points, chunk, |range| {
-            let sub = coords.row_block(range)?;
-            let phi = {
-                let trunk_in = match &self.fourier {
-                    Some(ff) => ff.forward_inference(&sub)?,
-                    None => sub,
-                };
-                self.trunk.forward_inference(&trunk_in)?
+        let packed = Matrix::pack_row_chunks(n_points, self.latent_dim(), chunk, |rows| {
+            let sub = basis::chunk_coords(coords, rows, stop)?;
+            let trunk_in = match &self.fourier {
+                Some(ff) => ff.forward_inference(&sub)?,
+                None => sub,
             };
-            Ok::<Matrix, DeepOHeatError>(embedding.features().matmul_transposed_affine(
-                &phi,
-                self.output_offset,
-                self.output_scale,
-            )?)
+            Ok::<Matrix, DeepOHeatError>(self.trunk.forward_inference(&trunk_in)?)
         })?;
-        // Stitch the per-chunk `n_configs × chunk_len` column blocks back
-        // into `n_configs × n_points`, left to right in chunk order.
-        let mut out = Matrix::zeros(n_configs, n_points);
-        let mut col = 0;
-        for block in blocks {
-            for r in 0..n_configs {
-                out.row_mut(r)[col..col + block.cols()].copy_from_slice(block.row(r));
-            }
-            col += block.cols();
-        }
-        Ok(out)
+        Ok(TrunkBasis::f64(packed, self.output_offset, self.output_scale))
     }
 
     /// Fast graph-free prediction: the temperature (Kelvin, after the
@@ -693,6 +668,10 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(42)
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
     fn small_config() -> DeepOHeatConfig {
         DeepOHeatConfig::single_branch(4, &[8], &[8], 6).with_fourier(4, 1.0)
     }
@@ -743,8 +722,9 @@ mod tests {
         assert_eq!(emb.n_configs(), 3);
         assert_eq!(emb.latent_dim(), model.latent_dim());
         for chunk in [0, 1, 7, 41, 4096] {
-            let batched = model.eval_trunk_batch(&emb, &y, chunk).unwrap();
-            assert_eq!(direct, batched, "chunk_rows = {chunk}");
+            let batched = model.trunk_basis(&y, chunk, &|| false).unwrap().combine(&emb).unwrap();
+            assert_eq!(batched.shape(), (3, 41));
+            assert_eq!(bits(&direct), bits(&batched), "chunk_rows = {chunk}");
         }
     }
 
@@ -768,24 +748,36 @@ mod tests {
         let emb = model.encode_branches(&[&u]).unwrap();
         for threads in [1, 2, 4] {
             let pool = deepoheat_parallel::ThreadPool::new(threads);
-            let batched = pool.install(|| model.eval_trunk_batch(&emb, &y, 8)).unwrap();
-            assert_eq!(sequential, batched, "threads = {threads}");
+            let batched =
+                pool.install(|| model.trunk_basis(&y, 8, &|| false)?.combine(&emb)).unwrap();
+            assert_eq!(bits(&sequential), bits(&batched), "threads = {threads}");
         }
     }
 
     #[test]
-    fn eval_trunk_batch_validates_embedding_and_coords() {
+    fn basis_and_combine_validate_embedding_and_coords() {
         let mut r = rng();
         let model = DeepOHeat::new(&small_config(), &mut r).unwrap();
         let other =
             DeepOHeat::new(&DeepOHeatConfig::single_branch(4, &[8], &[8], 3), &mut r).unwrap();
         let u = Matrix::zeros(2, 4);
         let wrong_latent = other.encode_branches(&[&u]).unwrap();
-        let y = Matrix::zeros(5, 3);
-        assert!(model.eval_trunk_batch(&wrong_latent, &y, 4).is_err());
-        let emb = model.encode_branches(&[&u]).unwrap();
-        assert!(model.eval_trunk_batch(&emb, &Matrix::zeros(5, 2), 4).is_err());
+        let basis = model.trunk_basis(&Matrix::zeros(5, 3), 4, &|| false).unwrap();
+        assert!(basis.combine(&wrong_latent).is_err());
+        assert!(model.trunk_basis(&Matrix::zeros(5, 2), 4, &|| false).is_err());
         assert!(model.trunk_features_inference(&Matrix::zeros(5, 4)).is_err());
+    }
+
+    #[test]
+    fn stopped_basis_fails_whole_and_empty_mesh_combines_to_no_columns() {
+        let mut r = rng();
+        let model = DeepOHeat::new(&small_config(), &mut r).unwrap();
+        let y = Matrix::from_fn(40, 3, |i, j| 0.02 * (i + j) as f64);
+        let err = model.trunk_basis(&y, 8, &|| true).unwrap_err();
+        assert_eq!(err, DeepOHeatError::Stopped);
+        let emb = model.encode_branches(&[&Matrix::zeros(2, 4)]).unwrap();
+        let empty = model.trunk_basis(&Matrix::zeros(0, 3), 8, &|| true).unwrap();
+        assert_eq!(empty.combine(&emb).unwrap().shape(), (2, 0));
     }
 
     #[test]

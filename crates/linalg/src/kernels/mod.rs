@@ -37,7 +37,11 @@
 #[allow(unsafe_code)]
 mod simd;
 
-use deepoheat_parallel as parallel;
+use std::ops::Range;
+
+use deepoheat_parallel::{self as parallel, Job};
+
+use crate::LinalgError;
 
 /// Rows per register tile. Four accumulator rows of [`NR`] lanes fit in the
 /// 16 ymm registers with room for the broadcast operand.
@@ -195,28 +199,59 @@ impl<T: Element> Epilogue<'_, T> {
     }
 }
 
-/// B packed into `KC`-slab, `NR`-strip panels.
+/// The right-hand operand of a product, packed once into the kernel's
+/// `KC × NR` panel layout so it can be reused by any number of products
+/// (build one with [`Matrix::pack_row_chunks`](crate::Matrix::pack_row_chunks)
+/// or its [`Matrix32`](crate::Matrix32) counterpart).
 ///
-/// Layout: slabs (ascending `k` ranges) are concatenated; within a slab,
-/// `NR`-wide column strips are concatenated; within a strip, the `NR`
-/// values of one `k` row are contiguous (`strip[kk * NR + lane]`). The
-/// tail strip is zero-padded to `NR` lanes — padded lanes accumulate
-/// garbage that is never stored back.
-pub(crate) struct PackedB<T> {
+/// Layout: `NR`-wide column strips are concatenated; each strip holds its
+/// `k` reduction rows in ascending order with the `NR` values of one row
+/// contiguous (`strip[kk * NR + lane]`), so slab `s` of a strip is the
+/// contiguous `KC × NR` panel starting at row `s * KC`. The tail strip is
+/// zero-padded to `NR` lanes — padded lanes accumulate garbage that is
+/// never stored back. Strips are outermost so that any run of whole
+/// strips, i.e. any `NR`-aligned range of operand rows, is one contiguous
+/// region: that is what lets [`pack_rows_chunked`] pack each chunk into
+/// place from its own job.
+pub struct PackedRhs<T> {
     buf: Vec<T>,
     k: usize,
     n: usize,
 }
 
-impl<T: Element> PackedB<T> {
-    /// Offset of slab `s` (slabs before it hold `s * KC` k-rows each of
-    /// `strips * NR` lanes).
+impl<T> PackedRhs<T> {
+    /// Rows of the operand before packing: the output columns of a product
+    /// with it.
+    pub fn rows(&self) -> usize {
+        self.n
+    }
+
+    /// Columns of the operand before packing: the reduction length.
+    pub fn cols(&self) -> usize {
+        self.k
+    }
+
+    /// `(rows, cols)` of the operand before packing.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.n, self.k)
+    }
+
+    /// Bytes held by the packed panels (the tail strip's padding included).
+    pub fn bytes(&self) -> usize {
+        self.buf.len() * std::mem::size_of::<T>()
+    }
+
+    /// The `ks × NR` panel of strip `strip` for slab `s`.
     #[inline]
-    fn slab(&self, s: usize) -> &[T] {
-        let strips = self.n.div_ceil(NR);
-        let start = s * KC * strips * NR;
-        let ks = slab_len(self.k, s);
-        &self.buf[start..start + ks * strips * NR]
+    fn panel(&self, s: usize, strip: usize) -> &[T] {
+        let start = strip * self.k * NR + s * KC * NR;
+        &self.buf[start..start + slab_len(self.k, s) * NR]
+    }
+}
+
+impl<T> std::fmt::Debug for PackedRhs<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedRhs").field("rows", &self.n).field("cols", &self.k).finish()
     }
 }
 
@@ -231,39 +266,108 @@ fn slab_count(k: usize) -> usize {
     k.div_ceil(KC).max(1)
 }
 
+/// Zeroed panel storage for an operand with `n` rows (output columns) and
+/// reduction length `k`.
+fn panel_storage<T: Element>(k: usize, n: usize) -> Vec<T> {
+    vec![T::ZERO; n.div_ceil(NR) * NR * k]
+}
+
+/// Packs `rows` rows of a row-major `rows × k` block into `panels`, the
+/// storage of the whole strips those rows start (strip-aligned).
+fn pack_rows_into<T: Element>(panels: &mut [T], src: &[T], rows: usize, k: usize) {
+    for (strip, panel) in panels.chunks_mut(k * NR).enumerate() {
+        let j0 = strip * NR;
+        let width = NR.min(rows - j0);
+        for (kk, lanes) in panel.chunks_exact_mut(NR).enumerate() {
+            for (lane, v) in lanes.iter_mut().enumerate().take(width) {
+                *v = src[(j0 + lane) * k + kk];
+            }
+        }
+    }
+}
+
 /// Packs `src` into panel form. `src` is row-major `k × n` when
 /// `transposed` is false, or row-major `n × k` (the un-transposed operand
 /// of an `A·Bᵀ` product) when true — both land in the identical packed
 /// layout, which is how the two public multiplication shapes share one
 /// microkernel.
-pub(crate) fn pack_b<T: Element>(src: &[T], k: usize, n: usize, transposed: bool) -> PackedB<T> {
-    let strips = n.div_ceil(NR);
-    // Each of the k reduction rows is stored exactly once across the slabs.
-    let mut buf = vec![T::ZERO; k * strips * NR];
+pub(crate) fn pack_b<T: Element>(src: &[T], k: usize, n: usize, transposed: bool) -> PackedRhs<T> {
+    let mut buf = panel_storage(k, n);
     if k == 0 || n == 0 {
-        return PackedB { buf, k, n };
+        return PackedRhs { buf, k, n };
     }
-    let mut w = 0;
-    for s in 0..slab_count(k) {
-        let k0 = s * KC;
-        let ks = slab_len(k, s);
-        for strip in 0..strips {
+    if transposed {
+        pack_rows_into(&mut buf, src, n, k);
+    } else {
+        for (strip, panel) in buf.chunks_mut(k * NR).enumerate() {
             let j0 = strip * NR;
             let width = NR.min(n - j0);
-            for kk in 0..ks {
-                let ki = k0 + kk;
-                for lane in 0..width {
-                    buf[w + lane] = if transposed {
-                        src[(j0 + lane) * k + ki]
-                    } else {
-                        src[ki * n + j0 + lane]
-                    };
-                }
-                w += NR;
+            for (kk, lanes) in panel.chunks_exact_mut(NR).enumerate() {
+                lanes[..width].copy_from_slice(&src[kk * n + j0..kk * n + j0 + width]);
             }
         }
     }
-    PackedB { buf, k, n }
+    PackedRhs { buf, k, n }
+}
+
+/// Packs an `n × k` row-major operand (the un-transposed right-hand side
+/// of `A·Bᵀ`) that `produce` computes chunk by chunk: each chunk of rows
+/// runs as one job on the current pool, and its block is packed straight
+/// into its own panels and dropped, so the unpacked operand is never held
+/// whole. `data` views a produced block as its row-major elements.
+///
+/// Chunks are `chunk_rows` rounded up to a multiple of [`NR`], so every
+/// chunk owns whole strips; boundaries depend on `n` and `chunk_rows`
+/// only. Every chunk runs, and the error returned is the one of the
+/// lowest-indexed failing chunk, whatever the scheduling.
+pub(crate) fn pack_rows_chunked<T, V, E, F>(
+    n: usize,
+    k: usize,
+    chunk_rows: usize,
+    produce: F,
+    data: fn(&V) -> &[T],
+) -> Result<PackedRhs<T>, E>
+where
+    T: Element,
+    E: Send + From<LinalgError>,
+    F: Fn(Range<usize>) -> Result<V, E> + Sync,
+{
+    let mut buf = panel_storage(k, n);
+    if n == 0 || k == 0 {
+        return Ok(PackedRhs { buf, k, n });
+    }
+    let rows_per_chunk = chunk_rows.max(1).next_multiple_of(NR);
+    let region = rows_per_chunk * k;
+    let mut failures: Vec<Option<E>> = (0..n.div_ceil(rows_per_chunk)).map(|_| None).collect();
+    let jobs: Vec<Job<'_>> = buf
+        .chunks_mut(region)
+        .zip(failures.iter_mut())
+        .enumerate()
+        .map(|(i, (panels, failure))| {
+            let produce = &produce;
+            Box::new(move || {
+                let rows = i * rows_per_chunk..((i + 1) * rows_per_chunk).min(n);
+                let len = rows.len();
+                match produce(rows) {
+                    Ok(block) if data(&block).len() == len * k => {
+                        pack_rows_into(panels, data(&block), len, k);
+                    }
+                    Ok(block) => {
+                        *failure = Some(E::from(LinalgError::DataLengthMismatch {
+                            expected: len * k,
+                            actual: data(&block).len(),
+                        }));
+                    }
+                    Err(e) => *failure = Some(e),
+                }
+            }) as Job<'_>
+        })
+        .collect();
+    parallel::run_scope(jobs);
+    match failures.into_iter().flatten().next() {
+        Some(e) => Err(e),
+        None => Ok(PackedRhs { buf, k, n }),
+    }
 }
 
 /// Portable microkernel: an `mr × nr` tile accumulated over one packed
@@ -333,7 +437,7 @@ fn epilogue_tile<T: Element>(
 /// by exactly one microkernel store per slab.
 fn gemm_band<T: Element>(
     lhs: &[T],
-    packed: &PackedB<T>,
+    packed: &PackedRhs<T>,
     out: &mut [T],
     nrows: usize,
     epi: &Epilogue<'_, T>,
@@ -343,7 +447,6 @@ fn gemm_band<T: Element>(
     let slabs = slab_count(k);
     for s in 0..slabs {
         let ks = slab_len(k, s);
-        let slab = packed.slab(s);
         let last = s + 1 == slabs;
         let first = s == 0;
         // Cache loop order: the B strip (≤ 16 KiB) is the innermost reuse
@@ -355,7 +458,7 @@ fn gemm_band<T: Element>(
             for strip in 0..strips {
                 let j0 = strip * NR;
                 let nr = NR.min(n - j0);
-                let bstrip = &slab[strip * ks * NR..(strip + 1) * ks * NR];
+                let bstrip = packed.panel(s, strip);
                 let mut r = rc;
                 while r < rc + mc {
                     let mr = MR.min(rc + mc - r);
@@ -440,6 +543,28 @@ pub(crate) fn gemm<T: Element>(
     dispatch_rows(lhs, out, m, k, n, |lhs_rows, out_band, nrows| {
         gemm_band(lhs_rows, &packed, out_band, nrows, epi);
     });
+}
+
+/// `out = lhs · packed` with `epi` fused into the final store, against an
+/// operand packed ahead of time (`m × k` times the packed `k × n`). `out`
+/// must be the zeroed `m × n` destination. Always the blocked path: it is
+/// bit-identical to the naive loop [`gemm`] takes for tiny products, so a
+/// packed operand gives the same bits as the unpacked product it stands
+/// for.
+///
+/// Runs on the calling thread. A pre-packed operand is reused against few
+/// rows — one design's embedding against a whole mesh — and below
+/// [`MIN_BAND_ROWS`] rows [`dispatch_rows`] would run the product as one
+/// band on the calling thread anyway; a product that never enters the
+/// pool cannot reach its job-panic re-raise.
+pub(crate) fn gemm_packed<T: Element>(
+    lhs: &[T],
+    packed: &PackedRhs<T>,
+    out: &mut [T],
+    m: usize,
+    epi: &Epilogue<'_, T>,
+) {
+    gemm_band(lhs, packed, out, m, epi);
 }
 
 /// The single pool-integration point for the multiplication kernels:

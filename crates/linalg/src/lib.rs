@@ -45,6 +45,7 @@ pub use cg::{
 };
 pub use cholesky::{Cholesky, IncompleteCholesky};
 pub use error::LinalgError;
+pub use kernels::PackedRhs;
 pub use matrix::Matrix;
 pub use matrix32::Matrix32;
 pub use sparse::{CooMatrix, CsrMatrix};

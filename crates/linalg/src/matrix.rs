@@ -3,7 +3,7 @@ use std::ops::{Add, Mul, Sub};
 
 use deepoheat_parallel as parallel;
 
-use crate::kernels::{self, Epilogue};
+use crate::kernels::{self, Epilogue, PackedRhs};
 use crate::LinalgError;
 
 /// Fixed chunk length (in elements) for pooled elementwise kernels.
@@ -517,6 +517,67 @@ impl Matrix {
             self.cols,
             rhs.rows,
             true,
+            &Epilogue::Affine { offset, scale },
+        );
+        Ok(out)
+    }
+
+    /// Packs a `rows × cols` operand that `produce` computes in row
+    /// chunks, for `A · operandᵀ` products. Chunks run as jobs on the
+    /// current pool and each packs its block into its own panels, so the
+    /// unpacked operand is never held whole. Chunks are `chunk_rows`
+    /// rounded up to a multiple of the kernel's 8-row panel width;
+    /// boundaries depend on `rows` and `chunk_rows` only, and the packed
+    /// result is bitwise the same for any `chunk_rows` whenever `produce`
+    /// computes each row independently of the others.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the lowest-indexed chunk whose `produce`
+    /// failed (every chunk still runs), or
+    /// [`LinalgError::DataLengthMismatch`] (through `E`) when a chunk's
+    /// block is not `chunk_len × cols`.
+    pub fn pack_row_chunks<E, F>(
+        rows: usize,
+        cols: usize,
+        chunk_rows: usize,
+        produce: F,
+    ) -> Result<PackedRhs<f64>, E>
+    where
+        E: Send + From<LinalgError>,
+        F: Fn(std::ops::Range<usize>) -> Result<Matrix, E> + Sync,
+    {
+        kernels::pack_rows_chunked(rows, cols, chunk_rows, produce, Matrix::as_slice)
+    }
+
+    /// [`Matrix::matmul_transposed_affine`] against an operand packed
+    /// ahead of time: `offset + scale * (self * rhsᵀ)` where `rhs` was
+    /// packed by [`Matrix::pack_row_chunks`]. Bit-identical to the
+    /// unpacked call on the same operand, at any pool width. Runs on the
+    /// calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
+    pub fn matmul_packed_affine(
+        &self,
+        rhs: &PackedRhs<f64>,
+        offset: f64,
+        scale: f64,
+    ) -> Result<Matrix, LinalgError> {
+        if self.cols != rhs.cols() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_packed_affine",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows, rhs.rows());
+        kernels::gemm_packed(
+            &self.data,
+            rhs,
+            &mut out.data,
+            self.rows,
             &Epilogue::Affine { offset, scale },
         );
         Ok(out)

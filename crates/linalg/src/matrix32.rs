@@ -1,4 +1,4 @@
-use crate::kernels::{self, Epilogue};
+use crate::kernels::{self, Epilogue, PackedRhs};
 use crate::{LinalgError, Matrix};
 
 /// A dense, row-major `f32` matrix for the opt-in single-precision
@@ -213,6 +213,54 @@ impl Matrix32 {
             self.cols,
             rhs.rows,
             true,
+            &Epilogue::Affine { offset, scale },
+        );
+        Ok(out)
+    }
+
+    /// Single-precision [`Matrix::pack_row_chunks`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Matrix::pack_row_chunks`].
+    pub fn pack_row_chunks<E, F>(
+        rows: usize,
+        cols: usize,
+        chunk_rows: usize,
+        produce: F,
+    ) -> Result<PackedRhs<f32>, E>
+    where
+        E: Send + From<LinalgError>,
+        F: Fn(std::ops::Range<usize>) -> Result<Matrix32, E> + Sync,
+    {
+        kernels::pack_rows_chunked(rows, cols, chunk_rows, produce, Matrix32::as_slice)
+    }
+
+    /// Single-precision [`Matrix::matmul_packed_affine`]; bit-identical
+    /// to [`Matrix32::matmul_transposed_affine`] on the unpacked operand.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
+    pub fn matmul_packed_affine(
+        &self,
+        rhs: &PackedRhs<f32>,
+        offset: f32,
+        scale: f32,
+    ) -> Result<Matrix32, LinalgError> {
+        if self.cols != rhs.cols() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_packed_affine32",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix32::zeros(self.rows, rhs.rows());
+        kernels::gemm_packed(
+            &self.data,
+            rhs,
+            &mut out.data,
+            self.rows,
             &Epilogue::Affine { offset, scale },
         );
         Ok(out)

@@ -8,11 +8,16 @@
 //! the reference bits. The fused epilogues (bias, bias+map, affine) must
 //! likewise match their two-pass formulations bit for bit.
 //!
+//! The pre-packed combine (`matmul_packed_affine` against an operand packed
+//! whole or chunk by chunk) must reproduce `matmul_transposed_affine` to
+//! the bit, in both precisions, at any pool width, and with the AVX2 tile
+//! forced off.
+//!
 //! Under Miri (which runs only the portable scalar path) the case count is
 //! reduced to keep the interpreted suite fast; the shapes exercised stay
 //! the same.
 
-use deepoheat_linalg::Matrix;
+use deepoheat_linalg::{LinalgError, Matrix, Matrix32};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -46,8 +51,57 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("sized by construction")
 }
 
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.iter().map(|v| v.to_bits()).collect()
+}
+
+fn bits32(m: &Matrix32) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts that `a · tᵀ` under the affine epilogue gives the same bits
+/// through the unpacked call, a whole-operand pack (one chunk) and a
+/// `chunk`-row chunked pack, in f64 and in f32.
+fn assert_packed_affine_matches(a: &Matrix, t: &Matrix, chunk: usize, offset: f64, scale: f64) {
+    let (n, k) = t.shape();
+    let reference = a.matmul_transposed_affine(t, offset, scale).unwrap();
+    let packed_whole = Matrix::pack_row_chunks(n, k, n, |rows| t.row_block(rows)).unwrap();
+    let whole = a.matmul_packed_affine(&packed_whole, offset, scale).unwrap();
+    let chunked = Matrix::pack_row_chunks(n, k, chunk, |rows| t.row_block(rows)).unwrap();
+    assert_eq!(chunked.shape(), (n, k));
+    let from_chunks = a.matmul_packed_affine(&chunked, offset, scale).unwrap();
+    assert_eq!(bits(&whole), bits(&reference), "whole pack, {:?} x {:?}", a.shape(), t.shape());
+    assert_eq!(bits(&from_chunks), bits(&reference), "chunk {chunk}");
+
+    let (a32, t32) = (Matrix32::from_f64(a), Matrix32::from_f64(t));
+    let (offset32, scale32) = (offset as f32, scale as f32);
+    let reference32 = a32.matmul_transposed_affine(&t32, offset32, scale32).unwrap();
+    let packed_whole32 = Matrix32::pack_row_chunks(n, k, n, |rows| {
+        Ok::<_, LinalgError>(Matrix32::from_f64(&t.row_block(rows)?))
+    })
+    .unwrap();
+    let whole32 = a32.matmul_packed_affine(&packed_whole32, offset32, scale32).unwrap();
+    let chunked32 = Matrix32::pack_row_chunks(n, k, chunk, |rows| {
+        Ok::<_, LinalgError>(Matrix32::from_f64(&t.row_block(rows)?))
+    })
+    .unwrap();
+    let from_chunks32 = a32.matmul_packed_affine(&chunked32, offset32, scale32).unwrap();
+    assert_eq!(bits32(&whole32), bits32(&reference32), "f32 whole pack");
+    assert_eq!(bits32(&from_chunks32), bits32(&reference32), "f32 chunk {chunk}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn packed_affine_is_bitwise_equal_to_unpacked(
+        m in dim(), k in dim(), n in dim(), chunk in 1usize..=20,
+        offset in -10.0f64..10.0, scale in 0.1f64..10.0, seed in 0u64..1 << 48
+    ) {
+        let a = matrix(m, k, seed);
+        let t = matrix(n, k, seed ^ 8);
+        assert_packed_affine_matches(&a, &t, chunk, offset, scale);
+    }
 
     #[test]
     fn blocked_matmul_is_bitwise_equal_to_naive(
@@ -138,4 +192,62 @@ fn fused_combine_is_bit_identical_across_pool_widths() {
         let under = pool.install(|| a.matmul_transposed_affine(&t, 298.15, 10.0)).unwrap();
         assert_eq!(serial, under, "threads = {threads}");
     }
+}
+
+/// Reduction lengths past one `KC = 256` slab exercise the panel offsets
+/// of later slabs, which the property shapes above never reach.
+#[test]
+fn packed_affine_spans_several_reduction_slabs() {
+    for (m, k, n) in [(1, 300, 19), (5, 513, 9), (4, 256, 8)] {
+        let a = matrix(m, k, 11);
+        let t = matrix(n, k, 12);
+        assert_packed_affine_matches(&a, &t, 8, 298.15, 10.0);
+    }
+}
+
+/// The pre-packed combine and the chunked pack are bit-identical across
+/// pool widths: chunk boundaries derive from the shapes alone. The shapes
+/// include one design against a whole mesh and a multi-slab reduction.
+#[test]
+#[cfg_attr(miri, ignore = "thread pools are too slow under the interpreter")]
+fn packed_affine_is_bit_identical_across_pool_widths() {
+    for (m, k, n, chunk) in [
+        (1, 96, 201, 13),
+        (3, 33, 19, 1),
+        (9, 130, 257, 64),
+        (4, 8, 1, 7),
+        (1, 128, 1203, 256),
+        (3, 300, 333, 16),
+        (40, 64, 90, 32),
+    ] {
+        let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 7) % 23) as f64 * 0.37 - 2.0);
+        let t = Matrix::from_fn(n, k, |r, c| ((r * 13 + c * 3) % 17) as f64 * 0.21 - 1.5);
+        for threads in [1, 2, 4] {
+            let pool = deepoheat_parallel::ThreadPool::new(threads);
+            pool.install(|| assert_packed_affine_matches(&a, &t, chunk, 298.15, 10.0));
+        }
+    }
+}
+
+/// Re-runs this binary's packed-operand tests with the AVX2 tile switched
+/// off (`DEEPOHEAT_SCALAR_KERNELS=1` is read once per process), so both
+/// microkernels are held to the unpacked reference.
+#[test]
+#[cfg_attr(miri, ignore = "the interpreter runs only the scalar tile and cannot spawn processes")]
+fn packed_affine_holds_with_the_scalar_tile_forced() {
+    if std::env::var_os("DEEPOHEAT_SCALAR_KERNELS").is_some() {
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let run = std::process::Command::new(exe)
+        .args(["packed_affine", "--test-threads=1"])
+        .env("DEEPOHEAT_SCALAR_KERNELS", "1")
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success() && stdout.contains("test result: ok. 4 passed"),
+        "packed-operand tests with the scalar tile forced:\n{stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
 }

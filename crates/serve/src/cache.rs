@@ -1,22 +1,28 @@
-//! Deterministic, capacity-bounded LRU cache of branch embeddings.
+//! Deterministic, budget-bounded LRU caches keyed by input content.
 //!
-//! The cache is keyed by the **content** of the sensor values (shapes plus
-//! the exact `f64` bit patterns), so two requests for the same design hit
-//! the same entry no matter how the caller produced the matrices. A 64-bit
-//! FNV-1a hash narrows the candidate set, but every probe compares the
-//! full payload, so hash collisions between distinct sensor vectors can
-//! never alias two designs onto one embedding.
+//! One [`LruCache`] type backs both caches of the serving layer: the
+//! branch-embedding cache ([`EmbeddingCache`], bounded by entry count) and
+//! the trunk-basis cache ([`BasisCache`], bounded by bytes). What an entry
+//! costs against the budget is the value type's [`CacheWeight`].
+//!
+//! Caches are keyed by the **content** of their input (shapes plus the
+//! exact `f64` bit patterns of sensor values or query coordinates), so two
+//! requests for the same design or mesh hit the same entry no matter how
+//! the caller produced the matrices. A 64-bit FNV-1a hash narrows the
+//! candidate set, but every probe compares the full payload, so hash
+//! collisions between distinct inputs can never alias two entries.
 //!
 //! Recency is a logical tick counter (no wall clock — the serving layer
 //! lives under the workspace determinism lints), and eviction removes the
-//! entry with the smallest last-used tick. Ticks are unique, so the
-//! eviction order is a pure function of the request sequence: replaying
-//! the same requests against the same capacity always evicts the same
-//! keys in the same order.
+//! entry with the smallest last-used tick until the newcomer fits. Ticks
+//! are unique, so the eviction order is a pure function of the request
+//! sequence: replaying the same requests against the same budget always
+//! evicts the same keys in the same order. A value heavier than the whole
+//! budget is never cached (and evicts nothing).
 
 use std::sync::Arc;
 
-use deepoheat::BranchEmbedding;
+use deepoheat::{BranchEmbedding, TrunkBasis};
 use deepoheat_linalg::Matrix;
 
 /// FNV-1a offset basis (64-bit).
@@ -24,7 +30,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Content-addressed identity of one set of branch inputs: a fast 64-bit
+/// Content-addressed identity of one set of input matrices (the branch
+/// inputs of a design, or the coordinates of a query mesh): a fast 64-bit
 /// hash plus the full payload (shapes and raw `f64` bits) used for exact
 /// comparison on every probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,15 +41,14 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Builds the key for a set of branch-input batches. The payload
-    /// encodes the branch count, each matrix's shape, and each value's
+    /// Builds the key for a set of input matrices. The payload encodes
+    /// the matrix count, each matrix's shape, and each value's
     /// exact bit pattern, so any difference in content — including the
     /// sign of zero or a NaN payload — produces a different key.
-    pub fn of(branch_inputs: &[&Matrix]) -> Self {
-        let mut payload =
-            Vec::with_capacity(1 + branch_inputs.iter().map(|m| 2 + m.len()).sum::<usize>());
-        payload.push(branch_inputs.len() as u64);
-        for m in branch_inputs {
+    pub fn of(inputs: &[&Matrix]) -> Self {
+        let mut payload = Vec::with_capacity(1 + inputs.iter().map(|m| 2 + m.len()).sum::<usize>());
+        payload.push(inputs.len() as u64);
+        for m in inputs {
             payload.push(m.rows() as u64);
             payload.push(m.cols() as u64);
             payload.extend(m.iter().map(|v| v.to_bits()));
@@ -62,16 +68,51 @@ impl CacheKey {
     pub fn hash(&self) -> u64 {
         self.hash
     }
+
+    /// Bytes the key holds (its payload is a full copy of the input).
+    pub fn bytes(&self) -> usize {
+        self.payload.len() * std::mem::size_of::<u64>()
+    }
+
+    /// The same payload under a different hash: forges a collision, so
+    /// tests can check that probes compare full payloads.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_hash(self, hash: u64) -> Self {
+        CacheKey { hash, ..self }
+    }
 }
 
-/// Hit/miss/eviction counters of an [`EmbeddingCache`].
+/// What one cached value costs against its cache's budget.
+pub trait CacheWeight {
+    /// The cost of holding `self` under `key`.
+    fn weight(&self, key: &CacheKey) -> usize;
+}
+
+/// Embeddings are small and uniform: the embedding cache's budget is an
+/// entry count.
+impl CacheWeight for Arc<BranchEmbedding> {
+    fn weight(&self, _key: &CacheKey) -> usize {
+        1
+    }
+}
+
+/// Bases are large and sized by their mesh: the basis cache's budget is
+/// in bytes, the packed features plus the key's copy of the coordinates.
+impl CacheWeight for Arc<TrunkBasis> {
+    fn weight(&self, key: &CacheKey) -> usize {
+        self.bytes() + key.bytes()
+    }
+}
+
+/// Hit/miss/eviction counters of an [`LruCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a cached embedding.
+    /// Lookups that returned a cached value.
     pub hits: u64,
-    /// Lookups that found nothing (the caller then encodes and inserts).
+    /// Lookups that found nothing (the caller then computes and inserts).
     pub misses: u64,
-    /// Entries displaced by capacity pressure.
+    /// Entries displaced by budget pressure.
     pub evictions: u64,
 }
 
@@ -88,34 +129,37 @@ impl CacheStats {
 }
 
 #[derive(Debug)]
-struct CacheEntry {
+struct CacheEntry<V> {
     key: CacheKey,
-    embedding: Arc<BranchEmbedding>,
+    value: V,
+    weight: usize,
     last_used: u64,
 }
 
-/// A deterministic, capacity-bounded LRU map from input-function content
-/// to branch embeddings. See the [module docs](self) for the keying and
-/// eviction contract.
+/// A deterministic, budget-bounded LRU map from input content to values.
+/// See the [module docs](self) for the keying and eviction contract.
 #[derive(Debug)]
-pub struct EmbeddingCache {
-    entries: Vec<CacheEntry>,
-    capacity: usize,
+pub struct LruCache<V> {
+    entries: Vec<CacheEntry<V>>,
+    budget: usize,
+    used: usize,
     tick: u64,
     stats: CacheStats,
 }
 
-impl EmbeddingCache {
-    /// Creates a cache holding at most `capacity` embeddings
-    /// (`capacity == 0` disables caching: every lookup misses and inserts
-    /// are dropped).
-    pub fn new(capacity: usize) -> Self {
-        EmbeddingCache {
-            entries: Vec::with_capacity(capacity.min(1024)),
-            capacity,
-            tick: 0,
-            stats: CacheStats::default(),
-        }
+/// Branch embeddings keyed by sensor content, bounded by entry count.
+pub type EmbeddingCache = LruCache<Arc<BranchEmbedding>>;
+
+/// Trunk bases keyed by coordinate content, bounded by bytes.
+pub type BasisCache = LruCache<Arc<TrunkBasis>>;
+
+impl<V: Clone + CacheWeight> LruCache<V> {
+    /// Creates a cache whose resident values weigh at most `budget` in
+    /// total (`budget == 0` disables caching: every lookup misses and
+    /// inserts are dropped). For an [`EmbeddingCache`] the budget is the
+    /// entry count; for a [`BasisCache`] it is bytes.
+    pub fn new(budget: usize) -> Self {
+        LruCache { entries: Vec::new(), budget, used: 0, tick: 0, stats: CacheStats::default() }
     }
 
     /// Entries currently resident.
@@ -128,9 +172,10 @@ impl EmbeddingCache {
         self.entries.is_empty()
     }
 
-    /// Maximum number of resident entries.
+    /// The weight budget (entries for an [`EmbeddingCache`], bytes for a
+    /// [`BasisCache`]).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.budget
     }
 
     /// Counter snapshot.
@@ -138,21 +183,21 @@ impl EmbeddingCache {
         self.stats
     }
 
+    fn position(&self, key: &CacheKey) -> Option<usize> {
+        self.entries.iter().position(|e| e.key.hash == key.hash && e.key.payload == key.payload)
+    }
+
     /// Looks up a key, refreshing its recency on a hit. Probes compare
     /// `hash` first and then the full payload, so colliding keys with
     /// different content miss correctly.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<BranchEmbedding>> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<V> {
         self.tick += 1;
-        let tick = self.tick;
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.key.hash == key.hash && e.key.payload == key.payload)
-        {
-            Some(entry) => {
-                entry.last_used = tick;
+        match self.position(key) {
+            Some(i) => {
+                let entry = &mut self.entries[i];
+                entry.last_used = self.tick;
                 self.stats.hits += 1;
-                Some(Arc::clone(&entry.embedding))
+                Some(entry.value.clone())
             }
             None => {
                 self.stats.misses += 1;
@@ -161,40 +206,44 @@ impl EmbeddingCache {
         }
     }
 
-    /// Inserts an embedding, evicting the least-recently-used entry when
-    /// the cache is full. Re-inserting an existing key replaces its
-    /// embedding and refreshes its recency without an eviction.
-    pub fn insert(&mut self, key: CacheKey, embedding: Arc<BranchEmbedding>) {
-        if self.capacity == 0 {
-            return;
+    /// Inserts a value, first evicting least-recently-used entries until
+    /// it fits the budget, and returns how many were evicted. A value
+    /// heavier than the whole budget is not cached and evicts nothing.
+    /// Re-inserting an existing key replaces its value and refreshes its
+    /// recency.
+    pub fn insert(&mut self, key: CacheKey, value: V) -> u64 {
+        let weight = value.weight(&key);
+        if weight > self.budget || self.budget == 0 {
+            return 0;
         }
+        let before = self.stats.evictions;
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) =
-            self.entries.iter_mut().find(|e| e.key.hash == key.hash && e.key.payload == key.payload)
-        {
-            entry.embedding = embedding;
-            entry.last_used = tick;
-            return;
+        if let Some(i) = self.position(&key) {
+            let old = self.entries.swap_remove(i);
+            self.used -= old.weight;
         }
-        if self.entries.len() >= self.capacity {
+        while self.used + weight > self.budget {
             // Ticks are unique, so the minimum is unique: deterministic
             // LRU eviction regardless of insertion interleavings.
-            if let Some(victim) =
+            let Some(victim) =
                 self.entries.iter().enumerate().min_by_key(|(_, e)| e.last_used).map(|(i, _)| i)
-            {
-                self.entries.swap_remove(victim);
-                self.stats.evictions += 1;
-            }
+            else {
+                break;
+            };
+            let evicted = self.entries.swap_remove(victim);
+            self.used -= evicted.weight;
+            self.stats.evictions += 1;
         }
-        self.entries.push(CacheEntry { key, embedding, last_used: tick });
+        self.used += weight;
+        self.entries.push(CacheEntry { key, value, weight, last_used: self.tick });
+        self.stats.evictions - before
     }
 
     /// The resident keys ordered least- to most-recently used — the order
     /// the next evictions would occur in. Exposed for tests and
     /// introspection.
     pub fn keys_by_recency(&self) -> Vec<&CacheKey> {
-        let mut indexed: Vec<&CacheEntry> = self.entries.iter().collect();
+        let mut indexed: Vec<&CacheEntry<V>> = self.entries.iter().collect();
         indexed.sort_by_key(|e| e.last_used);
         indexed.into_iter().map(|e| &e.key).collect()
     }

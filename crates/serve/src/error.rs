@@ -14,6 +14,13 @@ pub enum ServeError {
     },
     /// The underlying model evaluation failed.
     Model(DeepOHeatError),
+    /// A sensor value or query coordinate was NaN or infinite. Rejected
+    /// before either cache is filled; permanent, so the front-end never
+    /// retries it or counts it against a shard's health.
+    InvalidInput {
+        /// Which input, and the first offending value.
+        what: String,
+    },
     /// The request was shed because the target shard's admission queue
     /// was full — the typed backpressure signal; callers should back off
     /// and resubmit.
@@ -26,7 +33,8 @@ pub enum ServeError {
     /// The request's deadline expired before a result was produced.
     DeadlineExceeded {
         /// Pipeline stage that observed the expiry (`"admission"`,
-        /// `"queue"`, or `"trunk"`).
+        /// `"queue"`, or `"trunk"` — between trunk-basis chunks, or before
+        /// the combine).
         stage: &'static str,
     },
     /// A shard kept failing past the retry budget.
@@ -47,6 +55,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::InvalidOptions { what } => write!(f, "invalid serve options: {what}"),
             ServeError::Model(e) => write!(f, "model evaluation failure: {e}"),
+            ServeError::InvalidInput { what } => write!(f, "invalid input: {what}"),
             ServeError::Overloaded { shard, depth } => {
                 write!(f, "overloaded: shard {shard} admission queue full at depth {depth}")
             }
@@ -85,6 +94,7 @@ mod tests {
         let errors = [
             ServeError::InvalidOptions { what: "zero cache capacity".into() },
             ServeError::Model(DeepOHeatError::InputMismatch { what: "bad".into() }),
+            ServeError::InvalidInput { what: "sensor value NaN at flat index 3".into() },
             ServeError::Overloaded { shard: 1, depth: 16 },
             ServeError::DeadlineExceeded { stage: "queue" },
             ServeError::ShardFailed { shard: 0, attempts: 3, what: "injected".into() },

@@ -6,15 +6,18 @@
 //! - **Sharding** — designs route by the existing content hash
 //!   ([`CacheKey::of`]`.hash() % shards`), so a repeated design always
 //!   lands on the shard whose branch-embedding cache already holds it and
-//!   the per-shard caches keep their deterministic eviction contract.
+//!   the per-shard caches keep their deterministic eviction contract. The
+//!   shards share one model, one lowered trunk and one trunk-basis cache:
+//!   a mesh any shard has evaluated is a basis hit on every shard.
 //! - **Bounded admission** — each shard owns a capacity-bounded queue; a
 //!   full queue sheds at the door with a typed
 //!   [`ServeError::Overloaded`], never an unbounded queue or a hang.
 //! - **Deadlines** — requests carry an absolute deadline (stamped from an
 //!   injectable [`Clock`]); expiry is checked at admission, at dequeue,
-//!   and **between trunk chunks**, so a half-finished oversized batch
-//!   stops burning shard time once its budget is gone
-//!   ([`ServeError::DeadlineExceeded`]).
+//!   and in the engine: **between trunk-basis chunks** when the mesh's
+//!   basis must be built, once before the combine when it is cached. A
+//!   half-built basis stops burning shard time once its budget is gone
+//!   ([`ServeError::DeadlineExceeded`]) and is never cached.
 //! - **Retry with backoff** — transient shard errors (injected faults,
 //!   panics caught at the shard boundary) are retried up to
 //!   [`FrontendOptions::max_retries`] times with bounded exponential
@@ -27,11 +30,15 @@
 //!   [`FrontendOptions::breaker_cooldown`] routing decisions a single
 //!   probe is let through to close the breaker again.
 //!
-//! Warm-path results are **bit-identical** to the single-caller engine at
-//! any shard count and thread count: every shard evaluates the same model,
-//! trunk chunk boundaries derive from the query count alone, and rows are
-//! independent, so splitting, rerouting, or retrying never changes a bit
-//! of a successful answer.
+//! - **Validation** — non-finite sensor values or coordinates fail with a
+//!   permanent [`ServeError::InvalidInput`]: never retried, never counted
+//!   against a shard's health, never cached.
+//!
+//! Results are **bit-identical** to the single-caller engine at any shard
+//! count and thread count: every shard evaluates the same model, basis
+//! chunk boundaries derive from the query count alone, and rows are
+//! independent, so rerouting or retrying never changes a bit of a
+//! successful answer.
 //!
 //! Fault injection for all of the above is deterministic and replayable —
 //! see [`ServeFaultPlan`](crate::ServeFaultPlan).
@@ -42,12 +49,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use deepoheat::DeepOHeat;
 use deepoheat_linalg::Matrix;
-use deepoheat_parallel::{chunk_ranges, spawn_service, ServiceHandle};
+use deepoheat_parallel::{spawn_service, ServiceHandle};
 use deepoheat_telemetry as telemetry;
 
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, CacheStats};
 use crate::clock::{Clock, WallClock};
-use crate::engine::{InferenceEngine, ServeOptions};
+use crate::engine::{InferenceEngine, ServeOptions, SharedBases, SharedParts};
 use crate::error::ServeError;
 use crate::fault::{ChaosStage, ServeFaultPlan};
 use crate::queue::{BoundedQueue, PushRefused};
@@ -60,7 +67,8 @@ const MAX_BACKOFF_MICROS: u64 = 50_000;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontendOptions {
     /// Number of engine shards (each owns a worker thread, an engine, and
-    /// a branch-embedding cache). Must be positive.
+    /// a branch-embedding cache; all share the model and the trunk-basis
+    /// cache). Must be positive.
     pub shards: usize,
     /// Admission-queue capacity per shard. A push against a full queue is
     /// shed with [`ServeError::Overloaded`]. Must be positive.
@@ -400,9 +408,18 @@ enum AttemptError {
     /// The deadline expired mid-attempt; completes immediately, does not
     /// count against the shard's health.
     Deadline(&'static str),
-    /// Deterministic request error (shape mismatch); retrying cannot
-    /// help.
+    /// Deterministic request error (shape mismatch, non-finite input);
+    /// retrying cannot help.
     Permanent(ServeError),
+}
+
+impl From<ServeError> for AttemptError {
+    fn from(err: ServeError) -> Self {
+        match err {
+            ServeError::DeadlineExceeded { stage } => AttemptError::Deadline(stage),
+            other => AttemptError::Permanent(other),
+        }
+    }
 }
 
 /// The concurrent, overload-safe serving front-end (see the module docs
@@ -411,17 +428,23 @@ enum AttemptError {
 pub struct ServeFrontend {
     shared: Arc<Shared>,
     workers: Vec<ServiceHandle>,
+    /// The shards' shared trunk-basis cache.
+    bases: SharedBases,
     shut_down: bool,
 }
 
 impl ServeFrontend {
-    /// Builds the front-end over `model` with the production wall clock.
+    /// Builds the front-end over `model` (owned, or shared through an
+    /// [`Arc`]) with the production wall clock.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidOptions`] when the options fail
     /// [`FrontendOptions::validate`].
-    pub fn new(model: DeepOHeat, options: FrontendOptions) -> Result<Self, ServeError> {
+    pub fn new(
+        model: impl Into<Arc<DeepOHeat>>,
+        options: FrontendOptions,
+    ) -> Result<Self, ServeError> {
         Self::new_with_clock(model, options, Arc::new(WallClock))
     }
 
@@ -433,15 +456,16 @@ impl ServeFrontend {
     ///
     /// As [`ServeFrontend::new`].
     pub fn new_with_clock(
-        model: DeepOHeat,
+        model: impl Into<Arc<DeepOHeat>>,
         options: FrontendOptions,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, ServeError> {
         options.validate()?;
-        let mut engines = Vec::with_capacity(options.shards);
-        for _ in 0..options.shards {
-            engines.push(InferenceEngine::new(model.clone(), options.engine.clone())?);
-        }
+        let parts = SharedParts::new(model.into(), options.engine.precision);
+        let engines: Vec<InferenceEngine> = (0..options.shards)
+            .map(|_| InferenceEngine::with_parts(parts.clone(), false, options.engine.clone()))
+            .collect();
+        let bases = parts.bases.clone();
         let shared = Arc::new(Shared {
             queues: (0..options.shards)
                 .map(|_| BoundedQueue::new(options.queue_capacity))
@@ -464,7 +488,7 @@ impl ServeFrontend {
                 })
             })
             .collect();
-        Ok(ServeFrontend { shared, workers, shut_down: false })
+        Ok(ServeFrontend { shared, workers, bases, shut_down: false })
     }
 
     /// The options the front-end was built with.
@@ -483,6 +507,18 @@ impl ServeFrontend {
     #[must_use]
     pub fn stats(&self) -> FrontendStats {
         self.shared.stats.snapshot()
+    }
+
+    /// Counter snapshot of the trunk-basis cache the shards share.
+    #[must_use]
+    pub fn basis_stats(&self) -> CacheStats {
+        self.bases.counters()
+    }
+
+    /// Number of trunk bases resident in the shared cache.
+    #[must_use]
+    pub fn basis_len(&self) -> usize {
+        self.bases.resident()
     }
 
     /// Current per-shard queue depths.
@@ -593,7 +629,8 @@ impl ServeFrontend {
 
     /// Stops admission, drains the queues, joins every shard worker, and
     /// emits the summary gauges (`serve.queue.max_depth`,
-    /// `serve.shed.rate`) exactly once. Idempotent; called on drop.
+    /// `serve.shed.rate`, `serve.basis.hit_rate`) exactly once.
+    /// Idempotent; called on drop.
     /// Already-admitted requests still resolve — a close never discards
     /// queued work.
     pub fn shutdown(&mut self) {
@@ -623,6 +660,8 @@ impl ServeFrontend {
             let rate =
                 if stats.submitted == 0 { 0.0 } else { shed as f64 / stats.submitted as f64 };
             telemetry::gauge("serve.shed.rate", rate);
+            let basis_rate = self.basis_stats().hit_rate();
+            telemetry::gauge("serve.basis.hit_rate", basis_rate);
             telemetry::flush();
         }
     }
@@ -750,11 +789,8 @@ fn handle_job(shared: &Arc<Shared>, shard: usize, engine: &mut InferenceEngine, 
     }
 }
 
-/// One serving attempt: injected-fault checks, cache-aware encode, and a
-/// deadline-aware chunked trunk evaluation. Chunk boundaries come from
-/// the query count and `trunk_chunk` only, and trunk rows are
-/// independent, so the stitched result is bit-identical to a single
-/// uninterrupted `eval_trunk_batch` call.
+/// One serving attempt: injected-fault checks around the engine's request
+/// path, which owns validation, both caches and the deadline checks.
 fn run_attempt(
     shared: &Shared,
     engine: &mut InferenceEngine,
@@ -768,40 +804,13 @@ fn run_attempt(
         return Err(AttemptError::Transient("injected encode fault".into()));
     }
     let input_refs: Vec<&Matrix> = job.inputs.iter().collect();
-    let embedding = engine.encode_branches(&input_refs).map_err(AttemptError::Permanent)?;
-    if faults.fails(ChaosStage::Trunk, job.id, job.attempt) {
-        return Err(AttemptError::Transient("injected trunk fault".into()));
-    }
-    if job.deadline.is_none() {
-        return engine.eval_trunk_batch(&embedding, &job.coords).map_err(AttemptError::Permanent);
-    }
-    // Deadline propagation: evaluate chunk by chunk, checking the budget
-    // between chunks so an oversized batch stops once its time is gone.
-    let n_points = job.coords.rows();
-    let chunk = engine.options().trunk_chunk;
-    let mut blocks = Vec::new();
-    let mut n_configs = 0;
-    for range in chunk_ranges(n_points, chunk) {
-        if shared.expired(job.deadline) {
-            return Err(AttemptError::Deadline("trunk"));
+    let expired = || shared.expired(job.deadline);
+    engine.serve(&input_refs, &job.coords, &expired, || {
+        if faults.fails(ChaosStage::Trunk, job.id, job.attempt) {
+            return Err(AttemptError::Transient("injected trunk fault".into()));
         }
-        let sub = job
-            .coords
-            .row_block(range)
-            .map_err(|e| AttemptError::Permanent(ServeError::Model(e.into())))?;
-        let block = engine.eval_trunk_batch(&embedding, &sub).map_err(AttemptError::Permanent)?;
-        n_configs = block.rows();
-        blocks.push(block);
-    }
-    let mut out = Matrix::zeros(n_configs, n_points);
-    let mut col = 0;
-    for block in blocks {
-        for r in 0..n_configs {
-            out.row_mut(r)[col..col + block.cols()].copy_from_slice(block.row(r));
-        }
-        col += block.cols();
-    }
-    Ok(out)
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -838,8 +847,8 @@ mod tests {
     fn deadline_chunked_path_is_bitwise_identical() {
         let m = model();
         let input = Matrix::filled(1, 4, 0.5);
-        // Several trunk chunks' worth of queries with a deadline set, so
-        // the chunked stitch path runs.
+        // Several basis chunks' worth of queries with a deadline set, so
+        // the deadline is checked between chunks.
         let coords = Matrix::from_fn(70, 3, |i, j| (i + j) as f64 * 0.01);
         let expected = m.predict(&[&input], &coords).expect("invariant: shapes match");
         let opts = FrontendOptions {
@@ -850,6 +859,49 @@ mod tests {
         let frontend = ServeFrontend::new(m, opts).expect("valid options");
         let served = frontend.call(&[&input], &coords).expect("served");
         assert_eq!(served.values.as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn zero_row_queries_are_served_or_rejected_with_and_without_deadline() {
+        let frontend = ServeFrontend::new(model(), options()).expect("valid options");
+        let input = Matrix::filled(2, 4, 0.5);
+        for budget in [None, Some(60_000_000)] {
+            let served = frontend
+                .submit_with_budget(&[&input], &Matrix::zeros(0, 3), budget)
+                .and_then(Ticket::wait)
+                .expect("an empty mesh is a valid query");
+            assert_eq!(served.values.shape(), (2, 0), "budget {budget:?}");
+            let err = frontend
+                .submit_with_budget(&[&input], &Matrix::zeros(0, 2), budget)
+                .and_then(Ticket::wait)
+                .expect_err("coordinates must be points x 3");
+            assert!(matches!(err, ServeError::Model(_)), "budget {budget:?}: {err}");
+        }
+        assert_eq!(frontend.stats().retries, 0);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_permanent_and_spare_shard_health() {
+        let opts = FrontendOptions { shards: 1, breaker_threshold: 2, ..options() };
+        let frontend = ServeFrontend::new(model(), opts).expect("valid options");
+        let input = Matrix::filled(1, 4, 0.5);
+        let coords = Matrix::from_fn(6, 3, |i, j| 0.1 * (i + j) as f64);
+        let mut bad_input = input.clone();
+        bad_input[(0, 3)] = f64::NAN;
+        let mut bad_coords = coords.clone();
+        bad_coords[(5, 0)] = f64::NEG_INFINITY;
+        for _ in 0..3 {
+            for (u, y) in [(&bad_input, &coords), (&input, &bad_coords)] {
+                let err = frontend.call(&[u], y).expect_err("non-finite input");
+                assert!(matches!(err, ServeError::InvalidInput { .. }), "{err}");
+            }
+        }
+        let stats = frontend.stats();
+        assert_eq!((stats.retries, stats.shard_failures, stats.breaker_opens), (0, 0, 0));
+        assert_eq!(frontend.basis_len(), 0, "a rejected request never fills the basis cache");
+        let served = frontend.call(&[&input], &coords).expect("valid request");
+        assert!(!served.degraded);
+        assert_eq!(served.attempts, 1);
     }
 
     #[test]

@@ -12,28 +12,33 @@
 //!    ([`deepoheat::BranchEmbedding`], re-exported here) in a
 //!    deterministic, capacity-bounded LRU cache keyed by the **content**
 //!    of the sensor values ([`CacheKey`]);
-//! 2. [`InferenceEngine::eval_trunk_batch`] — evaluate the trunk for a
-//!    whole batch of query points in fixed-size chunks through the shared
-//!    worker pool and combine with the embedding.
+//! 2. [`InferenceEngine::eval_trunk_batch`] — look the query mesh up in a
+//!    byte-budgeted LRU of [`TrunkBasis`] values keyed by coordinate
+//!    content (building the trunk features in fixed-size chunks through
+//!    the shared worker pool on a miss, packed for the combine) and
+//!    combine it with the embedding in one fused product.
 //!
 //! Results are bit-identical to a cold per-query evaluation at any
 //! `DEEPOHEAT_NUM_THREADS` setting: chunk boundaries derive only from the
-//! batch size and [`ServeOptions::trunk_chunk`], and chunk outputs are
-//! stitched in index order. Cache behaviour is likewise deterministic —
-//! logical-tick LRU, no wall clock — so a replayed request sequence hits,
-//! misses, and evicts identically every run.
+//! batch size and [`ServeOptions::trunk_chunk`], and every row is computed
+//! independently of the others. Both caches share one [`LruCache`] type
+//! and are likewise deterministic — logical-tick LRU, no wall clock — so a
+//! replayed request sequence hits, misses, and evicts identically every
+//! run. Non-finite sensor values and coordinates are rejected with
+//! [`ServeError::InvalidInput`] before either cache is filled.
 //!
-//! Telemetry: the engine emits `serve.cache.hits`, `serve.cache.misses`,
-//! `serve.cache.evictions`, and `serve.queries` counters through
+//! Telemetry: the engine emits `serve.cache.*` and `serve.basis.*`
+//! hit/miss/eviction counters and `serve.queries` through
 //! [`deepoheat_telemetry`] when a recorder is installed, and is free of
 //! overhead otherwise.
 //!
 //! # Concurrent front-end
 //!
 //! [`ServeFrontend`] layers an overload-safe concurrent request path over
-//! N sharded engines: content-hash routing to per-shard caches, bounded
+//! N sharded engines sharing one model and one trunk-basis cache:
+//! content-hash routing to per-shard embedding caches, bounded
 //! admission queues with typed [`ServeError::Overloaded`] shedding,
-//! per-request deadlines propagated into trunk chunking
+//! per-request deadlines propagated into trunk-basis chunking
 //! ([`ServeError::DeadlineExceeded`]), retry with bounded backoff for
 //! transient shard errors, and per-shard circuit breakers that reroute
 //! around an unhealthy shard with a [`Served::degraded`] flag. The whole
@@ -71,11 +76,11 @@ mod fault;
 pub mod frontend;
 mod queue;
 
-pub use cache::{CacheKey, CacheStats, EmbeddingCache};
+pub use cache::{BasisCache, CacheKey, CacheStats, CacheWeight, EmbeddingCache, LruCache};
 pub use clock::{Clock, ManualClock, WallClock};
-pub use engine::{InferenceEngine, Precision, ServeOptions};
+pub use engine::{InferenceEngine, Precision, ServeOptions, BASIS_CACHE_BYTES};
 pub use error::ServeError;
 pub use fault::{ChaosStage, ServeFaultPlan};
 pub use frontend::{FrontendOptions, FrontendStats, ServeFrontend, Served, Ticket};
 
-pub use deepoheat::BranchEmbedding;
+pub use deepoheat::{BranchEmbedding, TrunkBasis};

@@ -6,14 +6,25 @@
 //!   sequence — replaying the requests reproduces hits, misses, and
 //!   evictions exactly;
 //! * batched serving is bit-identical across worker-pool widths and
-//!   trunk-chunk sizes.
+//!   trunk-chunk sizes;
+//! * trunk-basis hits and misses equal `DeepOHeat::predict` bit for bit
+//!   (and the parent `f32` algorithm for `Precision::F32`), basis keys
+//!   never alias on a forged hash, byte-budget eviction replays exactly,
+//!   and an over-budget basis is served without being cached;
+//! * front-end shards share one model and one basis cache.
 
 #![deny(unsafe_code)]
 
+use std::sync::Arc;
+
 use deepoheat::{DeepOHeat, DeepOHeatConfig};
-use deepoheat_linalg::Matrix;
-use deepoheat_parallel::ThreadPool;
-use deepoheat_serve::{CacheKey, EmbeddingCache, InferenceEngine, ServeOptions};
+use deepoheat_linalg::{Matrix, Matrix32};
+use deepoheat_nn::{LoweredFourier, LoweredMlp};
+use deepoheat_parallel::{chunk_ranges, ThreadPool};
+use deepoheat_serve::{
+    BasisCache, CacheKey, EmbeddingCache, FrontendOptions, InferenceEngine, Precision,
+    ServeFrontend, ServeOptions, BASIS_CACHE_BYTES,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -157,4 +168,217 @@ fn serving_is_bit_identical_across_pool_widths_and_chunk_sizes() {
             );
         }
     }
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The `f32` answer computed without a trunk basis, chunk by chunk: per
+/// `chunk` rows, the narrowed Fourier layer and trunk, then the unpacked
+/// fused combine against the narrowed embedding, widened and stitched.
+fn chunked_f32_reference(m: &DeepOHeat, input: &Matrix, coords: &Matrix, chunk: usize) -> Matrix {
+    let embedding = m.encode_branches(&[input]).expect("encode");
+    let b32 = Matrix32::from_f64(embedding.features());
+    let fourier = m.fourier().map(LoweredFourier::from_fourier);
+    let trunk = LoweredMlp::from_mlp(m.trunk());
+    let (offset, scale) = m.output_transform();
+    let mut out = Matrix::zeros(embedding.n_configs(), coords.rows());
+    for rows in chunk_ranges(coords.rows(), chunk) {
+        let sub = Matrix32::from_f64(&coords.row_block(rows.clone()).expect("rows in range"));
+        let h = match &fourier {
+            Some(ff) => ff.forward(&sub).expect("fourier"),
+            None => sub,
+        };
+        let phi = trunk.forward(&h).expect("trunk");
+        let block = b32
+            .matmul_transposed_affine(&phi, offset as f32, scale as f32)
+            .expect("combine")
+            .to_f64();
+        for r in 0..out.rows() {
+            out.row_mut(r)[rows.clone()].copy_from_slice(block.row(r));
+        }
+    }
+    out
+}
+
+#[test]
+fn basis_hits_and_misses_equal_predict_across_pool_widths_and_chunks() {
+    let m = model();
+    let mut rng = StdRng::seed_from_u64(5);
+    let (a, b) = (design(&mut rng), design(&mut rng));
+    let mesh = queries(301);
+    let expect_a = m.predict(&[&a], &mesh).expect("reference a");
+    let expect_b = m.predict(&[&b], &mesh).expect("reference b");
+
+    for threads in [1usize, 2, 4] {
+        for chunk in [1usize, 7, 64, 256, 1024] {
+            let pool = ThreadPool::new(threads);
+            let opts = ServeOptions { trunk_chunk: chunk, ..ServeOptions::default() };
+            let mut engine = InferenceEngine::new(m.clone(), opts).expect("valid options");
+            let (miss, hit, other) = pool.install(|| {
+                let miss = engine.predict(&[&a], &mesh).expect("basis miss");
+                let hit = engine.predict(&[&a], &mesh).expect("basis hit");
+                let other = engine.predict(&[&b], &mesh).expect("basis hit, new design");
+                (miss, hit, other)
+            });
+            let at = format!("threads={threads} chunk={chunk}");
+            assert_eq!(bits(&miss), bits(&expect_a), "miss, {at}");
+            assert_eq!(bits(&hit), bits(&expect_a), "hit, {at}");
+            assert_eq!(bits(&other), bits(&expect_b), "hit for another design, {at}");
+            let basis = engine.basis_stats();
+            assert_eq!((basis.misses, basis.hits), (1, 2), "{at}");
+            assert_eq!(engine.basis_len(), 1);
+        }
+    }
+}
+
+#[test]
+fn f32_basis_equals_the_chunked_f32_answers() {
+    let m = model();
+    let input = design(&mut StdRng::seed_from_u64(6));
+    let mesh = queries(203);
+    let reference = chunked_f32_reference(&m, &input, &mesh, 256);
+    for threads in [1usize, 2, 4] {
+        for chunk in [1usize, 13, 256] {
+            let pool = ThreadPool::new(threads);
+            let opts = ServeOptions {
+                trunk_chunk: chunk,
+                precision: Precision::F32,
+                ..ServeOptions::default()
+            };
+            let mut engine = InferenceEngine::new(m.clone(), opts).expect("valid options");
+            let (miss, hit) = pool.install(|| {
+                let miss = engine.predict(&[&input], &mesh).expect("f32 miss");
+                (miss, engine.predict(&[&input], &mesh).expect("f32 hit"))
+            });
+            assert_eq!(bits(&miss), bits(&reference), "miss, threads={threads} chunk={chunk}");
+            assert_eq!(bits(&hit), bits(&reference), "hit, threads={threads} chunk={chunk}");
+        }
+    }
+}
+
+#[test]
+fn forged_hash_basis_keys_do_not_alias() {
+    let m = model();
+    let (mesh_a, mesh_b) = (queries(40), queries(41));
+    let input = design(&mut StdRng::seed_from_u64(7));
+    let embedding = m.encode_branches(&[&input]).expect("encode");
+    let basis = |mesh: &Matrix| Arc::new(m.trunk_basis(mesh, 16, &|| false).expect("basis"));
+
+    let real = CacheKey::of(&[&mesh_a]);
+    let forged = CacheKey::of(&[&mesh_b]).with_hash(real.hash());
+    assert_eq!(real.hash(), forged.hash());
+    let mut cache = BasisCache::new(BASIS_CACHE_BYTES);
+    cache.insert(real.clone(), basis(&mesh_a));
+    assert!(cache.get(&forged).is_none(), "a colliding mesh must not alias");
+    cache.insert(forged.clone(), basis(&mesh_b));
+    assert_eq!(cache.len(), 2, "colliding keys coexist as separate entries");
+    for (key, mesh) in [(&real, &mesh_a), (&forged, &mesh_b)] {
+        let served = cache.get(key).expect("resident").combine(&embedding).expect("combine");
+        let expected = m.predict(&[&input], mesh).expect("reference");
+        assert_eq!(bits(&served), bits(&expected));
+    }
+}
+
+#[test]
+fn byte_budget_eviction_replays_exactly() {
+    let m = model();
+    let meshes: Vec<Matrix> = (0..6).map(|i| queries(24 + 8 * i)).collect();
+    let entries: Vec<(CacheKey, Arc<deepoheat::TrunkBasis>)> = meshes
+        .iter()
+        .map(|mesh| {
+            let basis = m.trunk_basis(mesh, 16, &|| false).expect("basis");
+            (CacheKey::of(&[mesh]), Arc::new(basis))
+        })
+        .collect();
+    let weight = |i: usize| entries[i].1.bytes() + entries[i].0.bytes();
+    // Room for roughly the three smallest meshes, so the sequence evicts.
+    let budget = weight(0) + weight(1) + weight(2);
+    let sequence: Vec<usize> = (0..40).map(|i| (i * 5 + i / 3) % meshes.len()).collect();
+
+    let run = || {
+        let mut cache = BasisCache::new(budget);
+        let mut trace = Vec::new();
+        for &i in &sequence {
+            let (key, basis) = &entries[i];
+            if cache.get(key).is_none() {
+                cache.insert(key.clone(), Arc::clone(basis));
+            }
+            let resident: usize = cache
+                .keys_by_recency()
+                .into_iter()
+                .filter_map(|key| entries.iter().position(|(k, _)| k == key))
+                .map(weight)
+                .sum();
+            assert!(resident <= budget, "the budget bounds the resident bytes");
+            let order: Vec<u64> = cache.keys_by_recency().iter().map(|k| k.hash()).collect();
+            trace.push((cache.stats(), order));
+        }
+        trace
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(first, second, "eviction order is a pure function of the requests");
+    let last = first.last().expect("non-empty sequence").0;
+    assert!(last.evictions > 0, "the sequence must exercise eviction");
+    assert_eq!(last.hits + last.misses, sequence.len() as u64);
+
+    let mut tight = BasisCache::new(weight(0));
+    tight.insert(entries[0].0.clone(), Arc::clone(&entries[0].1));
+    tight.insert(entries[5].0.clone(), Arc::clone(&entries[5].1));
+    assert_eq!(tight.len(), 1, "an over-budget basis is not cached");
+    assert_eq!(tight.stats().evictions, 0, "and evicts nothing");
+}
+
+#[test]
+fn over_budget_basis_is_served_but_not_cached() {
+    // 10 000 points × 128 latent features in f64 is ~10 MB of packed
+    // basis, past the 8 MiB budget.
+    let cfg = DeepOHeatConfig::single_branch(9, &[16], &[16, 16], 128)
+        .with_fourier(8, 1.0)
+        .with_output_transform(300.0, 50.0);
+    let m = DeepOHeat::new(&cfg, &mut StdRng::seed_from_u64(12)).expect("config is valid");
+    let input = design(&mut StdRng::seed_from_u64(8));
+    let mesh = queries(10_000);
+    let expected = m.predict(&[&input], &mesh).expect("reference");
+
+    let mut engine = InferenceEngine::new(m, ServeOptions::default()).expect("valid options");
+    for _ in 0..2 {
+        let served = engine.predict(&[&input], &mesh).expect("served");
+        assert_eq!(bits(&served), bits(&expected));
+        assert_eq!(engine.basis_len(), 0, "a basis past the budget is never cached");
+    }
+    let stats = engine.basis_stats();
+    assert_eq!((stats.misses, stats.hits, stats.evictions), (2, 0, 0));
+    const { assert!(BASIS_CACHE_BYTES < 128 * 8 * 10_000) };
+}
+
+#[test]
+fn frontend_shards_share_one_model_and_one_basis() {
+    let m = Arc::new(model());
+    let mesh = queries(257);
+    let opts = FrontendOptions { shards: 3, retry_backoff_micros: 0, ..FrontendOptions::default() };
+    let frontend = ServeFrontend::new(Arc::clone(&m), opts).expect("valid options");
+    assert_eq!(Arc::strong_count(&m), 1 + 3, "every shard holds the one model");
+
+    // Two designs that route to different shards.
+    let mut rng = StdRng::seed_from_u64(9);
+    let first = design(&mut rng);
+    let home = frontend.home_shard(&[&first]);
+    let second = std::iter::repeat_with(|| design(&mut rng))
+        .find(|d| frontend.home_shard(&[d]) != home)
+        .expect("some design routes elsewhere");
+
+    let a = frontend.call(&[&first], &mesh).expect("served");
+    assert_eq!((frontend.basis_stats().misses, frontend.basis_stats().hits), (1, 0));
+    let b = frontend.call(&[&second], &mesh).expect("served");
+    assert_ne!(a.shard, b.shard);
+    let stats = frontend.basis_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1), "the second shard's first request hits");
+    assert_eq!(frontend.basis_len(), 1);
+    assert_eq!(bits(&a.values), bits(&m.predict(&[&first], &mesh).expect("reference")));
+    assert_eq!(bits(&b.values), bits(&m.predict(&[&second], &mesh).expect("reference")));
+
+    drop(frontend);
+    assert_eq!(Arc::strong_count(&m), 1, "shutdown releases every shard's handle");
 }

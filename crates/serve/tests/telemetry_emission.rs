@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use deepoheat::{DeepOHeat, DeepOHeatConfig};
 use deepoheat_linalg::Matrix;
 use deepoheat_serve::{
-    FrontendOptions, InferenceEngine, ServeFaultPlan, ServeFrontend, ServeOptions,
+    FrontendOptions, InferenceEngine, ServeError, ServeFaultPlan, ServeFrontend, ServeOptions,
 };
 use deepoheat_telemetry::{EventKind, JsonlSink, MemorySink, Recorder};
 use rand::rngs::StdRng;
@@ -53,11 +53,9 @@ fn engine_shutdown_emits_hit_rate_exactly_once() {
     engine.shutdown();
     drop(engine);
 
-    assert_eq!(
-        gauge_count(&sink, "serve.cache.hit_rate"),
-        1,
-        "shutdown + drop must emit the hit-rate gauge exactly once"
-    );
+    for gauge in ["serve.cache.hit_rate", "serve.basis.hit_rate"] {
+        assert_eq!(gauge_count(&sink, gauge), 1, "shutdown + drop must emit {gauge} exactly once");
+    }
     deepoheat_telemetry::finish();
 }
 
@@ -85,13 +83,50 @@ fn frontend_shutdown_emits_summary_gauges_exactly_once() {
     frontend.shutdown();
     drop(frontend);
 
-    for gauge in ["serve.queue.max_depth", "serve.shed.rate"] {
+    // The shards share one basis cache, so its hit rate is the front-end's
+    // to report: once, not once per shard.
+    for gauge in ["serve.queue.max_depth", "serve.shed.rate", "serve.basis.hit_rate"] {
         assert_eq!(gauge_count(&sink, gauge), 1, "shutdown + drop must emit {gauge} exactly once");
     }
     // Each shard engine emits its own hit-rate gauge once at worker exit
     // (2 shards => 2 emissions, not 4).
     assert_eq!(gauge_count(&sink, "serve.cache.hit_rate"), 2);
     deepoheat_telemetry::finish();
+}
+
+#[test]
+fn frontend_rejects_non_finite_inputs_before_either_cache() {
+    let _guard = lock();
+    deepoheat_telemetry::finish();
+    let sink = MemorySink::new();
+    Recorder::builder("serve-invalid-input-test").sink(Box::new(Arc::clone(&sink))).install();
+
+    let opts = FrontendOptions { shards: 1, retry_backoff_micros: 0, ..FrontendOptions::default() };
+    let mut frontend = ServeFrontend::new(model(), opts).expect("valid options");
+    let input = Matrix::filled(1, 4, 0.5);
+    let queries = Matrix::from_fn(7, 3, |i, j| 0.1 * (i + j) as f64);
+    let mut bad_input = input.clone();
+    bad_input[(0, 1)] = f64::INFINITY;
+    let mut bad_queries = queries.clone();
+    bad_queries[(3, 2)] = f64::NAN;
+    // A bad sensor with a good mesh, then a good design with a bad mesh:
+    // had either request filled a cache, the first valid request below
+    // would hit it.
+    for (u, y) in [(&bad_input, &queries), (&input, &bad_queries)] {
+        let err = frontend.call(&[u], y).expect_err("non-finite input");
+        assert!(matches!(err, ServeError::InvalidInput { .. }), "{err}");
+    }
+    assert_eq!(frontend.basis_len(), 0);
+    frontend.call(&[&input], &queries).expect("first valid request");
+    frontend.call(&[&input], &queries).expect("repeat");
+    frontend.shutdown();
+    assert_eq!(frontend.stats().retries, 0, "invalid input is never retried");
+    deepoheat_telemetry::finish();
+
+    let manifest = sink.take_manifest().expect("finish delivers the manifest");
+    for counter in ["serve.cache.hits", "serve.basis.hits"] {
+        assert_eq!(manifest.metrics.counters.get(counter), Some(&1), "only the repeat hits");
+    }
 }
 
 #[test]
