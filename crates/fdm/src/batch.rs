@@ -10,8 +10,10 @@
 //! * heat-flux (power-map) boundary data only enters the right-hand side,
 //!   so every map in the batch shares one matrix and one preconditioner
 //!   set ([`crate::problem::PreconditionerCache`] is built once);
-//! * the block solve streams the operator once per iteration for the whole
-//!   sub-batch (`CsrMatrix::spmm_into`), the core wall-clock win;
+//! * the block solve advances the whole sub-batch per iteration with
+//!   one-pass block kernels: one lane-parallel `CsrMatrix::spmm_into`
+//!   sweep, one pass per Gram block, one fused pass per block update —
+//!   each column bitwise what per-column kernels would give it;
 //! * a [`RecycleSpace`] carries the A-orthonormalised span of solved
 //!   iterates across sub-batches, warm-starting later maps;
 //! * columns the block phase leaves unconverged fall back to the existing
@@ -24,7 +26,7 @@
 
 use std::time::Instant;
 
-use deepoheat_linalg::{block_cg, norm2, BlockCgOptions, Matrix, RecycleSpace};
+use deepoheat_linalg::{block_cg, row_norms, BlockCgOptions, Matrix, RecycleSpace};
 use deepoheat_telemetry as telemetry;
 
 use crate::problem::{cg_ladder, Assembly, PreconditionerCache};
@@ -266,16 +268,17 @@ impl HeatProblem {
             // Warm start from the recycled span of previously solved maps.
             let x0 = if options.recycle_dim > 0 { recycle.warm_start(&b)? } else { None };
             if let Some(x0) = &x0 {
-                let ax = matrix.spmm(x0)?;
-                for slot in 0..k {
-                    let b_norm = norm2(b.row(slot));
+                // R₀ = B − A X₀ in place of A X₀, then both blocks' norms.
+                let mut r = matrix.spmm(x0)?;
+                for (ri, &bi) in r.as_mut_slice().iter_mut().zip(b.as_slice()) {
+                    *ri = bi - *ri;
+                }
+                for (r_norm, b_norm) in row_norms(&r).into_iter().zip(row_norms(&b)) {
                     if b_norm == 0.0 {
                         continue;
                     }
-                    let r: Vec<f64> =
-                        ax.row(slot).iter().zip(b.row(slot)).map(|(axi, bi)| bi - axi).collect();
                     warm_columns += 1;
-                    if norm2(&r) / b_norm <= RECYCLE_HIT_RESIDUAL {
+                    if r_norm / b_norm <= RECYCLE_HIT_RESIDUAL {
                         warm_hits += 1;
                     }
                 }

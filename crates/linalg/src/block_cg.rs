@@ -3,11 +3,23 @@
 //! Solves `A X = B` for a multi-column right-hand side in one Krylov
 //! iteration: the residual block shrinks together, so columns share the
 //! search space and converge in far fewer matrix passes than solving each
-//! column alone. The level-3 updates (`X += Pα`, `R -= Qα`, `P = Z + Pβ`)
-//! are routed through [`Matrix::matmul`] — the blocked GEMM kernels — while
-//! every reduction (Gram entries, residual norms) goes through the pooled
-//! [`dot`]/[`norm2`] kernels with their fixed chunking, so a block solve is
-//! bit-identical at any pool width.
+//! column alone.
+//!
+//! Each iteration streams its block through one-pass kernels, every one
+//! giving each column the bits of the per-column computation it replaces:
+//!
+//! * `Q = A P` is one [`CsrMatrix::spmm_into`] sweep, up to eight columns
+//!   per pass over `A`, each row of `Q` bitwise an SpMV;
+//! * the Gram blocks `PᵀQ` and `RᵀZ` and the residual norms are one pass
+//!   each over the rows ([`gram`], [`row_norms`]), every entry bitwise
+//!   the pooled [`dot`]/[`norm2`] with its fixed chunking;
+//! * the updates `X += αᵀP`, `R −= αᵀQ` and `P = Z + βᵀP` are one fused,
+//!   column-tiled pass each ([`add_product`], [`sub_product`],
+//!   [`direction_update`]), every element rounded like the blocked GEMM
+//!   product plus elementwise add it replaces.
+//!
+//! Every kernel splits its work over the pool by fixed bands of the
+//! problem shape, so a block solve is bit-identical at any pool width.
 //!
 //! # Determinism and the scalar-CG correspondence
 //!
@@ -29,7 +41,10 @@
 //! [`Preconditioner::apply`]; SSOR uses it to stream its triangles once
 //! per group of right-hand sides instead of once per column.
 
-use crate::{dot, norm2, Cholesky, CsrMatrix, LinalgError, Matrix, Preconditioner};
+use crate::{
+    add_product, direction_update, dot, gram, norm2, row_norms, sub_product, Cholesky, CsrMatrix,
+    LinalgError, Matrix, Preconditioner,
+};
 
 /// Options controlling [`block_cg`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,14 +147,6 @@ impl BlockCgOutcome {
     }
 }
 
-/// Gram block `G[i][j] = ⟨x_i, y_j⟩` over the rows of two equally shaped
-/// blocks. Each entry is one pooled [`dot`], so the summation order per
-/// entry matches the scalar solver's reductions exactly.
-fn gram(x: &Matrix, y: &Matrix) -> Matrix {
-    let k = x.rows();
-    Matrix::from_fn(k, k, |i, j| dot(x.row(i), y.row(j)))
-}
-
 /// Bookkeeping for a column deflated out of the block because its residual
 /// became (numerically) linearly dependent on the others: `r_c ≈ Σ γⱼ rⱼ`
 /// implies the remaining error is the same combination of the kept
@@ -167,14 +174,16 @@ fn fit_dependent(r: &Matrix, slot: usize) -> Option<Vec<f64>> {
         return None;
     }
     let m = kept.len();
-    let g = Matrix::from_fn(m, m, |i, j| dot(r.row(kept[i]), r.row(kept[j])));
+    // One pass gives every entry the fit needs, `‖r_slot‖²` included.
+    let full = gram(r, r).ok()?;
+    let g = Matrix::from_fn(m, m, |i, j| full.row(kept[i])[kept[j]]);
     let trace: f64 = (0..m).map(|i| g.row(i)[i]).sum();
     if trace <= 0.0 || !trace.is_finite() {
         return None;
     }
     let lambda = 1e-10 * trace / m as f64;
     let reg = Matrix::from_fn(m, m, |i, j| if i == j { g.row(i)[j] + lambda } else { g.row(i)[j] });
-    let rhs: Vec<f64> = kept.iter().map(|&s| dot(r.row(s), r.row(slot))).collect();
+    let rhs: Vec<f64> = kept.iter().map(|&s| full.row(s)[slot]).collect();
     let gamma = Cholesky::new(&reg).ok()?.solve(&rhs).ok()?;
     if !gamma.iter().all(|v| v.is_finite()) {
         return None;
@@ -187,7 +196,7 @@ fn fit_dependent(r: &Matrix, slot: usize) -> Option<Vec<f64>> {
     for (j, &s) in kept.iter().enumerate() {
         crate::axpy(-gamma[j], r.row(s), &mut err);
     }
-    let denom = norm2(r.row(slot));
+    let denom = full.row(slot)[slot].sqrt();
     if denom > 0.0 && norm2(&err) <= 1e-4 * denom {
         Some(gamma)
     } else {
@@ -278,7 +287,7 @@ pub fn block_cg<P: Preconditioner>(
     // Zero right-hand sides short-circuit to the zero solution (even over a
     // warm start, mirroring the scalar solver); the rest become the active
     // block.
-    let b_norms: Vec<f64> = (0..k).map(|i| norm2(b.row(i))).collect();
+    let b_norms = row_norms(b);
     let mut active: Vec<usize> = Vec::with_capacity(k);
     for (i, &bn) in b_norms.iter().enumerate() {
         if bn == 0.0 {
@@ -351,7 +360,7 @@ pub fn block_cg<P: Preconditioner>(
             let mut z = Matrix::zeros(ka, n);
             preconditioner.apply_rows(&r, &mut z);
             let p = z.clone();
-            let rho = gram(&r, &z);
+            let rho = gram(&r, &z)?;
             Ok((r, z, p, rho))
         };
 
@@ -372,8 +381,8 @@ pub fn block_cg<P: Preconditioner>(
         let ka = active.len();
         let mut still: Vec<usize> = Vec::with_capacity(ka);
         let mut worst = 0.0f64;
-        for (slot, &c) in active.iter().enumerate() {
-            let res = norm2(r.row(slot)) / b_norms[c];
+        for ((slot, &c), r_norm) in active.iter().enumerate().zip(row_norms(&r)) {
+            let res = r_norm / b_norms[c];
             worst = worst.max(res);
             columns[c].iterations = iter;
             columns[c].relative_residual = res;
@@ -404,7 +413,7 @@ pub fn block_cg<P: Preconditioner>(
         // Q = A P (one streaming pass over A for the whole block), then
         // the Gram system S α = ρ.
         a.spmm_into(&p, &mut q)?;
-        let s = gram(&p, &q);
+        let s = gram(&p, &q)?;
         let alpha_t = if ka == 1 {
             // Direct division: bitwise-identical to the scalar solver's
             // `alpha = rz / pap`, where a 1×1 Cholesky would round through
@@ -457,25 +466,15 @@ pub fn block_cg<P: Preconditioner>(
             }
         };
 
-        // X += αᵀP and R −= αᵀQ — level-3 updates through the blocked
-        // GEMM, then elementwise add/subtract (two roundings, exactly like
-        // the scalar solver's `axpy`).
-        let u = alpha_t.matmul(&p)?;
-        for (slot, &c) in active.iter().enumerate() {
-            for (xi, &ui) in x.row_mut(c).iter_mut().zip(u.row(slot)) {
-                *xi += ui;
-            }
-        }
-        let v = alpha_t.matmul(&q)?;
-        for slot in 0..ka {
-            for (ri, &vi) in r.row_mut(slot).iter_mut().zip(v.row(slot)) {
-                *ri -= vi;
-            }
-        }
+        // X += αᵀP and R −= αᵀQ: each element's product term is formed in
+        // full, then added or subtracted (two roundings, exactly like the
+        // scalar solver's `axpy`).
+        add_product(&alpha_t, &p, &mut x, &active)?;
+        sub_product(&alpha_t, &q, &mut r)?;
 
         // Z = M⁻¹R, ρ' = RᵀZ, then P = Z + βᵀP with ρ β = ρ'.
         preconditioner.apply_rows(&r, &mut z);
-        let rho_new = gram(&r, &z);
+        let rho_new = gram(&r, &z)?;
         let beta_t = if ka == 1 {
             // Mirrors the scalar `beta = rz_new / rz` (which performs the
             // division unconditionally).
@@ -514,13 +513,7 @@ pub fn block_cg<P: Preconditioner>(
                 }
             }
         };
-        let w = beta_t.matmul(&p)?;
-        for slot in 0..ka {
-            let (prow, zrow, wrow) = (p.row_mut(slot), z.row(slot), w.row(slot));
-            for ((pi, &zi), &wi) in prow.iter_mut().zip(zrow).zip(wrow) {
-                *pi = zi + wi;
-            }
-        }
+        direction_update(&beta_t, &z, &mut p)?;
         rho = rho_new;
         allow_restart = true;
         iterations_performed = iter + 1;
@@ -528,8 +521,8 @@ pub fn block_cg<P: Preconditioner>(
 
     // Out of iterations: final residual check for whatever is still active.
     let mut worst = 0.0f64;
-    for (slot, &c) in active.iter().enumerate() {
-        let res = norm2(r.row(slot)) / b_norms[c];
+    for (&c, r_norm) in active.iter().zip(row_norms(&r)) {
+        let res = r_norm / b_norms[c];
         worst = worst.max(res);
         columns[c].iterations = options.max_iterations;
         columns[c].relative_residual = res;
@@ -548,7 +541,7 @@ pub fn block_cg<P: Preconditioner>(
 /// The basis is kept A-orthonormal (`wᵢᵀ A wⱼ = δᵢⱼ`) by modified
 /// Gram–Schmidt in the A-inner product at [`RecycleSpace::absorb`] time,
 /// so the Galerkin warm start `X₀ = (B Wᵀ) W` needs no small solve at all:
-/// the projection coefficients are plain pooled dots and the expansion is
+/// the projection coefficients are one [`gram`] pass and the expansion is
 /// one blocked GEMM. Batches whose right-hand sides resemble earlier ones
 /// start with a relative residual well below 1 and converge in a fraction
 /// of the cold iteration count.
@@ -558,11 +551,10 @@ pub fn block_cg<P: Preconditioner>(
 #[derive(Debug, Clone)]
 pub struct RecycleSpace {
     max_dim: usize,
-    n: usize,
-    /// A-orthonormal basis rows.
-    w: Vec<Vec<f64>>,
+    /// A-orthonormal basis, one vector per row, oldest first.
+    w: Matrix,
     /// `A·w` per basis row, cached for absorb-time orthogonalisation.
-    aw: Vec<Vec<f64>>,
+    aw: Matrix,
 }
 
 impl RecycleSpace {
@@ -570,24 +562,22 @@ impl RecycleSpace {
     /// When the cap is reached, absorbing evicts the oldest vector —
     /// recent solutions resemble upcoming right-hand sides the most.
     pub fn new(max_dim: usize) -> Self {
-        RecycleSpace { max_dim, n: 0, w: Vec::new(), aw: Vec::new() }
+        RecycleSpace { max_dim, w: Matrix::zeros(0, 0), aw: Matrix::zeros(0, 0) }
     }
 
     /// Number of basis vectors currently held.
     pub fn dim(&self) -> usize {
-        self.w.len()
+        self.w.rows()
     }
 
     /// Whether the space holds no basis vectors yet.
     pub fn is_empty(&self) -> bool {
-        self.w.is_empty()
+        self.w.rows() == 0
     }
 
     /// Forgets the basis. Call when the operator changes.
     pub fn clear(&mut self) {
-        self.w.clear();
-        self.aw.clear();
-        self.n = 0;
+        *self = RecycleSpace::new(self.max_dim);
     }
 
     /// Galerkin warm start for a new right-hand-side block (`k×n`, one RHS
@@ -599,20 +589,19 @@ impl RecycleSpace {
     /// Returns [`LinalgError::ShapeMismatch`] if `b`'s row length differs
     /// from the dimension the basis was absorbed at.
     pub fn warm_start(&self, b: &Matrix) -> Result<Option<Matrix>, LinalgError> {
-        if self.w.is_empty() {
+        if self.is_empty() {
             return Ok(None);
         }
-        if b.cols() != self.n {
+        if b.cols() != self.w.cols() {
             return Err(LinalgError::ShapeMismatch {
                 op: "recycle_warm_start",
-                lhs: (self.w.len(), self.n),
+                lhs: self.w.shape(),
                 rhs: b.shape(),
             });
         }
-        let m = self.w.len();
-        let coeff = Matrix::from_fn(b.rows(), m, |i, j| dot(self.w[j].as_slice(), b.row(i)));
-        let basis = Matrix::from_vec(m, self.n, self.w.concat())?;
-        Ok(Some(coeff.matmul(&basis)?))
+        // coeff[i][j] = ⟨w_j, b_i⟩, each the pooled dot `dot(w_j, b_i)`.
+        let coeff = gram(&self.w, b)?.transpose();
+        Ok(Some(coeff.matmul(&self.w)?))
     }
 
     /// Absorbs solved iterates (rows of `x`) into the basis:
@@ -625,15 +614,20 @@ impl RecycleSpace {
     /// Returns the underlying [`LinalgError`] if `x`'s row length does not
     /// match `a`, or a shape error from the sparse product.
     pub fn absorb(&mut self, a: &CsrMatrix, x: &Matrix) -> Result<(), LinalgError> {
-        if self.w.is_empty() {
-            self.n = a.rows();
+        if self.is_empty() {
+            self.w = Matrix::zeros(0, a.rows());
+            self.aw = Matrix::zeros(0, a.rows());
         }
-        if x.cols() != self.n || a.rows() != self.n {
+        let n = self.w.cols();
+        if x.cols() != n || a.rows() != n {
             return Err(LinalgError::ShapeMismatch {
                 op: "recycle_absorb",
-                lhs: (a.rows(), self.n),
+                lhs: (a.rows(), n),
                 rhs: x.shape(),
             });
+        }
+        if self.max_dim == 0 {
+            return Ok(());
         }
         for i in 0..x.rows() {
             let mut v = x.row(i).to_vec();
@@ -644,9 +638,9 @@ impl RecycleSpace {
             // Two MGS passes in the A-inner product: one is not enough to
             // keep `wᵢᵀAwⱼ = δᵢⱼ` once the basis grows.
             for _ in 0..2 {
-                for j in 0..self.w.len() {
-                    let c = dot(self.aw[j].as_slice(), &v);
-                    crate::axpy(-c, self.w[j].as_slice(), &mut v);
+                for j in 0..self.w.rows() {
+                    let c = dot(self.aw.row(j), &v);
+                    crate::axpy(-c, self.w.row(j), &mut v);
                 }
             }
             let av = a.spmv(&v)?;
@@ -661,12 +655,12 @@ impl RecycleSpace {
             crate::scale_in_place(inv, &mut v);
             let mut av = av;
             crate::scale_in_place(inv, &mut av);
-            if self.w.len() == self.max_dim {
-                self.w.remove(0);
-                self.aw.remove(0);
+            if self.w.rows() == self.max_dim {
+                self.w.drop_first_row();
+                self.aw.drop_first_row();
             }
-            self.w.push(v);
-            self.aw.push(av);
+            self.w.push_row(&v);
+            self.aw.push_row(&av);
         }
         Ok(())
     }
@@ -878,12 +872,16 @@ mod tests {
         assert_eq!(space.dim(), 3, "cap must hold");
         // Absorbing a vector already in the span leaves the basis alone.
         let dim_before = space.dim();
-        let repeat = Matrix::from_vec(1, n, space.w[0].clone()).unwrap();
+        let repeat = Matrix::from_vec(1, n, space.w.row(0).to_vec()).unwrap();
         space.absorb(&a, &repeat).unwrap();
         assert_eq!(space.dim(), dim_before);
         space.clear();
         assert!(space.is_empty());
         assert!(space.warm_start(&Matrix::zeros(1, n)).unwrap().is_none());
+        // A zero-capacity space keeps nothing.
+        let mut none = RecycleSpace::new(0);
+        none.absorb(&a, &repeat).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]

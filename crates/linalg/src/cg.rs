@@ -13,6 +13,7 @@
 //! eight vectors through one sweep, so the operator streams once per
 //! group and the lanes' independent recurrences overlap.
 
+use crate::kernels::{lane_groups, LaneTail};
 use crate::sparse::Triangle;
 use crate::{axpy, dot, norm2, CsrMatrix, LinalgError, Matrix};
 
@@ -125,9 +126,6 @@ pub struct SsorPreconditioner {
     omega: f64,
 }
 
-/// Most right-hand sides one SSOR sweep carries per matrix row.
-const SSOR_LANES: usize = 8;
-
 impl SsorPreconditioner {
     /// Builds an SSOR preconditioner with relaxation factor `omega`.
     ///
@@ -230,18 +228,13 @@ impl Preconditioner for SsorPreconditioner {
 
     fn apply_rows(&self, r: &Matrix, z: &mut Matrix) {
         debug_assert_eq!(r.shape(), z.shape(), "ssor: block shape mismatch");
-        // A sweep is bound by each row's dependence chain, not by its
-        // arithmetic, so a few spare lanes cost less than another sweep.
-        let mut first = 0;
-        while first < r.rows() {
-            let count = (r.rows() - first).min(SSOR_LANES);
-            match count {
-                5.. => self.sweep_rows::<SSOR_LANES>(r, z, first, count),
-                3..=4 => self.sweep_rows::<4>(r, z, first, count),
+        for (first, count, lanes) in lane_groups(r.rows(), LaneTail::Pad) {
+            match lanes {
+                8 => self.sweep_rows::<8>(r, z, first, count),
+                4 => self.sweep_rows::<4>(r, z, first, count),
                 2 => self.sweep_rows::<2>(r, z, first, count),
                 _ => self.sweep_rows::<1>(r, z, first, count),
             }
-            first += count;
         }
     }
 }

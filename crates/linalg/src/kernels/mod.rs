@@ -172,6 +172,92 @@ impl Element for f32 {
     }
 }
 
+/// A kernel body built twice: once for the baseline target and, on x86-64
+/// hosts with AVX2, once with AVX2 enabled ([`run_widest`] picks). `run`
+/// must be `#[inline(always)]` so the AVX2 build actually inlines it. Both
+/// builds are the same Rust operations in the same order — IEEE multiply
+/// and add round identically at any vector width, and Rust never contracts
+/// them into FMA — so the choice cannot change a bit of the result.
+///
+/// Two kernels use it, both with lanes contiguous in memory: the SpMM lane
+/// groups and the fused block-update tiles (PERFORMANCE.md, "Block-CG
+/// kernels", has the measurements). The lane paths of the reductions read
+/// one element of each of several rows per step; built with AVX2 they ran
+/// slower, so they are built once.
+pub(crate) trait Multiversion {
+    fn run(&mut self);
+}
+
+/// Runs `kernel` with the widest vector instructions the host offers.
+pub(crate) fn run_widest<K: Multiversion>(kernel: &mut K) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if simd::run_avx2(kernel) {
+        return;
+    }
+    kernel.run();
+}
+
+/// What [`lane_groups`] does with a tail of sums that fills no group of
+/// 8, 4 or 2 lanes exactly.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneTail {
+    /// Run it in the next wider group: 5–7 sums take 8 lanes, 3 take 4,
+    /// and the kernel fills the spare lanes and never stores them. For the
+    /// sweeps over a matrix (SSOR, SpMM), which are bound by streaming the
+    /// matrix and by each row's dependence chain: spare lanes ride in the
+    /// same loads and cost less than another sweep.
+    Pad,
+    /// Split it into exact groups: 5–7 sums become 4 + 2 + 1, 3 become
+    /// 2 + 1. For the reductions ([`gram`](crate::gram),
+    /// [`row_norms`](crate::row_norms)), where every lane streams a vector
+    /// of its own, so a spare lane would cost a whole vector's loads.
+    Split,
+}
+
+/// Splits `total` independent sums into groups of 8, 4, 2 or 1 lanes:
+/// full groups of 8 first, then the tail as `tail` says. Yields `(first,
+/// count, lanes)` per group, with `count <= lanes` sums starting at
+/// `first`. The grouping depends on `total` only, never on the pool.
+pub(crate) fn lane_groups(
+    total: usize,
+    tail: LaneTail,
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut first = 0;
+    std::iter::from_fn(move || {
+        let left = total - first;
+        let (count, lanes) = match left {
+            0 => return None,
+            8.. => (8, 8),
+            _ if tail == LaneTail::Pad => (left, left.next_power_of_two()),
+            4.. => (4, 4),
+            2.. => (2, 2),
+            _ => (1, 1),
+        };
+        let group = (first, count, lanes);
+        first += count;
+        Some(group)
+    })
+}
+
+/// Splits each of `rows` (equal lengths) into fixed `band`-element pieces
+/// and groups the pieces by band: entry `b` holds band `b`'s piece of
+/// every row, in row order — one pool job's share of a row-major block
+/// whose jobs own column ranges. `n` is the row length.
+pub(crate) fn bands_of<'a>(
+    rows: impl IntoIterator<Item = &'a mut [f64]>,
+    n: usize,
+    band: usize,
+) -> Vec<Vec<&'a mut [f64]>> {
+    let band = band.max(1);
+    let mut bands: Vec<Vec<&mut [f64]>> = (0..n.div_ceil(band)).map(|_| Vec::new()).collect();
+    for row in rows {
+        for (pieces, piece) in bands.iter_mut().zip(row.chunks_mut(band)) {
+            pieces.push(piece);
+        }
+    }
+    bands
+}
+
 /// Per-element transform fused into the microkernel's final store, applied
 /// while the output tile is still hot in L1. Replicates the rounding of the
 /// separate passes it replaces exactly: the raw ascending-`k` sum is fully
@@ -600,4 +686,31 @@ pub(crate) fn dispatch_rows<T, K>(
         let nrows = out_band.len() / n.max(1);
         kernel(&lhs[r0 * k..(r0 + nrows) * k], out_band, nrows);
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lane_groups_cover_every_sum_once() {
+        let groups = |total, tail| lane_groups(total, tail).collect::<Vec<_>>();
+        assert_eq!(groups(0, LaneTail::Pad), []);
+        assert_eq!(groups(7, LaneTail::Pad), [(0, 7, 8)]);
+        assert_eq!(groups(7, LaneTail::Split), [(0, 4, 4), (4, 2, 2), (6, 1, 1)]);
+        assert_eq!(groups(11, LaneTail::Pad), [(0, 8, 8), (8, 3, 4)]);
+        assert_eq!(groups(11, LaneTail::Split), [(0, 8, 8), (8, 2, 2), (10, 1, 1)]);
+        for total in 0..=40 {
+            for tail in [LaneTail::Pad, LaneTail::Split] {
+                let mut next = 0;
+                for (first, count, lanes) in lane_groups(total, tail) {
+                    assert_eq!(first, next);
+                    assert!(count >= 1 && count <= lanes && [1, 2, 4, 8].contains(&lanes));
+                    assert!(tail == LaneTail::Pad || count == lanes, "split groups are exact");
+                    next += count;
+                }
+                assert_eq!(next, total);
+            }
+        }
+    }
 }

@@ -1,15 +1,23 @@
-//! AVX2 f64 microkernel behind runtime feature detection.
+//! AVX2 code paths behind runtime feature detection.
 //!
 //! This is the only module in the crate allowed to contain `unsafe` code
 //! (see the audited-paths list in `xtask/src/lints.rs`); everything else
-//! stays under `#![deny(unsafe_code)]`. The kernel is bit-identical to
-//! [`scalar_tile`](super::scalar_tile): lanes span output columns, the
-//! `k` loop stays sequential per element, and products are combined with
-//! separate multiply and add (never FMA), so enabling or disabling this
-//! path can never change a result — it is a pure throughput switch.
+//! stays under `#![deny(unsafe_code)]`. It holds two things:
 //!
-//! Set `DEEPOHEAT_SCALAR_KERNELS=1` to force the portable path (useful for
-//! A/B benchmarking and for reproducing the CI scalar/Miri configuration).
+//! * the f64 GEMM microkernel, bit-identical to
+//!   [`scalar_tile`](super::scalar_tile): lanes span output columns, the
+//!   `k` loop stays sequential per element, and products are combined
+//!   with separate multiply and add (never FMA);
+//! * [`run_avx2`], which runs a portable [`Multiversion`] kernel body (the
+//!   SpMM lane groups and the fused block-update tiles) compiled with AVX2
+//!   enabled. It is the same Rust source, so it performs the same IEEE
+//!   operations in the same order; only the vector width LLVM picks for
+//!   the independent lanes changes.
+//!
+//! Enabling or disabling either path can never change a result — it is a
+//! pure throughput switch. Set `DEEPOHEAT_SCALAR_KERNELS=1` to force the
+//! portable paths (useful for A/B benchmarking and for reproducing the CI
+//! scalar/Miri configuration).
 
 use core::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd,
@@ -17,9 +25,9 @@ use core::arch::x86_64::{
 };
 use std::sync::OnceLock;
 
-use super::{MR, NR};
+use super::{Multiversion, MR, NR};
 
-/// Whether the AVX2 tile may be used on this machine. Detected once; the
+/// Whether the AVX2 paths may be used on this machine. Detected once; the
 /// choice depends on the host CPU and an env override only — never on the
 /// thread count — and both branches produce identical bits anyway.
 fn avx2_enabled() -> bool {
@@ -28,6 +36,28 @@ fn avx2_enabled() -> bool {
         std::env::var_os("DEEPOHEAT_SCALAR_KERNELS").is_none()
             && std::arch::is_x86_feature_detected!("avx2")
     })
+}
+
+/// Runs `kernel` compiled with AVX2 enabled and returns `true`, or
+/// returns `false` (having done nothing) when AVX2 is unavailable — the
+/// caller then runs the portable build of the same body.
+pub(crate) fn run_avx2<K: Multiversion>(kernel: &mut K) -> bool {
+    if !avx2_enabled() {
+        return false;
+    }
+    // SAFETY: `run_with_avx2` is safe code whose only requirement is the
+    // AVX2 target feature it is compiled for, and `avx2_enabled()` above
+    // verified that this CPU has it.
+    unsafe { run_with_avx2(kernel) };
+    true
+}
+
+/// The AVX2 build of a [`Multiversion`] body: `run` is
+/// `#[inline(always)]`, so LLVM inlines it here and compiles its loops
+/// with 256-bit vectors.
+#[target_feature(enable = "avx2")]
+fn run_with_avx2<K: Multiversion>(kernel: &mut K) {
+    kernel.run();
 }
 
 /// Runs one full `MR × NR` f64 tile with AVX2, accumulating over a packed

@@ -49,4 +49,7 @@ pub use kernels::PackedRhs;
 pub use matrix::Matrix;
 pub use matrix32::Matrix32;
 pub use sparse::{CooMatrix, CsrMatrix};
-pub use vector::{axpy, dot, norm2, scale_in_place};
+pub use vector::{
+    add_product, axpy, direction_update, dot, gram, norm2, row_norms, scale_in_place, sub_product,
+    VEC_CHUNK,
+};

@@ -248,6 +248,24 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Appends `row` as a new last row. `row.len()` must equal `cols()`;
+    /// the in-crate callers size it from the matrix they append to, so the
+    /// length is checked with `debug_assert!` only.
+    pub(crate) fn push_row(&mut self, row: &[f64]) {
+        debug_assert_eq!(row.len(), self.cols, "push_row: row length mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Removes the first row, if any, shifting the rest up; the storage
+    /// keeps its capacity.
+    pub(crate) fn drop_first_row(&mut self) {
+        if self.rows > 0 {
+            self.data.drain(..self.cols);
+            self.rows -= 1;
+        }
+    }
+
     /// Returns rows `range.start..range.end` as a new matrix. Rows are
     /// stored contiguously, so this is one `memcpy` of the block — the
     /// cheap way to hand a fixed chunk of a batch to the worker pool.

@@ -1,7 +1,8 @@
 use std::ops::Range;
 
-use deepoheat_parallel as parallel;
+use deepoheat_parallel::{self as parallel, Job};
 
+use crate::kernels::{self, run_widest, LaneTail, Multiversion};
 use crate::{LinalgError, Matrix};
 
 /// Fixed row-chunk size for the pooled sparse matrix–vector product.
@@ -399,9 +400,12 @@ impl CsrMatrix {
     ///
     /// Each output element accumulates in the same stored-nonzero order as
     /// [`CsrMatrix::spmv_into`], so row `r` of `y` is **bitwise identical**
-    /// to `spmv_into(x.row(r), …)` — but `A`'s values and indices stream
-    /// through memory once per block instead of once per vector, which is
-    /// where batched block-Krylov solves get their wall-clock win.
+    /// to `spmv_into(x.row(r), …)`. The vectors go through in groups of up
+    /// to eight lanes: one sweep over a matrix row's entries feeds every
+    /// lane of the group, so `A`'s values and indices stream once per
+    /// group instead of once per vector, and the lanes' independent sums
+    /// run side by side in vector registers. Pool jobs own fixed row chunks
+    /// and write their slice of every output row directly.
     ///
     /// # Errors
     ///
@@ -422,38 +426,54 @@ impl CsrMatrix {
                 rhs: y.shape(),
             });
         }
-        let k = x.rows();
-        if k == 0 {
+        if self.rows == 0 {
             return Ok(());
         }
-        let xs = x.as_slice();
-        let n = self.cols;
-        // Chunk-local buffers hold the output column-block transposed
-        // (`[local_row * k + vector]`) and merge in chunk order, so the
-        // result is reproducible at any pool width, exactly like `spmv`.
-        let chunks = parallel::par_map_chunks(self.rows, SPMV_ROW_CHUNK, |range| {
-            let mut buf = vec![0.0; range.len() * k];
-            for (dr, r) in range.enumerate() {
-                let acc = &mut buf[dr * k..(dr + 1) * k];
-                for nz in self.row_ptr[r]..self.row_ptr[r + 1] {
-                    let v = self.values[nz];
-                    let c = self.col_idx[nz];
-                    for (rr, a) in acc.iter_mut().enumerate() {
-                        *a += v * xs[rr * n + c];
-                    }
-                }
-            }
-            buf
-        });
-        for (ci, buf) in chunks.into_iter().enumerate() {
-            let base = ci * SPMV_ROW_CHUNK;
-            for (dr, acc) in buf.chunks_exact(k).enumerate() {
-                for (rr, &v) in acc.iter().enumerate() {
-                    y[(rr, base + dr)] = v;
-                }
+        for (v, count, lanes) in kernels::lane_groups(x.rows(), LaneTail::Pad) {
+            let out = &mut y.as_mut_slice()[v * self.rows..(v + count) * self.rows];
+            match lanes {
+                8 => self.spmm_group::<8>(x, v, count, out),
+                4 => self.spmm_group::<4>(x, v, count, out),
+                2 => self.spmm_group::<2>(x, v, count, out),
+                _ => self.spmm_group::<1>(x, v, count, out),
             }
         }
         Ok(())
+    }
+
+    /// Multiplies vectors `v..v + count` of `x` into `out` (their `count`
+    /// product rows) as one `L`-lane group (`count <= L`; spare lanes
+    /// repeat the last vector and are never stored). The group's vectors
+    /// are first interleaved so that one load fetches column `c` of every
+    /// lane. Pool jobs own fixed row chunks of every output row.
+    fn spmm_group<const L: usize>(&self, x: &Matrix, v: usize, count: usize, out: &mut [f64]) {
+        let mut lanes = vec![[0.0; L]; self.cols];
+        parallel::par_chunks_mut(&mut lanes, SPMV_ROW_CHUNK, |ci, piece| {
+            let cols = ci * SPMV_ROW_CHUNK..ci * SPMV_ROW_CHUNK + piece.len();
+            for l in 0..L {
+                let row = &x.row(v + l.min(count - 1))[cols.clone()];
+                for (entry, &value) in piece.iter_mut().zip(row) {
+                    entry[l] = value;
+                }
+            }
+        });
+        let lanes = &lanes;
+        let jobs: Vec<Job<'_>> =
+            kernels::bands_of(out.chunks_mut(self.rows), self.rows, SPMV_ROW_CHUNK)
+                .into_iter()
+                .enumerate()
+                .map(|(ci, out)| {
+                    Box::new(move || {
+                        run_widest(&mut SpmmLanes {
+                            a: self,
+                            lanes,
+                            out,
+                            first: ci * SPMV_ROW_CHUNK,
+                        });
+                    }) as Job<'_>
+                })
+                .collect();
+        parallel::run_scope(jobs);
     }
 
     /// Allocating variant of [`CsrMatrix::spmm_into`].
@@ -488,6 +508,38 @@ impl CsrMatrix {
             }
         }
         true
+    }
+}
+
+/// One lane group of [`CsrMatrix::spmm_into`] over one row chunk:
+/// `lanes[c]` holds column `c` of every lane's vector, and lane `l`'s
+/// products go to `out[l]`, whose piece starts at matrix row `first`.
+struct SpmmLanes<'a, 'b, const L: usize> {
+    a: &'a CsrMatrix,
+    lanes: &'a [[f64; L]],
+    out: Vec<&'b mut [f64]>,
+    first: usize,
+}
+
+impl<const L: usize> Multiversion for SpmmLanes<'_, '_, L> {
+    #[inline(always)]
+    fn run(&mut self) {
+        let a = self.a;
+        let rows = self.out.first().map_or(0, |piece| piece.len());
+        for dr in 0..rows {
+            let r = self.first + dr;
+            let entries = a.row_ptr[r]..a.row_ptr[r + 1];
+            let mut acc = [0.0; L];
+            for (&c, &v) in a.col_idx[entries.clone()].iter().zip(&a.values[entries]) {
+                let x = self.lanes[c];
+                for l in 0..L {
+                    acc[l] += v * x[l];
+                }
+            }
+            for (piece, &sum) in self.out.iter_mut().zip(&acc) {
+                piece[dr] = sum;
+            }
+        }
     }
 }
 

@@ -14,11 +14,21 @@
 //! [`SsorPreconditioner`] must match the second bit for bit, one vector at
 //! a time and in blocks of any width, on any pool.
 //!
+//! The block kernels block CG runs on are checked against the per-column
+//! kernels they stand for, bit for bit, on 1-, 2- and 4-thread pools:
+//! [`gram`] against [`dot`] per entry, [`row_norms`] against [`norm2`],
+//! the fused updates against [`Matrix::matmul`] plus an elementwise add,
+//! subtract or `z + w`, and [`CsrMatrix::spmm_into`] against
+//! [`CsrMatrix::spmv_into`] per row. Their row lengths cross a
+//! [`VEC_CHUNK`] boundary and the pool bands, and their inputs carry
+//! `-0.0` products and, in a second round, one non-finite entry.
+//!
 //! Under Miri the case counts and operator sizes shrink, like
 //! `kernel_properties`; the code paths exercised stay the same.
 
 use deepoheat_linalg::{
-    block_cg, BlockCgOptions, CooMatrix, CsrMatrix, Matrix, Preconditioner, SsorPreconditioner,
+    add_product, block_cg, direction_update, dot, gram, norm2, row_norms, sub_product,
+    BlockCgOptions, CooMatrix, CsrMatrix, Matrix, Preconditioner, SsorPreconditioner, VEC_CHUNK,
 };
 use deepoheat_parallel::ThreadPool;
 use proptest::prelude::*;
@@ -35,6 +45,23 @@ const CASES: u32 = 32;
 const GRID: (usize, usize, usize) = (4, 3, 3);
 #[cfg(not(miri))]
 const GRID: (usize, usize, usize) = (9, 7, 5);
+
+/// Row lengths of the block-kernel oracles: empty, one, a few, and (outside
+/// Miri) one that crosses a `VEC_CHUNK` boundary and several pool bands.
+#[cfg(miri)]
+const ROW_LENGTHS: [usize; 4] = [0, 1, 7, 70];
+#[cfg(not(miri))]
+const ROW_LENGTHS: [usize; 4] = [0, 1, 7, VEC_CHUNK + 517];
+
+/// Block heights of the block-kernel oracles: every lane group of 8, 4, 2
+/// and 1 lanes, one more than a full group, and two groups plus one.
+#[cfg(miri)]
+const BLOCK_ROWS: [usize; 4] = [1, 3, 5, 9];
+#[cfg(not(miri))]
+const BLOCK_ROWS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 17];
+
+/// Pool widths every block kernel must agree across.
+const POOLS: [usize; 3] = [1, 2, 4];
 
 /// Rows of the push-order case.
 #[cfg(miri)]
@@ -398,4 +425,257 @@ fn block_cg_with_ssor_matches_an_apply_only_preconditioner() {
         assert_eq!(blocked.iterations, per_row.iterations);
         assert_eq!(blocked.trace, per_row.trace);
     }
+}
+
+/// A `rows × cols` block of [`value`]s; with `poison`, one entry (chosen by
+/// the seed) is `+∞`, `−∞` or NaN instead.
+fn block(rows: usize, cols: usize, seed: u64, poison: bool) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut m = Matrix::from_fn(rows, cols, |_, _| value(&mut rng));
+    if poison && rows * cols > 0 {
+        let at = rng.gen_range(0..rows * cols);
+        m.as_mut_slice()[at] =
+            [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+    }
+    m
+}
+
+/// Runs `f` on every pool of [`POOLS`].
+fn on_each_pool(mut f: impl FnMut(usize)) {
+    for threads in POOLS {
+        ThreadPool::new(threads).install(|| f(threads));
+    }
+}
+
+#[test]
+fn block_kernels_gram_entries_match_dot() {
+    for (case, &n) in ROW_LENGTHS.iter().enumerate() {
+        for poison in [false, true] {
+            for &k in &BLOCK_ROWS {
+                // Square Gram blocks, and the rectangular warm-start shape
+                // of a 16-vector recycled basis against a right-hand side
+                // block.
+                for m in [k, 16] {
+                    let seed = (case * 1000 + k * 20 + m) as u64 + u64::from(poison);
+                    let x = block(k, n, seed, poison);
+                    let y = block(m, n, seed ^ 0xa5, false);
+                    let want: Vec<u64> = (0..k)
+                        .flat_map(|i| (0..m).map(move |j| (i, j)))
+                        .map(|(i, j)| dot(x.row(i), y.row(j)).to_bits())
+                        .collect();
+                    on_each_pool(|threads| {
+                        let got = gram(&x, &y).expect("equal row lengths");
+                        assert_eq!(got.shape(), (k, m));
+                        assert_eq!(
+                            bits(got.as_slice()),
+                            want,
+                            "{k}x{m} Gram over n = {n} (poison {poison}) on {threads} threads"
+                        );
+                    });
+                }
+            }
+        }
+    }
+    let err = gram(&Matrix::zeros(2, 3), &Matrix::zeros(2, 4));
+    assert!(matches!(err, Err(deepoheat_linalg::LinalgError::ShapeMismatch { .. })));
+}
+
+#[test]
+fn block_kernels_gram_keeps_the_sign_of_zero() {
+    // Every product is −0.0, so each chunk's sum, and the fold of the
+    // chunk sums, is −0.0 only if both start from −0.0 as `dot` does.
+    let n = ROW_LENGTHS[3];
+    for (k, m) in [(1, 1), (2, 3), (8, 8), (5, 9)] {
+        let x = Matrix::filled(k, n, -0.0);
+        let y = Matrix::filled(m, n, 1.5);
+        on_each_pool(|threads| {
+            let got = gram(&x, &y).expect("equal row lengths");
+            for (e, v) in got.as_slice().iter().enumerate() {
+                assert_eq!(
+                    v.to_bits(),
+                    (-0.0f64).to_bits(),
+                    "{k}x{m} entry {e} on {threads} threads"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn block_kernels_row_norms_match_norm2() {
+    for (case, &n) in ROW_LENGTHS.iter().enumerate() {
+        for poison in [false, true] {
+            for &k in &BLOCK_ROWS {
+                let x = block(k, n, (case * 100 + k) as u64 + u64::from(poison), poison);
+                let want: Vec<u64> = (0..k).map(|i| norm2(x.row(i)).to_bits()).collect();
+                on_each_pool(|threads| {
+                    assert_eq!(
+                        bits(&row_norms(&x)),
+                        want,
+                        "{k} rows of length {n} (poison {poison}) on {threads} threads"
+                    );
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn block_kernels_fused_updates_match_matmul_plus_elementwise() {
+    for (case, &n) in ROW_LENGTHS.iter().enumerate() {
+        for poison in [false, true] {
+            for &k in &BLOCK_ROWS {
+                let seed = (case * 100 + k) as u64 * 7 + u64::from(poison);
+                let coef = block(k, k, seed, poison);
+                let (p, z) = (block(k, n, seed ^ 1, false), block(k, n, seed ^ 2, false));
+                let product = coef.matmul(&p).expect("square coefficients");
+
+                // X[rows] += coef·P into every other row of a taller block,
+                // last row first.
+                let x0 = block(2 * k + 1, n, seed ^ 3, false);
+                let rows: Vec<usize> = (0..k).map(|s| 2 * (k - 1 - s) + 1).collect();
+                let mut want_x = x0.clone();
+                for (s, &r) in rows.iter().enumerate() {
+                    for (xv, &u) in want_x.row_mut(r).iter_mut().zip(product.row(s)) {
+                        *xv += u;
+                    }
+                }
+                // R −= coef·P.
+                let mut want_r = z.clone();
+                for (rv, &u) in want_r.as_mut_slice().iter_mut().zip(product.as_slice()) {
+                    *rv -= u;
+                }
+                // P = Z + coef·P, in place.
+                let mut want_p = z.clone();
+                for (pv, &u) in want_p.as_mut_slice().iter_mut().zip(product.as_slice()) {
+                    *pv += u;
+                }
+
+                on_each_pool(|threads| {
+                    let what = format!("k = {k}, n = {n}, poison {poison}, {threads} threads");
+                    let mut x = x0.clone();
+                    add_product(&coef, &p, &mut x, &rows).expect("valid shapes");
+                    assert_eq!(bits(x.as_slice()), bits(want_x.as_slice()), "add_product: {what}");
+                    let mut r = z.clone();
+                    sub_product(&coef, &p, &mut r).expect("valid shapes");
+                    assert_eq!(bits(r.as_slice()), bits(want_r.as_slice()), "sub_product: {what}");
+                    let mut pp = p.clone();
+                    direction_update(&coef, &z, &mut pp).expect("valid shapes");
+                    assert_eq!(
+                        bits(pp.as_slice()),
+                        bits(want_p.as_slice()),
+                        "direction_update: {what}"
+                    );
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_updates_reject_bad_shapes_and_rows() {
+    use deepoheat_linalg::LinalgError;
+    let coef = Matrix::identity(2);
+    let p = Matrix::zeros(2, 5);
+    let mut x = Matrix::zeros(3, 5);
+    let shape = |r: Result<(), LinalgError>| matches!(r, Err(LinalgError::ShapeMismatch { .. }));
+    let rows = |r: Result<(), LinalgError>| matches!(r, Err(LinalgError::InvalidDimension { .. }));
+    assert!(shape(add_product(&coef, &p, &mut x, &[0])));
+    assert!(shape(add_product(&coef, &Matrix::zeros(2, 4), &mut x, &[0, 1])));
+    assert!(rows(add_product(&coef, &p, &mut x, &[0, 3])));
+    assert!(rows(add_product(&coef, &p, &mut x, &[1, 1])));
+    assert!(shape(sub_product(&coef, &p, &mut x)));
+    assert!(shape(direction_update(&coef, &Matrix::zeros(2, 4), &mut Matrix::zeros(2, 5))));
+    assert!(shape(direction_update(&Matrix::zeros(2, 3), &p, &mut Matrix::zeros(2, 5))));
+    // Nothing was written by a rejected call.
+    assert!(x.iter().all(|v| v.to_bits() == 0));
+}
+
+/// A square operator with entries at column offsets 0, ±1, ±13 and ±517
+/// (where in range), with [`value`] entries and, with `poison`, one
+/// non-finite value.
+fn banded(n: usize, seed: u64, poison: bool) -> CsrMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coo = CooMatrix::new(n, n);
+    for r in 0..n {
+        for offset in [-517isize, -13, -1, 0, 1, 13, 517] {
+            if let Some(c) = r.checked_add_signed(offset).filter(|&c| c < n) {
+                coo.push(r, c, value(&mut rng));
+            }
+        }
+    }
+    let a = coo.to_csr();
+    if !(poison && a.nnz() > 0) {
+        return a;
+    }
+    let (rows, cols) = a.shape();
+    let mut entries: Vec<(usize, usize, f64)> =
+        (0..rows).flat_map(|r| a.row_entries(r).map(move |(c, v)| (r, c, v))).collect();
+    let at = rng.gen_range(0..entries.len());
+    entries[at].2 = f64::NEG_INFINITY;
+    let mut row_ptr = vec![0usize; rows + 1];
+    for &(r, _, _) in &entries {
+        row_ptr[r + 1] += 1;
+    }
+    for r in 0..rows {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+    let (col_idx, values) = entries.iter().map(|&(_, c, v)| (c, v)).unzip();
+    CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values).expect("rows stay sorted")
+}
+
+#[test]
+fn block_kernels_spmm_rows_match_spmv() {
+    for (case, &n) in ROW_LENGTHS.iter().enumerate() {
+        for poison in [false, true] {
+            let a = banded(n, case as u64 * 31 + u64::from(poison), poison);
+            for &k in &BLOCK_ROWS {
+                let x = block(k, n, (case * 100 + k) as u64, poison && k % 2 == 0);
+                let mut want = vec![0.0; k * n];
+                for (i, row) in want.chunks_exact_mut(n.max(1)).enumerate().take(k) {
+                    a.spmv_into(x.row(i), row).expect("square operator");
+                }
+                on_each_pool(|threads| {
+                    let mut y = Matrix::filled(k, n, f64::NAN);
+                    a.spmm_into(&x, &mut y).expect("matching shapes");
+                    assert_eq!(
+                        bits(y.as_slice()),
+                        bits(&want),
+                        "k = {k}, n = {n}, poison {poison}, {threads} threads"
+                    );
+                });
+            }
+        }
+    }
+    // A 0-row operator yields empty products; shape errors are typed.
+    let empty = CooMatrix::new(0, 6).to_csr();
+    let y = empty.spmm(&Matrix::zeros(3, 6)).expect("matching shapes");
+    assert_eq!(y.shape(), (3, 0));
+    assert!(empty.spmm(&Matrix::zeros(3, 5)).is_err());
+}
+
+/// Re-runs the `block_kernels_` oracles with the AVX2 paths switched off
+/// (`DEEPOHEAT_SCALAR_KERNELS=1` is read once per process), so the
+/// portable builds of the block kernels are held to the same references.
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "the interpreter runs only the portable builds and cannot spawn processes"
+)]
+fn portable_builds_pass_the_block_kernel_oracles() {
+    if std::env::var_os("DEEPOHEAT_SCALAR_KERNELS").is_some() {
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let run = std::process::Command::new(exe)
+        .args(["block_kernels_", "--test-threads=1"])
+        .env("DEEPOHEAT_SCALAR_KERNELS", "1")
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success() && stdout.contains("test result: ok. 5 passed"),
+        "block-kernel oracles with the portable builds forced:\n{stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
 }

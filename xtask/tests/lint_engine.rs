@@ -261,8 +261,9 @@ fn the_real_workspace_is_clean() {
         "workspace lint found violations:\n{}",
         xtask::format_report(&outcome, false)
     );
-    // The audited unsafe sites (two in deepoheat-parallel, three in the
-    // linalg AVX2 microkernel module) stay documented.
-    assert_eq!(outcome.unsafe_inventory.len(), 5);
+    // The audited unsafe sites (two in deepoheat-parallel; four in the
+    // linalg AVX2 module: three in the GEMM microkernel, one calling the
+    // AVX2 build of the block kernels) stay documented.
+    assert_eq!(outcome.unsafe_inventory.len(), 6);
     assert!(outcome.unsafe_inventory.iter().all(|s| s.documented));
 }
