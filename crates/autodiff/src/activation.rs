@@ -55,6 +55,28 @@ impl Activation {
         }
     }
 
+    /// `[σ, σ′, σ″, σ‴]` at `x` from one evaluation of the activation's
+    /// transcendental, for the fused jet op. Each entry uses the same
+    /// expression as [`Activation::eval`] of that order, so it is bitwise
+    /// equal to it.
+    pub(crate) fn derivatives(self, x: f64) -> [f64; 4] {
+        match self {
+            Activation::Swish => {
+                let s = sigmoid(x);
+                let s1 = s * (1.0 - s);
+                let s2 = s1 * (1.0 - 2.0 * s);
+                let s3 = s2 * (1.0 - 2.0 * s) - 2.0 * s1 * s1;
+                [x * s, s + x * s1, 2.0 * s1 + x * s2, 3.0 * s2 + x * s3]
+            }
+            Activation::Tanh => {
+                let t = x.tanh();
+                let t1 = 1.0 - t * t;
+                [t, t1, -2.0 * t * t1, -2.0 * t1 * (1.0 - 3.0 * t * t)]
+            }
+            Activation::Sine => [x.sin(), x.cos(), -x.sin(), -x.cos()],
+        }
+    }
+
     /// Returns a short lowercase name, used in experiment logs and bench IDs.
     pub fn name(self) -> &'static str {
         match self {
@@ -137,6 +159,20 @@ mod tests {
                         (analytic - numeric).abs() < 1e-6,
                         "{act} order {order} at {x}: analytic {analytic} vs fd {numeric}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derivatives_are_bitwise_eval() {
+        let xs = [-1e3, -40.0, -3.0, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.7, 40.0, 1e3];
+        for act in [Activation::Swish, Activation::Tanh, Activation::Sine] {
+            for &x in &xs {
+                let all = act.derivatives(x);
+                for order in 0..4u8 {
+                    let one = act.eval(order, x);
+                    assert_eq!(all[order as usize].to_bits(), one.to_bits(), "{act} {order} {x}");
                 }
             }
         }

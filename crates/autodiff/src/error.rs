@@ -32,6 +32,13 @@ pub enum AutodiffError {
         /// The highest order available.
         max: u8,
     },
+    /// A jet carried a second derivative on an axis without the first
+    /// derivative on that axis, which the second derivative's jet rule
+    /// reads.
+    IncompleteJet {
+        /// The axis missing its first derivative.
+        axis: usize,
+    },
 }
 
 impl fmt::Display for AutodiffError {
@@ -46,6 +53,9 @@ impl fmt::Display for AutodiffError {
             }
             AutodiffError::NonScalarLoss { shape } => {
                 write!(f, "backward requires a 1x1 scalar loss, got {}x{}", shape.0, shape.1)
+            }
+            AutodiffError::IncompleteJet { axis } => {
+                write!(f, "jet carries a second derivative on axis {axis} without the first")
             }
         }
     }

@@ -20,6 +20,21 @@ impl Var {
     }
 }
 
+/// The channels of a second-order jet as graph handles: the value and,
+/// on each axis, the first and pure second derivative the jet carries.
+///
+/// A second derivative on an axis is only valid together with the first
+/// derivative on that axis, which its jet rule reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JetVars {
+    /// The value channel.
+    pub value: Var,
+    /// `∂/∂yᵢ` on each axis the jet carries it.
+    pub d1: [Option<Var>; 3],
+    /// `∂²/∂yᵢ²` on each axis the jet carries it.
+    pub d2: [Option<Var>; 3],
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     /// External input or parameter; no inputs.
@@ -55,6 +70,25 @@ enum Op {
     Mean(Var),
     /// Scalar `sum(A)`.
     Sum(Var),
+    /// The value output of a fused activation jet; it carries the group
+    /// and runs the group's backward pass.
+    ActivationJet(Box<ActivationJet>),
+    /// A derivative output of a fused activation jet. Its gradient is
+    /// propagated by the group's value output, which the reverse sweep
+    /// reaches after every other output of the group.
+    JetChannel,
+}
+
+/// A fused activation jet ([`Graph::activation_jet`]): its input and
+/// output handles and the activation derivatives its backward pass reads.
+#[derive(Debug, Clone)]
+struct ActivationJet {
+    input: JetVars,
+    output: JetVars,
+    /// `σ′(z)`, `σ″(z)` and `σ‴(z)` per element of the input value; the
+    /// last two are empty when the jet carries no first (second)
+    /// derivative, as backward then never reads them.
+    sigma: [Vec<f64>; 3],
 }
 
 #[derive(Debug, Clone)]
@@ -324,6 +358,124 @@ impl Graph {
         Ok(self.push(Op::Activate(a, act, order), value, rg))
     }
 
+    /// Pushes an elementwise activation through a second-order jet as one
+    /// fused op, by the Faà-di-Bruno rules
+    ///
+    /// ```text
+    /// a   = σ(z)
+    /// aᵢ  = σ'(z) ⊙ zᵢ
+    /// aᵢᵢ = σ''(z) ⊙ zᵢ² + σ'(z) ⊙ zᵢᵢ
+    /// ```
+    ///
+    /// The output carries exactly the input's channels. One pass per
+    /// element evaluates `σ`, `σ′` and `σ″` (and `σ‴` for backward) from a
+    /// single evaluation of the activation, and every product and sum is
+    /// rounded as the separate `activation`, `mul`, `square` and `add`
+    /// nodes of that expression would round it. Backward runs once for
+    /// the group and folds each gradient contribution in the order those
+    /// separate nodes' reverse sweep would: for axis `i = 2, 1, 0`, the
+    /// `σ′` accumulator takes `gᵢᵢ·zᵢᵢ` then `gᵢ·zᵢ`, the `σ″` accumulator
+    /// takes `gᵢᵢ·zᵢ²`, `zᵢ` receives `(gᵢᵢ·σ″)·(zᵢ·2)` then `gᵢ·σ′`, and
+    /// `zᵢᵢ` receives `gᵢᵢ·σ′`; then `z` receives (`σ″` accumulator)`·σ‴`,
+    /// (`σ′` accumulator)`·σ″` and `g·σ′`. An output without a gradient
+    /// contributes nothing, and an input that already holds a gradient
+    /// receives the contributions one at a time, so losses and gradients
+    /// are bitwise those of the unfused expression.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a handle is foreign, a channel's shape differs
+    /// from the value's, or [`AutodiffError::IncompleteJet`] if a second
+    /// derivative comes without the first on its axis.
+    pub fn activation_jet(
+        &mut self,
+        act: Activation,
+        z: JetVars,
+    ) -> Result<JetVars, AutodiffError> {
+        self.check(z.value)?;
+        let shape = self.nodes[z.value.id].value.shape();
+        for axis in 0..3 {
+            if z.d2[axis].is_some() && z.d1[axis].is_none() {
+                return Err(AutodiffError::IncompleteJet { axis });
+            }
+        }
+        for &var in z.d1.iter().chain(&z.d2).flatten() {
+            self.check(var)?;
+            let other = self.nodes[var.id].value.shape();
+            if other != shape {
+                return Err(LinalgError::ShapeMismatch {
+                    op: "activation_jet",
+                    lhs: shape,
+                    rhs: other,
+                }
+                .into());
+            }
+        }
+
+        let any_d1 = z.d1.iter().any(Option::is_some);
+        let any_d2 = z.d2.iter().any(Option::is_some);
+        let x = self.nodes[z.value.id].value.as_slice();
+        let mut value = Vec::with_capacity(x.len());
+        let mut sigma: [Vec<f64>; 3] = Default::default();
+        sigma[0].reserve_exact(x.len());
+        sigma[1].reserve_exact(if any_d1 { x.len() } else { 0 });
+        sigma[2].reserve_exact(if any_d2 { x.len() } else { 0 });
+        for &v in x {
+            let [s0, s1, s2, s3] = act.derivatives(v);
+            value.push(s0);
+            sigma[0].push(s1);
+            if any_d1 {
+                sigma[1].push(s2);
+            }
+            if any_d2 {
+                sigma[2].push(s3);
+            }
+        }
+        let mut d1: [Option<Vec<f64>>; 3] = Default::default();
+        let mut d2: [Option<Vec<f64>>; 3] = Default::default();
+        for axis in 0..3 {
+            let Some(zd1) = z.d1[axis] else { continue };
+            let zd1 = self.nodes[zd1.id].value.as_slice();
+            d1[axis] = Some(sigma[0].iter().zip(zd1).map(|(s1, v)| s1 * v).collect());
+            if let Some(zd2) = z.d2[axis] {
+                let zd2 = self.nodes[zd2.id].value.as_slice();
+                let terms = sigma[1].iter().zip(&sigma[0]).zip(zd1.iter().zip(zd2));
+                d2[axis] =
+                    Some(terms.map(|((s2, s1), (v1, v2))| s2 * (v1 * v1) + s1 * v2).collect());
+            }
+        }
+
+        // Outputs take consecutive ids: the value, then d1/d2 per axis.
+        let value_id = self.nodes.len();
+        let mut next = value_id + 1;
+        let mut id_for = |present: bool| {
+            present.then(|| {
+                next += 1;
+                Var { id: next - 1 }
+            })
+        };
+        let mut output = JetVars { value: Var { id: value_id }, d1: [None; 3], d2: [None; 3] };
+        for axis in 0..3 {
+            output.d1[axis] = id_for(d1[axis].is_some());
+            output.d2[axis] = id_for(d2[axis].is_some());
+        }
+        let value_rg = self.rg(z.value);
+        let (rows, cols) = shape;
+        let op = Op::ActivationJet(Box::new(ActivationJet { input: z, output, sigma }));
+        self.push(op, Matrix::from_vec(rows, cols, value)?, value_rg);
+        for axis in 0..3 {
+            let d1_rg = value_rg || z.d1[axis].is_some_and(|v| self.rg(v));
+            if let Some(data) = d1[axis].take() {
+                self.push(Op::JetChannel, Matrix::from_vec(rows, cols, data)?, d1_rg);
+            }
+            if let Some(data) = d2[axis].take() {
+                let d2_rg = d1_rg || z.d2[axis].is_some_and(|v| self.rg(v));
+                self.push(Op::JetChannel, Matrix::from_vec(rows, cols, data)?, d2_rg);
+            }
+        }
+        Ok(output)
+    }
+
     /// Elementwise square `a²`.
     ///
     /// # Errors
@@ -415,8 +567,12 @@ impl Graph {
         grads[loss.id] = Some(Matrix::filled(1, 1, 1.0));
 
         for id in (0..=loss.id).rev() {
-            let Some(grad) = grads[id].take() else { continue };
             let node = &self.nodes[id];
+            if let Op::ActivationJet(jet) = &node.op {
+                jet.backward(&self.nodes, &mut grads);
+                continue;
+            }
+            let Some(grad) = grads[id].take() else { continue };
             if !node.requires_grad {
                 continue;
             }
@@ -583,9 +739,135 @@ impl Graph {
                     add_grad(grads, *a, Matrix::filled(av.rows(), av.cols(), g));
                 }
             }
+            // A fused jet's gradients flow when the sweep reaches its value
+            // output (see `Graph::backward`).
+            Op::ActivationJet(_) | Op::JetChannel => {}
         }
         Ok(())
     }
+}
+
+impl ActivationJet {
+    /// Propagates the gradients of the group's outputs to its inputs in
+    /// the fold order documented on [`Graph::activation_jet`]. Runs when
+    /// the reverse sweep reaches the value output: every consumer of the
+    /// group's outputs comes later on the tape, so their gradients are
+    /// complete by then.
+    fn backward(&self, nodes: &[Node], grads: &mut [Option<Matrix>]) {
+        let base = self.output.value.id;
+        let (inputs, outputs) = grads.split_at_mut(base);
+        let grad_of = |var: Option<Var>| {
+            var.and_then(|v| outputs[v.id - base].as_ref()).map(Matrix::as_slice)
+        };
+        let g_value = grad_of(Some(self.output.value));
+        let g_d1 = self.output.d1.map(grad_of);
+        let g_d2 = self.output.d2.map(grad_of);
+        if g_value.is_none() && g_d1.iter().chain(&g_d2).all(Option::is_none) {
+            return;
+        }
+
+        // One gradient slot per distinct input node that requires a
+        // gradient and receives a contribution; aliased channels share it.
+        let mut slot_ids: Vec<usize> = Vec::with_capacity(7);
+        let mut slot_of = |var: Option<Var>, receives: bool| {
+            let var = var.filter(|v| receives && nodes[v.id].requires_grad)?;
+            Some(slot_ids.iter().position(|&id| id == var.id).unwrap_or_else(|| {
+                slot_ids.push(var.id);
+                slot_ids.len() - 1
+            }))
+        };
+        let mut axes = Vec::with_capacity(3);
+        for axis in [2, 1, 0] {
+            let (Some(z_d1), g1, g2) = (self.input.d1[axis], g_d1[axis], g_d2[axis]) else {
+                continue;
+            };
+            if g1.is_none() && g2.is_none() {
+                continue;
+            }
+            axes.push(AxisFold {
+                z_d1: nodes[z_d1.id].value.as_slice(),
+                z_d2: self.input.d2[axis].map_or(&[][..], |v| nodes[v.id].value.as_slice()),
+                g_d1: g1,
+                g_d2: g2,
+                slot_d2: slot_of(self.input.d2[axis], g2.is_some()),
+                slot_d1: slot_of(Some(z_d1), true),
+            });
+        }
+        let slot_value = slot_of(Some(self.input.value), true);
+
+        let (rows, cols) = nodes[self.input.value.id].value.shape();
+        let mut held = [false; 7];
+        let mut slots: Vec<Matrix> = slot_ids
+            .iter()
+            .zip(&mut held)
+            .map(|(&id, held)| {
+                *held = inputs[id].is_some();
+                inputs[id].take().unwrap_or_else(|| Matrix::zeros(rows, cols))
+            })
+            .collect();
+        let mut bufs: Vec<&mut [f64]> = slots.iter_mut().map(Matrix::as_mut_slice).collect();
+        let [s1, s2, s3] = &self.sigma;
+        for e in 0..s1.len() {
+            // Whether each slot holds a gradient yet: the first contribution
+            // to an empty slot is stored, later ones are added.
+            let mut live = held;
+            let mut add = |k: usize, term: f64| {
+                let slot = &mut bufs[k][e];
+                *slot = if live[k] { *slot + term } else { term };
+                live[k] = true;
+            };
+            let fold = |acc: Option<f64>, term: f64| Some(acc.map_or(term, |a| a + term));
+            let mut acc1 = None; // the σ′ node's gradient
+            let mut acc2 = None; // the σ″ node's gradient
+            for ax in &axes {
+                let zd1 = ax.z_d1[e];
+                if let Some(g) = ax.g_d2 {
+                    let g = g[e];
+                    acc1 = fold(acc1, g * ax.z_d2[e]);
+                    if let Some(k) = ax.slot_d2 {
+                        add(k, g * s1[e]);
+                    }
+                    acc2 = fold(acc2, g * (zd1 * zd1));
+                    if let Some(k) = ax.slot_d1 {
+                        add(k, (g * s2[e]) * (zd1 * 2.0));
+                    }
+                }
+                if let Some(g) = ax.g_d1 {
+                    let g = g[e];
+                    acc1 = fold(acc1, g * zd1);
+                    if let Some(k) = ax.slot_d1 {
+                        add(k, g * s1[e]);
+                    }
+                }
+            }
+            if let Some(k) = slot_value {
+                if let Some(a) = acc2 {
+                    add(k, a * s3[e]);
+                }
+                if let Some(a) = acc1 {
+                    add(k, a * s2[e]);
+                }
+                if let Some(g) = g_value {
+                    add(k, g[e] * s1[e]);
+                }
+            }
+        }
+        for (id, slot) in slot_ids.into_iter().zip(slots) {
+            inputs[id] = Some(slot);
+        }
+    }
+}
+
+/// One axis of a fused jet's backward pass: the forward values of its
+/// input channels, the gradients of its output channels, and the slots
+/// its input channels' gradients go to.
+struct AxisFold<'a> {
+    z_d1: &'a [f64],
+    z_d2: &'a [f64],
+    g_d1: Option<&'a [f64]>,
+    g_d2: Option<&'a [f64]>,
+    slot_d1: Option<usize>,
+    slot_d2: Option<usize>,
 }
 
 fn add_grad(grads: &mut [Option<Matrix>], var: Var, delta: Matrix) {

@@ -40,4 +40,4 @@ mod graph;
 pub use activation::Activation;
 pub use error::AutodiffError;
 pub use gradcheck::{check_gradients, GradCheckReport};
-pub use graph::{Gradients, Graph, Var};
+pub use graph::{Gradients, Graph, JetVars, Var};

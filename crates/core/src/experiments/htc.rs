@@ -22,7 +22,7 @@ use crate::experiments::{
     TrainingMode, TrainingRecord, DATASET_SEED_SALT,
 };
 use crate::metrics::FieldErrors;
-use crate::physics::{self, HtcInput, PhysicsScales};
+use crate::physics::{self, HtcInput, PhysicsScales, ResidualKind};
 use crate::resilience::{self, ResilienceConfig, ResilienceError, ResilientReport};
 use crate::{DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
 
@@ -410,14 +410,13 @@ impl HtcExperiment {
         )?;
 
         // Interior PDE with the layered source.
-        let jet = bound.trunk_jet(&mut graph, &volume)?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet = bound.residual_jet(&mut graph, branch, &volume, ResidualKind::Pde)?;
         let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, Some(&source))?;
         let l_pde = graph.mean_square(r)?;
 
         // Convection with per-configuration coefficients, top and bottom.
-        let jet = bound.trunk_jet(&mut graph, &top_pts)?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &top_pts, ResidualKind::Face(Face::ZMax))?;
         let r = physics::convection_residual(
             &mut graph,
             &t_jet,
@@ -427,8 +426,8 @@ impl HtcExperiment {
         )?;
         let l_top = graph.mean_square(r)?;
 
-        let jet = bound.trunk_jet(&mut graph, &bottom_pts)?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &bottom_pts, ResidualKind::Face(Face::ZMin))?;
         let r = physics::convection_residual(
             &mut graph,
             &t_jet,
@@ -439,13 +438,13 @@ impl HtcExperiment {
         let l_bottom = graph.mean_square(r)?;
 
         // Adiabatic sides.
-        let jet = bound.trunk_jet(&mut graph, &x_sides)?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &x_sides, ResidualKind::Face(Face::XMin))?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::XMin)?;
         let l_adia_x = graph.mean_square(r)?;
 
-        let jet = bound.trunk_jet(&mut graph, &y_sides)?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &y_sides, ResidualKind::Face(Face::YMin))?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::YMin)?;
         let l_adia_y = graph.mean_square(r)?;
 

@@ -22,7 +22,7 @@ use crate::experiments::{
     TrainingMode, TrainingRecord, DATASET_SEED_SALT,
 };
 use crate::metrics::FieldErrors;
-use crate::physics::{self, HtcInput, PhysicsScales};
+use crate::physics::{self, HtcInput, PhysicsScales, ResidualKind};
 use crate::resilience::{self, ResilienceConfig, ResilienceError, ResilientReport};
 use crate::{DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
 
@@ -335,21 +335,23 @@ impl PowerMapExperiment {
         let branch = bound.branch_product(&mut graph, &[power_units])?;
 
         // Interior PDE residual.
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&interior))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let rows = self.coords.select_rows(&interior);
+        let t_jet = bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Pde)?;
         let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, None)?;
         let l_pde = graph.mean_square(r)?;
 
         // Top power map (Neumann).
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&top))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let rows = self.coords.select_rows(&top);
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::ZMax))?;
         let r =
             physics::flux_residual(&mut graph, &t_jet, Face::ZMax, &self.scales, &flux_targets)?;
         let l_flux = graph.mean_square(r)?;
 
         // Bottom convection.
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&bottom))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let rows = self.coords.select_rows(&bottom);
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::ZMin))?;
         let r = physics::convection_residual(
             &mut graph,
             &t_jet,
@@ -360,13 +362,15 @@ impl PowerMapExperiment {
         let l_conv = graph.mean_square(r)?;
 
         // Adiabatic sides, grouped by normal axis.
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&x_sides))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let rows = self.coords.select_rows(&x_sides);
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::XMin))?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::XMin)?;
         let l_adia_x = graph.mean_square(r)?;
 
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&y_sides))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let rows = self.coords.select_rows(&y_sides);
+        let t_jet =
+            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::YMin))?;
         let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::YMin)?;
         let l_adia_y = graph.mean_square(r)?;
 

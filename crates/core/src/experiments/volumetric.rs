@@ -25,7 +25,7 @@ use crate::experiments::{
     TrainingMode, TrainingRecord, DATASET_SEED_SALT,
 };
 use crate::metrics::FieldErrors;
-use crate::physics::{self, HtcInput, PhysicsScales};
+use crate::physics::{self, HtcInput, PhysicsScales, ResidualKind};
 use crate::resilience::{self, ResilienceConfig, ResilienceError, ResilientReport};
 use crate::{DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
 
@@ -421,15 +421,15 @@ impl VolumetricExperiment {
         let bound = self.model.bind(&mut graph);
         let branch = bound.branch_product(&mut graph, &[units])?;
 
-        let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(&interior))?;
-        let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+        let rows = self.coords.select_rows(&interior);
+        let t_jet = bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Pde)?;
         let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, Some(&source))?;
         let l_pde = graph.mean_square(r)?;
 
         let mut terms = Vec::new();
         for (nodes, face) in [(&top, Face::ZMax), (&bottom, Face::ZMin)] {
-            let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(nodes))?;
-            let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+            let rows = self.coords.select_rows(nodes);
+            let t_jet = bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(face))?;
             let r = physics::convection_residual(
                 &mut graph,
                 &t_jet,
@@ -440,8 +440,8 @@ impl VolumetricExperiment {
             terms.push((graph.mean_square(r)?, weights.convection));
         }
         for (nodes, face) in [(&x_sides, Face::XMin), (&y_sides, Face::YMin)] {
-            let jet = bound.trunk_jet(&mut graph, &self.coords.select_rows(nodes))?;
-            let t_jet = bound.combine_jet(&mut graph, branch, &jet)?;
+            let rows = self.coords.select_rows(nodes);
+            let t_jet = bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(face))?;
             let r = physics::adiabatic_residual(&mut graph, &t_jet, face)?;
             terms.push((graph.mean_square(r)?, weights.adiabatic));
         }

@@ -1,15 +1,16 @@
 use deepoheat_autodiff::{Activation, Graph, Var};
 use deepoheat_linalg::Matrix;
 use deepoheat_nn::{
-    BoundMlp, BoundParameters, FourierFeatures, Jet3, Mlp, MlpConfig, Parameterized,
+    BoundMlp, BoundParameters, FourierFeatures, Jet3, JetChannels, Mlp, MlpConfig, Parameterized,
 };
 use rand::Rng;
 
 use crate::basis::{self, TrunkBasis};
+use crate::physics::ResidualKind;
 use crate::DeepOHeatError;
 
 /// The jet of the predicted temperature field: `T`, `∂T/∂xᵢ` and
-/// `∂²T/∂xᵢ²` in normalized coordinates, each an
+/// `∂²T/∂xᵢ²` in normalized coordinates (those the jet carries), each an
 /// `n_configs × n_points` graph node.
 pub type TemperatureJet = Jet3;
 
@@ -599,14 +600,42 @@ impl BoundDeepOHeat {
     ///
     /// # Errors
     ///
-    /// Propagates graph shape errors.
+    /// Returns [`DeepOHeatError::Nn`] if `coords` is not `points × 3`, and
+    /// propagates graph shape errors.
     pub fn trunk_jet(&self, graph: &mut Graph, coords: &Matrix) -> Result<Jet3, DeepOHeatError> {
-        let seed = Jet3::seed_coordinates(graph, coords.clone());
+        self.trunk_jet_carrying(graph, coords, JetChannels::ALL)
+    }
+
+    /// [`BoundDeepOHeat::trunk_jet`] building only `channels`.
+    fn trunk_jet_carrying(
+        &self,
+        graph: &mut Graph,
+        coords: &Matrix,
+        channels: JetChannels,
+    ) -> Result<Jet3, DeepOHeatError> {
+        let seed = Jet3::seed_coordinates(graph, coords.clone(), channels)?;
         let trunk_in = match &self.fourier {
             Some(ff) => ff.forward_jet(graph, &seed)?,
             None => seed,
         };
         Ok(self.trunk.forward_jet(graph, &trunk_in)?)
+    }
+
+    /// The temperature jet at `coords` carrying only the channels a
+    /// `kind` residual reads: the trunk jet and the combine, each built
+    /// for those channels alone. Its loss and parameter gradients are
+    /// bitwise those of [`BoundDeepOHeat::trunk_jet`] followed by
+    /// [`BoundDeepOHeat::combine_jet`], whose extra channels never reach
+    /// the residual.
+    pub(crate) fn residual_jet(
+        &self,
+        graph: &mut Graph,
+        branch_product: Var,
+        coords: &Matrix,
+        kind: ResidualKind,
+    ) -> Result<TemperatureJet, DeepOHeatError> {
+        let jet = self.trunk_jet_carrying(graph, coords, kind.channels()?)?;
+        self.combine_jet(graph, branch_product, &jet)
     }
 
     /// Combines the branch product with plain trunk features into the raw
@@ -625,8 +654,9 @@ impl BoundDeepOHeat {
     }
 
     /// Combines the branch product with a trunk jet into the temperature
-    /// jet: since the branch features do not depend on coordinates, every
-    /// derivative channel is `B (∂Φ)ᵀ`.
+    /// jet, carrying the trunk jet's channels: since the branch features
+    /// do not depend on coordinates, every derivative channel is
+    /// `B (∂Φ)ᵀ`.
     ///
     /// # Errors
     ///
@@ -637,14 +667,8 @@ impl BoundDeepOHeat {
         branch_product: Var,
         trunk_jet: &Jet3,
     ) -> Result<TemperatureJet, DeepOHeatError> {
-        let value = graph.matmul_transposed(branch_product, trunk_jet.value)?;
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
-        for i in 0..3 {
-            d1[i] = graph.matmul_transposed(branch_product, trunk_jet.d1[i])?;
-            d2[i] = graph.matmul_transposed(branch_product, trunk_jet.d2[i])?;
-        }
-        Ok(Jet3 { value, d1, d2 })
+        let value = graph.matmul_transposed(branch_product, trunk_jet.value())?;
+        Ok(trunk_jet.map_derivatives(value, |d| graph.matmul_transposed(branch_product, d))?)
     }
 }
 
@@ -832,7 +856,7 @@ mod tests {
         let jet = bound.trunk_jet(&mut g, &y).unwrap();
         let t_jet = bound.combine_jet(&mut g, b, &jet).unwrap();
         let direct = model.predict_theta(&[&u], &y).unwrap();
-        for (a, b) in g.value(t_jet.value).iter().zip(direct.iter()) {
+        for (a, b) in g.value(t_jet.value()).iter().zip(direct.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -861,11 +885,137 @@ mod tests {
             let f0 = model.predict_theta(&[&u], &y0).unwrap().as_slice()[0];
             let fd1 = (fp - fm) / (2.0 * h);
             let fd2 = (fp - 2.0 * f0 + fm) / (h * h);
-            let a1 = g.value(t_jet.d1[axis]).as_slice()[0];
-            let a2 = g.value(t_jet.d2[axis]).as_slice()[0];
+            let a1 = g.value(t_jet.d1(axis).unwrap()).as_slice()[0];
+            let a2 = g.value(t_jet.d2(axis).unwrap()).as_slice()[0];
             assert!((a1 - fd1).abs() < 1e-5, "axis {axis}: {a1} vs {fd1}");
             assert!((a2 - fd2).abs() < 1e-3, "axis {axis}: {a2} vs {fd2}");
         }
+    }
+
+    /// A residual builder on a temperature jet.
+    type Residual<'a> =
+        Box<dyn Fn(&mut Graph, &TemperatureJet) -> Result<Var, DeepOHeatError> + 'a>;
+
+    /// A term's loss and its parameter gradients, as bit patterns.
+    type TermBits = (u64, Vec<Option<Vec<u64>>>);
+
+    /// One residual term from a jet carrying `channels` (`None`: the full
+    /// public path).
+    fn residual_term(
+        model: &DeepOHeat,
+        channels: Option<JetChannels>,
+        residual: &Residual,
+    ) -> Result<TermBits, DeepOHeatError> {
+        let u = Matrix::from_fn(3, 4, |i, j| 0.15 * (i + 2 * j) as f64 - 0.4);
+        let y = Matrix::from_fn(6, 3, |i, j| ((i * 3 + j) % 7) as f64 / 7.0 + 0.05);
+        let mut g = Graph::new();
+        let bound = model.bind(&mut g);
+        let b = bound.branch_product(&mut g, &[u])?;
+        let jet = match channels {
+            Some(channels) => bound.trunk_jet_carrying(&mut g, &y, channels)?,
+            None => bound.trunk_jet(&mut g, &y)?,
+        };
+        let t_jet = bound.combine_jet(&mut g, b, &jet)?;
+        let r = residual(&mut g, &t_jet)?;
+        let loss = g.mean_square(r)?;
+        let grads = g.backward(loss)?;
+        let params = bound.parameter_vars().iter().map(|&v| grads.get(v).map(bits)).collect();
+        Ok((g.scalar(loss).to_bits(), params))
+    }
+
+    #[test]
+    fn channel_pruned_jets_match_full_jets_bitwise_for_every_residual() {
+        use crate::physics::{self, HtcInput, PhysicsScales, ResidualKind};
+        use deepoheat_fdm::Face;
+        use deepoheat_nn::NnError;
+
+        let scales = PhysicsScales::new(0.1, 10.0, [1e-3, 1e-3, 0.5e-3]).unwrap();
+        let source = Matrix::from_fn(3, 6, |i, j| 1e6 * (1.0 + (i * 6 + j) as f64));
+        let flux = Matrix::from_fn(3, 6, |i, j| 500.0 * (i + j) as f64);
+        let htc = HtcInput::PerConfiguration(Matrix::column_vector(&[300.0, 700.0, 1100.0]));
+        let pde = ResidualKind::Pde.channels().unwrap();
+        let face = |f: Face| ResidualKind::Face(f).channels().unwrap();
+        let cases: Vec<(&str, JetChannels, Residual)> = vec![
+            ("pde", pde, Box::new(|g, j| physics::pde_residual(g, j, &scales, None))),
+            (
+                "pde+source",
+                pde,
+                Box::new(|g, j| physics::pde_residual(g, j, &scales, Some(&source))),
+            ),
+            (
+                "flux",
+                face(Face::ZMax),
+                Box::new(|g, j| physics::flux_residual(g, j, Face::ZMax, &scales, &flux)),
+            ),
+            (
+                "convection uniform",
+                face(Face::ZMin),
+                Box::new(|g, j| {
+                    physics::convection_residual(
+                        g,
+                        j,
+                        Face::ZMin,
+                        &scales,
+                        &HtcInput::Uniform(500.0),
+                    )
+                }),
+            ),
+            (
+                "convection per configuration",
+                face(Face::ZMax),
+                Box::new(|g, j| physics::convection_residual(g, j, Face::ZMax, &scales, &htc)),
+            ),
+            (
+                "adiabatic x",
+                face(Face::XMin),
+                Box::new(|g, j| physics::adiabatic_residual(g, j, Face::XMin)),
+            ),
+            (
+                "adiabatic y",
+                face(Face::YMax),
+                Box::new(|g, j| physics::adiabatic_residual(g, j, Face::YMax)),
+            ),
+            (
+                "dirichlet",
+                JetChannels::VALUE,
+                Box::new(|g, j| physics::dirichlet_residual(g, j, 0.25)),
+            ),
+        ];
+        assert_eq!(face(Face::YMin), JetChannels::VALUE.with_d1(1).unwrap());
+        for config in [small_config(), DeepOHeatConfig::single_branch(4, &[8], &[8, 8], 6)] {
+            let model = DeepOHeat::new(&config, &mut rng()).unwrap();
+            for (name, channels, residual) in &cases {
+                let full = residual_term(&model, None, residual).unwrap();
+                let pruned = residual_term(&model, Some(*channels), residual).unwrap();
+                assert!(full.1.iter().filter(|g| g.is_some()).count() > 1, "{name}");
+                assert_eq!(full, pruned, "{name}, fourier {:?}", config.fourier);
+            }
+
+            // A residual reading a channel its jet does not carry is a typed error.
+            let absent = |channels, residual: Residual| {
+                residual_term(&model, Some(channels), &residual).unwrap_err()
+            };
+            let flux_jet = face(Face::ZMax);
+            let err = absent(flux_jet, Box::new(|g, j| physics::pde_residual(g, j, &scales, None)));
+            assert_eq!(err, DeepOHeatError::Nn(NnError::AbsentJetChannel { order: 2, axis: 0 }));
+            let err = absent(
+                JetChannels::VALUE,
+                Box::new(|g, j| physics::flux_residual(g, j, Face::ZMax, &scales, &flux)),
+            );
+            assert_eq!(err, DeepOHeatError::Nn(NnError::AbsentJetChannel { order: 1, axis: 2 }));
+            let err =
+                absent(flux_jet, Box::new(|g, j| physics::adiabatic_residual(g, j, Face::XMax)));
+            assert_eq!(err, DeepOHeatError::Nn(NnError::AbsentJetChannel { order: 1, axis: 0 }));
+        }
+    }
+
+    #[test]
+    fn trunk_jet_rejects_coordinates_without_three_columns() {
+        let model = DeepOHeat::new(&small_config(), &mut rng()).unwrap();
+        let mut g = Graph::new();
+        let bound = model.bind(&mut g);
+        let err = bound.trunk_jet(&mut g, &Matrix::zeros(4, 2)).unwrap_err();
+        assert!(matches!(err, DeepOHeatError::Nn(_)), "{err:?}");
     }
 
     #[test]

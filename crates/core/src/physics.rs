@@ -22,6 +22,7 @@
 use deepoheat_autodiff::{Graph, Var};
 use deepoheat_fdm::Face;
 use deepoheat_linalg::Matrix;
+use deepoheat_nn::JetChannels;
 
 use crate::{DeepOHeatError, TemperatureJet};
 
@@ -92,6 +93,28 @@ impl PhysicsScales {
     }
 }
 
+/// The residual families the experiments train on, by the jet
+/// channels each reads; a Dirichlet residual reads the value alone
+/// ([`JetChannels::VALUE`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ResidualKind {
+    /// The heat equation: every second derivative ([`pde_residual`]).
+    Pde,
+    /// A flux, adiabatic or convection condition on a face: the value and
+    /// the derivative along the face normal.
+    Face(Face),
+}
+
+impl ResidualKind {
+    /// The channels the residual reads; the jet carries no others.
+    pub(crate) fn channels(self) -> Result<JetChannels, DeepOHeatError> {
+        Ok(match self {
+            ResidualKind::Pde => JetChannels::ALL,
+            ResidualKind::Face(face) => JetChannels::VALUE.with_d1(face.normal_axis())?,
+        })
+    }
+}
+
 /// A heat-transfer coefficient input to [`convection_residual`]: uniform,
 /// or one value per configuration in the batch (the §V.B branch input).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,16 +133,17 @@ pub enum HtcInput {
 ///
 /// # Errors
 ///
-/// Propagates graph shape errors.
+/// Returns [`DeepOHeatError::Nn`] if the jet does not carry every second
+/// derivative, and propagates graph shape errors.
 pub fn pde_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
     scales: &PhysicsScales,
     source: Option<&Matrix>,
 ) -> Result<Var, DeepOHeatError> {
-    let mut acc = graph.scale(jet.d2[0], scales.laplacian_coefficient(0))?;
+    let mut acc = graph.scale(jet.d2(0)?, scales.laplacian_coefficient(0))?;
     for axis in 1..3 {
-        let term = graph.scale(jet.d2[axis], scales.laplacian_coefficient(axis))?;
+        let term = graph.scale(jet.d2(axis)?, scales.laplacian_coefficient(axis))?;
         acc = graph.add(acc, term)?;
     }
     if let Some(q) = source {
@@ -135,7 +159,8 @@ pub fn pde_residual(
 ///
 /// # Errors
 ///
-/// Propagates graph shape errors.
+/// Returns [`DeepOHeatError::Nn`] if the jet does not carry the
+/// face-normal derivative, and propagates graph shape errors.
 pub fn flux_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
@@ -143,8 +168,7 @@ pub fn flux_residual(
     scales: &PhysicsScales,
     flux: &Matrix,
 ) -> Result<Var, DeepOHeatError> {
-    let axis = face.normal_axis();
-    let directional = graph.scale(jet.d1[axis], face.normal_sign())?;
+    let directional = graph.scale(jet.d1(face.normal_axis())?, face.normal_sign())?;
     let target = graph.leaf(flux.scaled(scales.flux_coefficient(face)), false);
     Ok(graph.sub(directional, target)?)
 }
@@ -153,14 +177,15 @@ pub fn flux_residual(
 ///
 /// # Errors
 ///
-/// Propagates graph shape errors.
+/// Returns [`DeepOHeatError::Nn`] if the jet does not carry the
+/// face-normal derivative.
 pub fn adiabatic_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
     face: Face,
 ) -> Result<Var, DeepOHeatError> {
     let _ = graph; // kept for signature symmetry with the other residuals
-    Ok(jet.d1[face.normal_axis()])
+    Ok(jet.d1(face.normal_axis())?)
 }
 
 /// Convection residual on `face`: `s θ_xₙ + Bi θ` with the Biot number
@@ -174,7 +199,8 @@ pub fn adiabatic_residual(
 /// # Errors
 ///
 /// Returns [`DeepOHeatError::InputMismatch`] if a per-configuration column
-/// is not `n_configs × 1`, and propagates graph shape errors.
+/// is not `n_configs × 1`, [`DeepOHeatError::Nn`] if the jet does not
+/// carry the face-normal derivative, and propagates graph shape errors.
 pub fn convection_residual(
     graph: &mut Graph,
     jet: &TemperatureJet,
@@ -183,9 +209,9 @@ pub fn convection_residual(
     htc: &HtcInput,
 ) -> Result<Var, DeepOHeatError> {
     let axis = face.normal_axis();
-    let directional = graph.scale(jet.d1[axis], face.normal_sign())?;
+    let directional = graph.scale(jet.d1(axis)?, face.normal_sign())?;
     let cooling = match htc {
-        HtcInput::Uniform(h) => graph.scale(jet.value, scales.biot_number(face, *h))?,
+        HtcInput::Uniform(h) => graph.scale(jet.value(), scales.biot_number(face, *h))?,
         HtcInput::PerConfiguration(col) => {
             if col.cols() != 1 {
                 return Err(DeepOHeatError::InputMismatch {
@@ -194,7 +220,7 @@ pub fn convection_residual(
             }
             let biot = col.scaled(scales.extents[axis] / scales.conductivity);
             let biot_leaf = graph.leaf(biot, false);
-            graph.mul_col_broadcast(jet.value, biot_leaf)?
+            graph.mul_col_broadcast(jet.value(), biot_leaf)?
         }
     };
     Ok(graph.add(directional, cooling)?)
@@ -211,7 +237,7 @@ pub fn dirichlet_residual(
     jet: &TemperatureJet,
     theta_target: f64,
 ) -> Result<Var, DeepOHeatError> {
-    Ok(graph.add_scalar(jet.value, -theta_target)?)
+    Ok(graph.add_scalar(jet.value(), -theta_target)?)
 }
 
 #[cfg(test)]
@@ -225,7 +251,7 @@ mod tests {
         let value = mk(graph, value);
         let d1 = [mk(graph, d1[0]), mk(graph, d1[1]), mk(graph, d1[2])];
         let d2 = [mk(graph, d2[0]), mk(graph, d2[1]), mk(graph, d2[2])];
-        Jet3 { value, d1, d2 }
+        Jet3::new(value, d1.map(Some), d2.map(Some)).unwrap()
     }
 
     fn paper_scales() -> PhysicsScales {
@@ -302,7 +328,7 @@ mod tests {
         // Two configurations with different θ values and HTCs.
         let value = g.leaf(Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]).unwrap(), false);
         let zeros = g.leaf(Matrix::zeros(2, 2), false);
-        let jet = Jet3 { value, d1: [zeros; 3], d2: [zeros; 3] };
+        let jet = Jet3::new(value, [Some(zeros); 3], [Some(zeros); 3]).unwrap();
         let htc = HtcInput::PerConfiguration(Matrix::column_vector(&[500.0, 1000.0]));
         let r = convection_residual(&mut g, &jet, Face::ZMin, &s, &htc).unwrap();
         let rv = g.value(r);

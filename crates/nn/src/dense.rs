@@ -153,7 +153,8 @@ impl BoundDense {
         Ok(graph.add_row_broadcast(z, self.bias)?)
     }
 
-    /// Forward pass of a second-order jet through the linear layer.
+    /// Forward pass of a second-order jet through the linear layer,
+    /// building only the channels `x` carries.
     ///
     /// The value channel receives the bias; the derivative channels are
     /// linear maps of the incoming derivative channels because
@@ -163,14 +164,8 @@ impl BoundDense {
     ///
     /// Propagates shape errors from the underlying graph operations.
     pub fn forward_jet(&self, graph: &mut Graph, x: &Jet3) -> Result<Jet3, NnError> {
-        let value = self.forward(graph, x.value)?;
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
-        for i in 0..3 {
-            d1[i] = graph.matmul(x.d1[i], self.weight)?;
-            d2[i] = graph.matmul(x.d2[i], self.weight)?;
-        }
-        Ok(Jet3 { value, d1, d2 })
+        let value = self.forward(graph, x.value())?;
+        Ok(x.map_derivatives(value, |d| graph.matmul(d, self.weight))?)
     }
 }
 

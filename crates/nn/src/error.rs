@@ -33,6 +33,14 @@ pub enum NnError {
     /// The global gradient norm was NaN or infinite; the optimiser refuses
     /// to apply the update so the parameters stay uncorrupted.
     NonFiniteGradient,
+    /// A jet channel was read (or required) that the jet does not carry;
+    /// see [`crate::JetChannels`].
+    AbsentJetChannel {
+        /// Derivative order of the channel: 1 or 2.
+        order: u8,
+        /// Axis of the derivative.
+        axis: usize,
+    },
     /// The global gradient norm exceeded the configured ceiling
     /// ([`crate::AdamConfig::max_gradient_norm`]); no update was applied.
     GradientExplosion {
@@ -59,6 +67,9 @@ impl fmt::Display for NnError {
             }
             NnError::NonFiniteGradient => {
                 write!(f, "gradient norm is not finite; update rejected to protect parameters")
+            }
+            NnError::AbsentJetChannel { order, axis } => {
+                write!(f, "jet carries no order-{order} derivative channel on axis {axis}")
             }
             NnError::GradientExplosion { norm, limit } => {
                 write!(f, "gradient norm {norm:.3e} exceeds the configured limit {limit:.3e}")
@@ -102,6 +113,8 @@ mod tests {
         assert!(e.to_string().contains('4'));
         let e = NnError::MissingGradient { index: 2 };
         assert!(e.to_string().contains('2'));
+        let e = NnError::AbsentJetChannel { order: 2, axis: 1 };
+        assert!(e.to_string().contains("order-2") && e.to_string().contains("axis 1"));
     }
 
     #[test]

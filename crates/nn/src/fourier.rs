@@ -81,7 +81,8 @@ impl FourierFeatures {
         Ok(graph.hcat(s, c)?)
     }
 
-    /// Graph forward pass of a second-order jet.
+    /// Graph forward pass of a second-order jet, building only the
+    /// channels `x` carries.
     ///
     /// Since `B` is constant, the linear part maps each channel through
     /// `B`; sin/cos then follow the jet activation rules with exact
@@ -92,38 +93,38 @@ impl FourierFeatures {
     /// Propagates shape errors from the underlying graph operations.
     pub fn forward_jet(&self, graph: &mut Graph, x: &Jet3) -> Result<Jet3, NnError> {
         let b = graph.leaf(self.frequencies.clone(), false);
-        let z = graph.matmul(x.value, b)?;
-        let mut zd1 = [z; 3];
-        let mut zd2 = [z; 3];
-        for i in 0..3 {
-            zd1[i] = graph.matmul(x.d1[i], b)?;
-            zd2[i] = graph.matmul(x.d2[i], b)?;
-        }
+        let z = graph.matmul(x.value(), b)?;
+        let zj = x.map_derivatives(z, |d| graph.matmul(d, b))?;
+        let channels = x.channels();
+        let any_d1 = (0..3).any(|i| channels.has_d1(i));
+        let any_d2 = (0..3).any(|i| channels.has_d2(i));
 
         let sin = graph.activation(z, Activation::Sine, 0)?;
         let cos = graph.activation(z, Activation::Sine, 1)?;
-        let neg_sin = graph.activation(z, Activation::Sine, 2)?;
-        let neg_cos = graph.scale(cos, -1.0)?;
+        let neg_sin = if any_d1 { Some(graph.activation(z, Activation::Sine, 2)?) } else { None };
+        let neg_cos = if any_d2 { Some(graph.scale(cos, -1.0)?) } else { None };
 
         let value = graph.hcat(sin, cos)?;
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
+        let mut d1 = [None; 3];
+        let mut d2 = [None; 3];
         for i in 0..3 {
+            let (Ok(zd1), Some(neg_sin)) = (zj.d1(i), neg_sin) else { continue };
             // d/dyᵢ sin(z) = cos(z) zᵢ ; d/dyᵢ cos(z) = -sin(z) zᵢ.
-            let s1 = graph.mul(cos, zd1[i])?;
-            let c1 = graph.mul(neg_sin, zd1[i])?;
-            d1[i] = graph.hcat(s1, c1)?;
+            let s1 = graph.mul(cos, zd1)?;
+            let c1 = graph.mul(neg_sin, zd1)?;
+            d1[i] = Some(graph.hcat(s1, c1)?);
+            let (Ok(zd2), Some(neg_cos)) = (zj.d2(i), neg_cos) else { continue };
             // d²/dyᵢ² sin(z) = -sin(z) zᵢ² + cos(z) zᵢᵢ, and mirrored for cos.
-            let zi_sq = graph.square(zd1[i])?;
+            let zi_sq = graph.square(zd1)?;
             let s2a = graph.mul(neg_sin, zi_sq)?;
-            let s2b = graph.mul(cos, zd2[i])?;
+            let s2b = graph.mul(cos, zd2)?;
             let s2 = graph.add(s2a, s2b)?;
             let c2a = graph.mul(neg_cos, zi_sq)?;
-            let c2b = graph.mul(neg_sin, zd2[i])?;
+            let c2b = graph.mul(neg_sin, zd2)?;
             let c2 = graph.add(c2a, c2b)?;
-            d2[i] = graph.hcat(s2, c2)?;
+            d2[i] = Some(graph.hcat(s2, c2)?);
         }
-        Ok(Jet3 { value, d1, d2 })
+        Jet3::new(value, d1, d2)
     }
 
     /// Graph-free forward pass for fast inference.
@@ -169,11 +170,11 @@ mod tests {
         let h = 1e-4;
 
         let mut g = Graph::new();
-        let jet = Jet3::seed_coordinates(&mut g, coords.clone());
+        let jet = Jet3::seed_coordinates(&mut g, coords.clone(), crate::JetChannels::ALL).unwrap();
         let out = ff.forward_jet(&mut g, &jet).unwrap();
-        let d1: Vec<Matrix> = out.d1.iter().map(|&v| g.value(v).clone()).collect();
-        let d2: Vec<Matrix> = out.d2.iter().map(|&v| g.value(v).clone()).collect();
-        let val = g.value(out.value).clone();
+        let d1: Vec<Matrix> = (0..3).map(|i| g.value(out.d1(i).unwrap()).clone()).collect();
+        let d2: Vec<Matrix> = (0..3).map(|i| g.value(out.d2(i).unwrap()).clone()).collect();
+        let val = g.value(out.value()).clone();
         assert_eq!(val, ff.forward_inference(&coords).unwrap());
 
         for axis in 0..3 {

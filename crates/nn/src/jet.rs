@@ -3,73 +3,207 @@
 //! Physics-informed training of DeepOHeat needs `T`, `∂T/∂yᵢ` and
 //! `∂²T/∂yᵢ²` at every collocation point *as differentiable functions of
 //! the network parameters*. Rather than nesting reverse-mode passes, we
-//! propagate a seven-channel "jet" through the trunk network: the value,
-//! the three first derivatives and the three pure second derivatives
-//! (mixed second derivatives never appear in the Laplacian or in any of
-//! the boundary conditions, so they are not carried).
+//! propagate a "jet" through the trunk network: the value, the first
+//! derivatives and the pure second derivatives (mixed second derivatives
+//! never appear in the Laplacian or in any of the boundary conditions, so
+//! they are not carried).
 //!
-//! Every channel is an ordinary graph node, so one reverse pass over the
-//! final loss yields exact parameter gradients of all derivative fields.
+//! A jet carries only the derivative channels its consumer reads
+//! ([`JetChannels`]): the heat equation reads every second derivative, a
+//! face condition reads the value and the derivative along the face
+//! normal, a Dirichlet condition the value alone. Every carried channel is
+//! an ordinary graph node, so one reverse pass over the final loss yields
+//! exact parameter gradients of all derivative fields.
 
-use deepoheat_autodiff::{Activation, Graph, Var};
-use deepoheat_linalg::Matrix;
+use deepoheat_autodiff::{Activation, Graph, JetVars, Var};
+use deepoheat_linalg::{LinalgError, Matrix};
 
 use crate::NnError;
 
-/// A second-order jet in three spatial dimensions.
+/// The set of derivative channels a [`Jet3`] carries. The value channel
+/// is always carried; a second derivative on an axis is carried only
+/// together with the first derivative on that axis, which its jet rule
+/// reads.
 ///
-/// All seven channels share the same matrix shape (`points × features`).
-#[derive(Debug, Clone, Copy)]
+/// # Examples
+///
+/// ```
+/// use deepoheat_nn::JetChannels;
+///
+/// // A face condition on a z face reads the value and ∂/∂z.
+/// let face = JetChannels::VALUE.with_d1(2)?;
+/// assert!(face.has_d1(2) && !face.has_d1(0) && !face.has_d2(2));
+/// assert!(JetChannels::ALL.has_d2(0));
+/// assert!(JetChannels::VALUE.with_d1(3).is_err());
+/// # Ok::<(), deepoheat_nn::NnError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JetChannels {
+    d1: [bool; 3],
+    d2: [bool; 3],
+}
+
+impl JetChannels {
+    /// The value channel alone.
+    pub const VALUE: JetChannels = JetChannels { d1: [false; 3], d2: [false; 3] };
+    /// All seven channels.
+    pub const ALL: JetChannels = JetChannels { d1: [true; 3], d2: [true; 3] };
+
+    /// These channels plus the first derivative on `axis`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::AbsentJetChannel`] if `axis` is not 0, 1 or 2.
+    pub fn with_d1(mut self, axis: usize) -> Result<JetChannels, NnError> {
+        *self.d1.get_mut(axis).ok_or(NnError::AbsentJetChannel { order: 1, axis })? = true;
+        Ok(self)
+    }
+
+    /// Whether the first derivative on `axis` is carried.
+    pub fn has_d1(self, axis: usize) -> bool {
+        self.d1.get(axis).copied().unwrap_or(false)
+    }
+
+    /// Whether the second derivative on `axis` is carried.
+    pub fn has_d2(self, axis: usize) -> bool {
+        self.d2.get(axis).copied().unwrap_or(false)
+    }
+}
+
+/// A second-order jet in three spatial dimensions: the value channel and
+/// the derivative channels named by [`Jet3::channels`].
+///
+/// All carried channels share the same matrix shape (`points ×
+/// features`). Reading a channel the jet does not carry is an
+/// [`NnError::AbsentJetChannel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Jet3 {
-    /// The function value channel.
-    pub value: Var,
-    /// First derivatives with respect to `y₁, y₂, y₃`.
-    pub d1: [Var; 3],
-    /// Pure second derivatives `∂²/∂y₁², ∂²/∂y₂², ∂²/∂y₃²`.
-    pub d2: [Var; 3],
+    vars: JetVars,
 }
 
 impl Jet3 {
-    /// Seeds a jet from a `points × 3` coordinate matrix.
+    /// Assembles a jet from graph nodes: the value and, per axis, the
+    /// first and second derivative when carried.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::AbsentJetChannel`] if a second derivative comes
+    /// without the first derivative on its axis.
+    pub fn new(value: Var, d1: [Option<Var>; 3], d2: [Option<Var>; 3]) -> Result<Jet3, NnError> {
+        if let Some(axis) = (0..3).find(|&axis| d2[axis].is_some() && d1[axis].is_none()) {
+            return Err(NnError::AbsentJetChannel { order: 1, axis });
+        }
+        Ok(Jet3 { vars: JetVars { value, d1, d2 } })
+    }
+
+    /// Seeds a jet carrying `channels` from a `points × 3` coordinate
+    /// matrix.
     ///
     /// The value channel is the coordinates themselves; the first-derivative
     /// channel `i` is the constant matrix with ones in column `i`
     /// (`∂y/∂yᵢ = eᵢ`); second derivatives start at zero.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `coords` does not have exactly 3 columns.
-    pub fn seed_coordinates(graph: &mut Graph, coords: Matrix) -> Jet3 {
-        assert_eq!(
-            coords.cols(),
-            3,
-            "coordinate matrix must be points x 3, got {:?}",
-            coords.shape()
-        );
-        let n = coords.rows();
-        let value = graph.leaf(coords, false);
-        let zero = Matrix::zeros(n, 3);
-        let mut d1 = [value; 3];
-        let mut d2 = [value; 3];
-        for i in 0..3 {
-            let mut e = Matrix::zeros(n, 3);
-            for r in 0..n {
-                e[(r, i)] = 1.0;
+    /// Returns an [`NnError::Linalg`] shape mismatch if `coords` does not
+    /// have exactly 3 columns.
+    pub fn seed_coordinates(
+        graph: &mut Graph,
+        coords: Matrix,
+        channels: JetChannels,
+    ) -> Result<Jet3, NnError> {
+        if coords.cols() != 3 {
+            return Err(LinalgError::ShapeMismatch {
+                op: "seed_coordinates",
+                lhs: coords.shape(),
+                rhs: (coords.rows(), 3),
             }
-            d1[i] = graph.leaf(e, false);
-            d2[i] = graph.leaf(zero.clone(), false);
+            .into());
         }
-        Jet3 { value, d1, d2 }
+        let n = coords.rows();
+        let mut vars = JetVars { value: graph.leaf(coords, false), d1: [None; 3], d2: [None; 3] };
+        for axis in 0..3 {
+            if channels.has_d1(axis) {
+                let e = Matrix::from_fn(n, 3, |_, c| if c == axis { 1.0 } else { 0.0 });
+                vars.d1[axis] = Some(graph.leaf(e, false));
+            }
+            if channels.has_d2(axis) {
+                vars.d2[axis] = Some(graph.leaf(Matrix::zeros(n, 3), false));
+            }
+        }
+        Ok(Jet3 { vars })
+    }
+
+    /// The channels this jet carries.
+    pub fn channels(&self) -> JetChannels {
+        JetChannels { d1: self.vars.d1.map(|v| v.is_some()), d2: self.vars.d2.map(|v| v.is_some()) }
+    }
+
+    /// The value channel.
+    pub fn value(&self) -> Var {
+        self.vars.value
+    }
+
+    /// The first derivative `∂/∂y_axis`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::AbsentJetChannel`] if the jet does not carry it.
+    pub fn d1(&self, axis: usize) -> Result<Var, NnError> {
+        self.vars
+            .d1
+            .get(axis)
+            .copied()
+            .flatten()
+            .ok_or(NnError::AbsentJetChannel { order: 1, axis })
+    }
+
+    /// The pure second derivative `∂²/∂y_axis²`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::AbsentJetChannel`] if the jet does not carry it.
+    pub fn d2(&self, axis: usize) -> Result<Var, NnError> {
+        self.vars
+            .d2
+            .get(axis)
+            .copied()
+            .flatten()
+            .ok_or(NnError::AbsentJetChannel { order: 2, axis })
+    }
+
+    /// A jet with `value` as its value channel and `f` of each carried
+    /// derivative channel as the matching channel, so it carries the same
+    /// set. `f` runs in the order `d1[0]`, `d2[0]`, `d1[1]`, `d2[1]`,
+    /// `d1[2]`, `d2[2]`, skipping absent channels: a linear layer's
+    /// parameters then fold their gradient contributions in the same order
+    /// whichever channels are carried.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `f`.
+    pub fn map_derivatives<E>(
+        &self,
+        value: Var,
+        mut f: impl FnMut(Var) -> Result<Var, E>,
+    ) -> Result<Jet3, E> {
+        let mut vars = JetVars { value, d1: [None; 3], d2: [None; 3] };
+        for axis in 0..3 {
+            vars.d1[axis] = self.vars.d1[axis].map(&mut f).transpose()?;
+            vars.d2[axis] = self.vars.d2[axis].map(&mut f).transpose()?;
+        }
+        Ok(Jet3 { vars })
     }
 
     /// The Laplacian channel `Σᵢ ∂²/∂yᵢ²` as a new graph node.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying graph operations.
+    /// Returns [`NnError::AbsentJetChannel`] unless the jet carries every
+    /// second derivative, and propagates shape errors from the graph.
     pub fn laplacian(&self, graph: &mut Graph) -> Result<Var, NnError> {
-        let s01 = graph.add(self.d2[0], self.d2[1])?;
-        Ok(graph.add(s01, self.d2[2])?)
+        let s01 = graph.add(self.d2(0)?, self.d2(1)?)?;
+        Ok(graph.add(s01, self.d2(2)?)?)
     }
 }
 
@@ -81,23 +215,16 @@ impl Jet3 {
 /// aᵢᵢ = σ''(z) ⊙ zᵢ² + σ'(z) ⊙ zᵢᵢ
 /// ```
 ///
+/// as one fused graph op ([`Graph::activation_jet`]) over the channels `z`
+/// carries. Losses and gradients are bitwise those of the same
+/// expression built from separate activation, product, square and sum
+/// nodes.
+///
 /// # Errors
 ///
-/// Propagates shape errors from the underlying graph operations.
+/// Propagates shape errors from the underlying graph operation.
 pub fn activation_jet(graph: &mut Graph, act: Activation, z: &Jet3) -> Result<Jet3, NnError> {
-    let a0 = graph.activation(z.value, act, 0)?;
-    let a1 = graph.activation(z.value, act, 1)?;
-    let a2 = graph.activation(z.value, act, 2)?;
-    let mut d1 = [a0; 3];
-    let mut d2 = [a0; 3];
-    for i in 0..3 {
-        d1[i] = graph.mul(a1, z.d1[i])?;
-        let zi_sq = graph.square(z.d1[i])?;
-        let t1 = graph.mul(a2, zi_sq)?;
-        let t2 = graph.mul(a1, z.d2[i])?;
-        d2[i] = graph.add(t1, t2)?;
-    }
-    Ok(Jet3 { value: a0, d1, d2 })
+    Ok(Jet3 { vars: graph.activation_jet(act, z.vars)? })
 }
 
 #[cfg(test)]
@@ -117,21 +244,15 @@ mod tests {
         act: Activation,
     ) -> (Matrix, [Matrix; 3], [Matrix; 3]) {
         let mut g = Graph::new();
-        let jet = Jet3::seed_coordinates(&mut g, coords);
+        let jet = Jet3::seed_coordinates(&mut g, coords, JetChannels::ALL).unwrap();
         let wv = g.leaf(w.clone(), false);
         // Linear layer on the jet.
-        let value = g.matmul(jet.value, wv).unwrap();
-        let mut lin = Jet3 { value, d1: [value; 3], d2: [value; 3] };
-        for i in 0..3 {
-            lin.d1[i] = g.matmul(jet.d1[i], wv).unwrap();
-            lin.d2[i] = g.matmul(jet.d2[i], wv).unwrap();
-        }
+        let value = g.matmul(jet.value(), wv).unwrap();
+        let lin = jet.map_derivatives(value, |d| g.matmul(d, wv)).unwrap();
         let out = activation_jet(&mut g, act, &lin).unwrap();
-        (
-            g.value(out.value).clone(),
-            [g.value(out.d1[0]).clone(), g.value(out.d1[1]).clone(), g.value(out.d1[2]).clone()],
-            [g.value(out.d2[0]).clone(), g.value(out.d2[1]).clone(), g.value(out.d2[2]).clone()],
-        )
+        let d1 = |i| g.value(out.d1(i).unwrap()).clone();
+        let d2 = |i| g.value(out.d2(i).unwrap()).clone();
+        (g.value(out.value()).clone(), [d1(0), d1(1), d1(2)], [d2(0), d2(1), d2(2)])
     }
 
     #[test]
@@ -178,42 +299,67 @@ mod tests {
     fn laplacian_sums_second_derivatives() {
         let mut g = Graph::new();
         let coords = Matrix::from_rows(&[&[0.5, -0.5, 0.25]]).unwrap();
-        let jet = Jet3::seed_coordinates(&mut g, coords);
+        let seed = Jet3::seed_coordinates(&mut g, coords, JetChannels::ALL).unwrap();
         // Replace the d2 channels with known constants.
-        let jet = Jet3 {
-            value: jet.value,
-            d1: jet.d1,
-            d2: [
-                g.leaf(Matrix::filled(1, 3, 1.0), false),
-                g.leaf(Matrix::filled(1, 3, 2.0), false),
-                g.leaf(Matrix::filled(1, 3, 3.0), false),
-            ],
-        };
+        let d2 = [1.0, 2.0, 3.0].map(|v| Some(g.leaf(Matrix::filled(1, 3, v), false)));
+        let d1 = [0, 1, 2].map(|i| seed.d1(i).ok());
+        let jet = Jet3::new(seed.value(), d1, d2).unwrap();
         let lap = jet.laplacian(&mut g).unwrap();
         assert!(g.value(lap).iter().all(|&v| v == 6.0));
     }
 
     #[test]
-    #[should_panic(expected = "points x 3")]
     fn seed_requires_three_columns() {
         let mut g = Graph::new();
-        Jet3::seed_coordinates(&mut g, Matrix::zeros(4, 2));
+        let err =
+            Jet3::seed_coordinates(&mut g, Matrix::zeros(4, 2), JetChannels::ALL).unwrap_err();
+        assert!(
+            matches!(err, NnError::Linalg(LinalgError::ShapeMismatch { lhs: (4, 2), .. })),
+            "{err:?}"
+        );
+        assert!(g.is_empty());
     }
 
     #[test]
     fn seed_channels_have_expected_values() {
         let mut g = Graph::new();
         let coords = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let jet = Jet3::seed_coordinates(&mut g, coords.clone());
-        assert_eq!(g.value(jet.value), &coords);
+        let jet = Jet3::seed_coordinates(&mut g, coords.clone(), JetChannels::ALL).unwrap();
+        assert_eq!(g.value(jet.value()), &coords);
         for i in 0..3 {
-            let d1 = g.value(jet.d1[i]);
+            let d1 = g.value(jet.d1(i).unwrap());
             for r in 0..2 {
                 for c in 0..3 {
                     assert_eq!(d1[(r, c)], if c == i { 1.0 } else { 0.0 });
                 }
             }
-            assert!(g.value(jet.d2[i]).iter().all(|&v| v == 0.0));
+            assert!(g.value(jet.d2(i).unwrap()).iter().all(|&v| v == 0.0));
         }
+    }
+
+    #[test]
+    fn jets_carry_only_their_channels() {
+        let mut g = Graph::new();
+        let coords = Matrix::from_rows(&[&[0.1, 0.2, 0.3]]).unwrap();
+        let face = JetChannels::VALUE.with_d1(1).unwrap();
+        let jet = Jet3::seed_coordinates(&mut g, coords, face).unwrap();
+        assert_eq!(g.len(), 2);
+        assert_eq!(jet.channels(), face);
+        assert!(jet.d1(1).is_ok());
+        assert_eq!(jet.d1(0), Err(NnError::AbsentJetChannel { order: 1, axis: 0 }));
+        assert_eq!(jet.d2(1), Err(NnError::AbsentJetChannel { order: 2, axis: 1 }));
+        assert_eq!(jet.d1(3), Err(NnError::AbsentJetChannel { order: 1, axis: 3 }));
+        assert!(matches!(jet.laplacian(&mut g), Err(NnError::AbsentJetChannel { .. })));
+
+        // Activations keep the set.
+        let out = activation_jet(&mut g, Activation::Swish, &jet).unwrap();
+        assert_eq!(out.channels(), face);
+
+        // A second derivative needs the first on its axis.
+        let v = jet.value();
+        assert_eq!(
+            Jet3::new(v, [None; 3], [None, Some(v), None]),
+            Err(NnError::AbsentJetChannel { order: 1, axis: 1 })
+        );
     }
 }

@@ -54,7 +54,7 @@ pub use dense::{BoundDense, Dense};
 pub use error::NnError;
 pub use fourier::FourierFeatures;
 pub use init::{glorot_uniform, normal_matrix};
-pub use jet::{activation_jet, Jet3};
+pub use jet::{activation_jet, Jet3, JetChannels};
 pub use lowered::{LoweredDense, LoweredFourier, LoweredMlp};
 pub use mlp::{BoundMlp, Mlp, MlpConfig};
 pub use schedule::LrSchedule;

@@ -224,7 +224,8 @@ impl BoundMlp {
         Ok(h)
     }
 
-    /// Forward pass of a second-order jet through the whole stack.
+    /// Forward pass of a second-order jet through the whole stack,
+    /// building only the channels `x` carries.
     ///
     /// # Errors
     ///
@@ -248,6 +249,7 @@ impl BoundParameters for BoundMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JetChannels;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -302,9 +304,9 @@ mod tests {
 
         let mut g = Graph::new();
         let bound = mlp.bind(&mut g);
-        let jet = Jet3::seed_coordinates(&mut g, coords);
+        let jet = Jet3::seed_coordinates(&mut g, coords, JetChannels::ALL).unwrap();
         let out = bound.forward_jet(&mut g, &jet).unwrap();
-        for (a, b) in g.value(out.value).iter().zip(plain.iter()) {
+        for (a, b) in g.value(out.value()).iter().zip(plain.iter()) {
             assert!((a - b).abs() < 1e-13);
         }
     }
@@ -318,7 +320,7 @@ mod tests {
 
         let mut g = Graph::new();
         let bound = mlp.bind(&mut g);
-        let jet = Jet3::seed_coordinates(&mut g, coords.clone());
+        let jet = Jet3::seed_coordinates(&mut g, coords.clone(), JetChannels::ALL).unwrap();
         let out = bound.forward_jet(&mut g, &jet).unwrap();
 
         for axis in 0..3 {
@@ -331,8 +333,8 @@ mod tests {
             let f0 = mlp.forward_inference(&coords).unwrap().as_slice()[0];
             let fd1 = (fp - fm) / (2.0 * h);
             let fd2 = (fp - 2.0 * f0 + fm) / (h * h);
-            let a1 = g.value(out.d1[axis]).as_slice()[0];
-            let a2 = g.value(out.d2[axis]).as_slice()[0];
+            let a1 = g.value(out.d1(axis).unwrap()).as_slice()[0];
+            let a2 = g.value(out.d2(axis).unwrap()).as_slice()[0];
             assert!((a1 - fd1).abs() < 1e-6, "axis {axis}: {a1} vs {fd1}");
             assert!((a2 - fd2).abs() < 1e-4, "axis {axis}: {a2} vs {fd2}");
         }

@@ -65,11 +65,11 @@ fn surrogate_residuals_agree_with_solver_on_the_slab_problem() {
     let mut g = Graph::new();
     let mk = |g: &mut Graph, v: f64| g.leaf(Matrix::filled(1, n, v), false);
     let zeros = mk(&mut g, 0.0);
-    let bottom_jet = Jet3 {
-        value: mk(&mut g, theta_bottom),
-        d1: [zeros, zeros, mk(&mut g, slope)],
-        d2: [zeros; 3],
-    };
+    let bottom_value = mk(&mut g, theta_bottom);
+    let bottom_slope = mk(&mut g, slope);
+    let bottom_jet =
+        Jet3::new(bottom_value, [Some(zeros), Some(zeros), Some(bottom_slope)], [Some(zeros); 3])
+            .expect("jet");
     let r = physics::convection_residual(
         &mut g,
         &bottom_jet,
@@ -83,11 +83,11 @@ fn surrogate_residuals_agree_with_solver_on_the_slab_problem() {
     }
 
     let theta_top = (solution.at(4, 4, 6) - t_amb) / delta_t;
-    let top_jet = Jet3 {
-        value: mk(&mut g, theta_top),
-        d1: [zeros, zeros, mk(&mut g, slope)],
-        d2: [zeros; 3],
-    };
+    let top_value = mk(&mut g, theta_top);
+    let top_slope = mk(&mut g, slope);
+    let top_jet =
+        Jet3::new(top_value, [Some(zeros), Some(zeros), Some(top_slope)], [Some(zeros); 3])
+            .expect("jet");
     let flux_target = Matrix::filled(1, n, q);
     let r = physics::flux_residual(&mut g, &top_jet, Face::ZMax, &scales, &flux_target)
         .expect("residual");
