@@ -4,17 +4,52 @@
 //! `axpy` — all dispatch to the persistent `deepoheat-parallel` pool with
 //! fixed, thread-count-independent chunking, so a CG trace (iterates,
 //! residuals, convergence history) is bit-identical whether the pool has
-//! 1 thread or 64. The SSOR and IC(0) preconditioner sweeps are triangular
-//! solves and stay serial per vector. Reordering the rows by level sets
-//! would not change any row's arithmetic, but it scatters the sweep's
-//! reads: on the 7-point operators here a global level order measured
-//! 1.3–2.3× slower and a block-local one no faster. SSOR gains by batching
-//! right-hand sides instead: [`Preconditioner::apply_rows`] carries up to
-//! eight vectors through one sweep, so the operator streams once per
-//! group and the lanes' independent recurrences overlap.
+//! 1 thread or 64.
+//!
+//! The SSOR and IC(0) preconditioners are triangular solves. In natural
+//! order each row waits on the row just before it (a subtract, a multiply
+//! and a divide), so a sweep runs one dependence chain at a time. SSOR runs
+//! several instead, on a wavefront schedule planned when it is built:
+//!
+//! * **Plan.** Cut the rows into blocks of the operator's bandwidth `B`,
+//!   the largest `|r - c|` over its off-diagonal entries. The plan holds
+//!   when there are at least two blocks of at least two rows, and every
+//!   entry outside its row's block lies exactly `B` columns away, at the
+//!   row's own offset in the block below (lower triangle) or above (upper
+//!   triangle). A natural-order grid operator qualifies with one plane of
+//!   free rows per block, whichever faces are held at a fixed temperature;
+//!   so do layered conductivities and the transient stepping matrix. Any
+//!   other pattern keeps the natural order.
+//! * **Schedule.** The forward sweep takes the blocks in groups of four.
+//!   At step `t` of a group, chain `s` runs offset `t - s` of the group's
+//!   block `s`, so each chain runs one row behind the one before it: row
+//!   `u` of a block reads row `u` of the block below, which the previous
+//!   chain finished a step earlier. The chains of one step are independent
+//!   and overlap in the core. The backward sweep runs the same order
+//!   reversed: groups from the top block down, offsets descending.
+//! * **Bits.** Every row runs exactly its natural-order operations, in
+//!   their order, on inputs that are already final, so the result is
+//!   bit-identical to the natural-order sweep.
+//!
+//! Each chain walks its block in order, so the sweep reads four sequential
+//! streams a plane apart. A level-set order (rows grouped by dependence
+//! depth, the diagonal hyperplanes of a grid) gives more independent rows
+//! per step but scatters their reads: on the 7-point operators here a
+//! global level order measured 1.3–2.3× slower than the natural one, and a
+//! block-local one no faster.
+//!
+//! IC(0) keeps the natural order. Its backward pass scatters each row's
+//! result into the earlier rows of its pattern (`z[j] -= l_ij · z_i`), so
+//! the order the rows run in is the order each `z[j]` accumulates its
+//! terms, and any reorder would change bits.
+//!
+//! Right-hand sides batch as well: [`Preconditioner::apply_rows`] carries
+//! up to eight vectors through one SSOR sweep, so the operator streams once
+//! per group and the lanes' independent recurrences overlap. A multi-lane
+//! sweep already has its lanes to overlap and keeps the natural order.
 
 use crate::kernels::{lane_groups, LaneTail};
-use crate::sparse::Triangle;
+use crate::sparse::{Split, Triangle};
 use crate::{axpy, dot, norm2, CsrMatrix, LinalgError, Matrix};
 
 /// A preconditioner for the conjugate-gradient solver: given a residual `r`
@@ -116,14 +151,72 @@ impl Preconditioner for JacobiPreconditioner {
 /// strict upper triangle `U`, each row in column order, so a sweep walks
 /// exactly the entries it needs. Every row's operations run in the order
 /// of a sweep over the full rows, so the result does not depend on the
-/// split, and [`Preconditioner::apply_rows`] gives each row the bits
-/// [`Preconditioner::apply`] gives it.
+/// split.
+///
+/// When the operator's pattern admits a wavefront plan (see the module
+/// docs), a one-vector sweep advances four consecutive blocks of rows
+/// together, each chain one row behind the chain before it; otherwise, and
+/// for groups of two or more vectors, it runs the rows in natural order.
+/// Either way every row runs its natural-order operations on final inputs,
+/// so [`Preconditioner::apply`] and every row of
+/// [`Preconditioner::apply_rows`] are bit-identical to the natural-order
+/// sweep.
 #[derive(Debug, Clone)]
 pub struct SsorPreconditioner {
     lower: Triangle,
     diag: Vec<f64>,
     upper: Triangle,
+    /// Wavefront block size ([`Split::block`]).
+    block: Option<usize>,
     omega: f64,
+}
+
+/// Row chains a one-vector sweep advances together. A multi-lane sweep
+/// already overlaps its lanes' recurrences and keeps one chain.
+const CHAINS: usize = 4;
+
+/// Calls `row` on every row of `0..n` in the wavefront order of `chains`
+/// chains over blocks of `block` rows: consecutive groups of `chains`
+/// blocks, and within a group, at step `t`, chain `s` takes offset `t - s`
+/// of block `s`. With one chain and one block this is the natural order.
+/// With `FORWARD` false the order is exactly reversed, which is the
+/// backward sweep's schedule: under a plan ([`Split::block`]) a row's upper
+/// neighbours come after it in the forward order, as its lower ones come
+/// before it.
+///
+/// The skew is what makes the chains of one step independent, so the core
+/// overlaps them: each reads rows the step before finished. They run first
+/// chain to last, which measured fastest (each chain reads its neighbour's
+/// row five rows back in program order). In that order an unskewed
+/// schedule would still be a valid order, only a serial one, so the bit
+/// oracles cannot see a lost skew; a unit test pins the order instead.
+#[inline(always)]
+fn wavefront<const FORWARD: bool>(
+    n: usize,
+    block: usize,
+    chains: usize,
+    mut row: impl FnMut(usize),
+) {
+    let blocks = n.div_ceil(block);
+    let groups = blocks.div_ceil(chains);
+    for g in 0..groups {
+        let first = if FORWARD { g } else { groups - 1 - g } * chains;
+        let count = chains.min(blocks - first);
+        let steps = block + count - 1;
+        for t in 0..steps {
+            let step = if FORWARD { t } else { steps - 1 - t };
+            for k in 0..count {
+                let s = if FORWARD { k } else { count - 1 - k };
+                let Some(offset) = step.checked_sub(s).filter(|&u| u < block) else {
+                    continue;
+                };
+                let i = (first + s) * block + offset;
+                if i < n {
+                    row(i);
+                }
+            }
+        }
+    }
 }
 
 impl SsorPreconditioner {
@@ -148,13 +241,13 @@ impl SsorPreconditioner {
                 what: format!("omega must be in (0, 2), got {omega}"),
             });
         }
-        let (lower, diag, upper) = a.split_triangles();
+        let Split { lower, diag, upper, block } = a.split_triangles();
         for (i, &d) in diag.iter().enumerate() {
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { pivot: i, value: d });
             }
         }
-        Ok(SsorPreconditioner { lower, diag, upper, omega })
+        Ok(SsorPreconditioner { lower, diag, upper, block, omega })
     }
 
     /// Both sweeps over `L` vectors at once. `r(i)` gives entry `i` of
@@ -171,8 +264,12 @@ impl SsorPreconditioner {
         let n = self.diag.len();
         debug_assert_eq!(t.len(), n, "ssor: residual length mismatch");
         let w = self.omega;
+        let (block, chains) = match self.block {
+            Some(block) if L == 1 => (block, CHAINS),
+            _ => (n.max(1), 1),
+        };
         // Forward sweep: (D/ω + L) y = r.
-        for i in 0..n {
+        wavefront::<true>(n, block, chains, |i| {
             let mut acc = r(i);
             for &(c, v) in self.lower.row(i) {
                 let y = t[c];
@@ -182,10 +279,10 @@ impl SsorPreconditioner {
             }
             let d = self.diag[i];
             t[i] = acc.map(|a| a * w / d);
-        }
+        });
         // Backward sweep: (D/ω + U) z = (D/ω) y, scaling each y as its row
         // is reached.
-        for i in (0..n).rev() {
+        wavefront::<false>(n, block, chains, |i| {
             let d = self.diag[i];
             let scale = d / w;
             let mut acc = t[i].map(|y| y * scale);
@@ -197,7 +294,7 @@ impl SsorPreconditioner {
             }
             t[i] = acc.map(|a| a * w / d);
             z(i, t[i]);
-        }
+        });
     }
 
     /// Sweeps rows `first..first + count` of `r` into the same rows of
@@ -564,6 +661,10 @@ pub fn conjugate_gradient_attempt<P: Preconditioner>(
 }
 
 #[cfg(test)]
+#[path = "../tests/ssor_fixtures/mod.rs"]
+mod ssor_fixtures;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::CooMatrix;
@@ -804,6 +905,38 @@ mod tests {
             SsorPreconditioner::new(&coo.to_csr(), 1.0),
             Err(LinalgError::InvalidDimension { .. })
         ));
+    }
+
+    #[test]
+    fn wavefront_runs_each_chain_one_row_behind_the_one_before() {
+        // Blocks of three rows, the fifth one short: a group of four
+        // blocks, then a group of one.
+        let order = |forward: bool, n: usize, block: usize, chains: usize| {
+            let mut rows = Vec::new();
+            if forward {
+                wavefront::<true>(n, block, chains, |i| rows.push(i));
+            } else {
+                wavefront::<false>(n, block, chains, |i| rows.push(i));
+            }
+            rows
+        };
+        let forward = order(true, 14, 3, 4);
+        assert_eq!(forward, [0, 1, 3, 2, 4, 6, 5, 7, 9, 8, 10, 11, 12, 13]);
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        assert_eq!(order(false, 14, 3, 4), backward);
+        // One chain over one block is the natural order.
+        assert_eq!(order(true, 5, 5, 1), [0, 1, 2, 3, 4]);
+        assert_eq!(order(false, 5, 5, 1), [4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn ssor_plans_the_wavefront_for_grid_operators_only() {
+        // The same fixtures the `sparse_kernels` oracle holds to the
+        // natural-order reference, so it covers both schedules.
+        for fixture in ssor_fixtures::fixtures() {
+            let ssor = SsorPreconditioner::new(&fixture.matrix, 1.5).expect("SPD fixture");
+            assert_eq!(ssor.block, fixture.block, "{}", fixture.name);
+        }
     }
 
     #[test]

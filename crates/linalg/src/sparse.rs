@@ -47,6 +47,49 @@ impl Triangle {
     }
 }
 
+/// A square matrix split by [`CsrMatrix::split_triangles`].
+#[derive(Debug, Clone)]
+pub(crate) struct Split {
+    /// The strict lower triangle.
+    pub(crate) lower: Triangle,
+    /// The diagonal; missing entries are `0.0`.
+    pub(crate) diag: Vec<f64>,
+    /// The strict upper triangle.
+    pub(crate) upper: Triangle,
+    /// The wavefront block size, when the pattern admits one: the
+    /// matrix's bandwidth `B`, the largest `|r - c|` over its stored
+    /// off-diagonal entries, such that cutting the rows into blocks of `B`
+    /// gives at least two blocks and every off-diagonal entry either stays
+    /// in its row's block or lies exactly `B` columns away, at the row's
+    /// own offset in the neighbouring block. A triangular sweep can then
+    /// run consecutive blocks as chains, each one row behind the chain
+    /// before it, and every row still reads only final values. A
+    /// natural-order grid operator qualifies, with one plane of free rows
+    /// per block (one x-line when there is one plane). Blocks of one row
+    /// (`B = 1`, a tridiagonal matrix) do not: their schedule is the
+    /// natural order.
+    pub(crate) block: Option<usize>,
+}
+
+/// Whether row `i`, at offset `offset` of its block of `block` rows, fits
+/// the wavefront schedule: its columns left (`below`) and right (`above`)
+/// of the diagonal lie in its own block, except one at `i - block` and one
+/// at `i + block`. `block` must be at least the row's reach. Both lists
+/// are in column order, so only the farthest entry on each side and the
+/// one inside it need looking at.
+fn fits_block(i: usize, offset: usize, block: usize, below: &[usize], above: &[usize]) -> bool {
+    let (first, end) = (i - offset, i - offset + block);
+    // A missing entry reads as the row's own index, which fits.
+    let (c0, c1) = (below.first().copied().unwrap_or(i), below.get(1).copied().unwrap_or(i));
+    let last = above.last().copied().unwrap_or(i);
+    let prev = above.len().checked_sub(2).map_or(i, |k| above[k]);
+    // `block` is at least the row's reach, so an entry outside the block
+    // fits only at exactly `block` away.
+    let crosses_below = c0 + block > i && c0 < first;
+    let crosses_above = last < i + block && last >= end;
+    !crosses_below && c1 >= first && !crosses_above && prev < end
+}
+
 /// A sparse matrix in coordinate (triplet) form, used as a mutable builder
 /// for [`CsrMatrix`].
 ///
@@ -303,15 +346,32 @@ impl CsrMatrix {
         self.col_idx[start..end].iter().copied().zip(self.values[start..end].iter().copied())
     }
 
+    /// Row `i`'s columns left and right of the diagonal, in column order.
+    fn sides(&self, i: usize) -> (&[usize], &[usize]) {
+        let cols = &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]];
+        // Sorted columns, so the count left of the diagonal is its
+        // position. On grid rows of at most seven entries counting beats
+        // `partition_point`'s binary search, and the split copies every
+        // entry anyway.
+        let lo = cols.iter().filter(|&&c| c < i).count();
+        let hi = lo + usize::from(cols.get(lo) == Some(&i));
+        (&cols[..lo], &cols[hi..])
+    }
+
     /// Splits a square matrix into its strict lower triangle, its diagonal
-    /// (missing entries are `0.0`) and its strict upper triangle, in one
-    /// pass over the rows.
+    /// and its strict upper triangle, and plans the wavefront schedule
+    /// ([`Split::block`]), in one pass over the rows.
     ///
     /// Each triangle reserves half the off-diagonal entries: its exact
     /// size when the pattern is symmetric and every diagonal entry is
     /// stored, as in the SPD operators SSOR preconditions. Any other
     /// pattern grows a triangle as it fills.
-    pub(crate) fn split_triangles(&self) -> (Triangle, Vec<f64>, Triangle) {
+    ///
+    /// The plan checks each row against the bandwidth of the rows so far.
+    /// Rows before the one that set the final bandwidth are checked again
+    /// after the pass; a natural-order grid operator reaches its bandwidth
+    /// in row 0, so it has none to recheck.
+    pub(crate) fn split_triangles(&self) -> Split {
         debug_assert_eq!(self.rows, self.cols, "split_triangles: matrix must be square");
         let n = self.rows;
         let room = self.nnz().saturating_sub(n) / 2 + RUN;
@@ -321,26 +381,43 @@ impl CsrMatrix {
         lower_ptr.push(0);
         upper_ptr.push(0);
         let mut diag = vec![0.0; n];
+        // The bandwidth so far, the row that set it, whether every row
+        // since fits it, and the current row's offset in its block.
+        let (mut block, mut settled, mut fits, mut offset) = (0, 0, true, 0);
         for (i, d) in diag.iter_mut().enumerate() {
             let (start, end) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            // Sorted columns: `lo` entries lie left of the diagonal, which
-            // sits at `lo` when it is stored.
-            let cols = &self.col_idx[start..end];
-            let lo = cols.partition_point(|&c| c < i);
-            let hi = lo + usize::from(cols.get(lo) == Some(&i));
-            append_run(&mut lower, &self.col_idx, &self.values, start..start + lo);
-            append_run(&mut upper, &self.col_idx, &self.values, start + hi..end);
-            if lo < hi {
-                *d = self.values[start + lo];
+            let (below, above) = self.sides(i);
+            append_run(&mut lower, &self.col_idx, &self.values, start..start + below.len());
+            append_run(&mut upper, &self.col_idx, &self.values, end - above.len()..end);
+            if below.len() + above.len() < end - start {
+                *d = self.values[start + below.len()];
             }
             lower_ptr.push(lower.len());
             upper_ptr.push(upper.len());
+
+            let reach = below.first().map_or(0, |&c| i - c).max(above.last().map_or(0, |&c| c - i));
+            if reach > block {
+                (block, settled, fits, offset) = (reach, i, true, i % reach);
+            }
+            fits &= fits_block(i, offset, block, below, above);
+            offset += 1;
+            if offset == block {
+                offset = 0;
+            }
         }
-        (
-            Triangle { row_ptr: lower_ptr, entries: lower },
+        let plan = block > 1
+            && n > block
+            && fits
+            && (0..settled).all(|i| {
+                let (below, above) = self.sides(i);
+                fits_block(i, i % block, block, below, above)
+            });
+        Split {
+            lower: Triangle { row_ptr: lower_ptr, entries: lower },
             diag,
-            Triangle { row_ptr: upper_ptr, entries: upper },
-        )
+            upper: Triangle { row_ptr: upper_ptr, entries: upper },
+            block: plan.then_some(block),
+        }
     }
 
     /// Sparse matrix–vector product `y = A x`.
@@ -664,7 +741,8 @@ mod tests {
         }
         coo.push(4, 4, 1.0);
         let a = coo.to_csr();
-        let (lower, diag, upper) = a.split_triangles();
+        let Split { lower, diag, upper, block } = a.split_triangles();
+        assert_eq!(block, None, "row 6 spans every block");
         assert_eq!(diag, a.diagonal());
         assert_eq!(&diag[..7], &[4.0, 0.0, 0.0, 0.0, 1.0, 0.0, 7.0]);
         for r in 0..n {

@@ -12,7 +12,10 @@
 //! [`CooMatrix::to_csr`] must match the first bit for bit wherever that one
 //! is well defined and sum duplicates in push order everywhere;
 //! [`SsorPreconditioner`] must match the second bit for bit, one vector at
-//! a time and in blocks of any width, on any pool.
+//! a time and in blocks of any width, on any pool. Its operators include
+//! the `ssor_fixtures` family: grid operators whose sweeps take the
+//! wavefront schedule (depths 1 to 9, a fixed side face, a short last
+//! block) and operators whose sweeps keep the natural order.
 //!
 //! The block kernels block CG runs on are checked against the per-column
 //! kernels they stand for, bit for bit, on 1-, 2- and 4-thread pools:
@@ -34,6 +37,8 @@ use deepoheat_parallel::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod ssor_fixtures;
 
 #[cfg(miri)]
 const CASES: u32 = 2;
@@ -194,69 +199,19 @@ fn random_spd(n: usize, per_row: usize, seed: u64) -> CsrMatrix {
     coo.to_csr()
 }
 
-/// A finite-volume heat operator on a `GRID` mesh with random
-/// conductivities, assembled like `deepoheat-fdm`: four pushes per link in
-/// k-j-i order, the top face held at a fixed temperature (its rows
-/// eliminated, so its neighbours keep only their diagonal share), and a
-/// convective bottom face adding to the diagonal.
+/// A finite-volume heat operator on a `GRID` mesh (see
+/// [`ssor_fixtures::grid_operator`]) with its top face held at a fixed
+/// temperature.
 fn fdm_like_operator(seed: u64) -> CsrMatrix {
-    let (nx, ny, nz) = GRID;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let index = |i: usize, j: usize, k: usize| (k * ny + j) * nx + i;
-    let conductivity: Vec<f64> = (0..nx * ny * nz).map(|_| rng.gen_range(0.1..150.0)).collect();
-    let mut free = vec![None; nx * ny * nz];
-    let mut n_free = 0;
-    for k in 0..nz - 1 {
-        for j in 0..ny {
-            for i in 0..nx {
-                free[index(i, j, k)] = Some(n_free);
-                n_free += 1;
-            }
-        }
-    }
-    let mut coo = CooMatrix::new(n_free, n_free);
-    for k in 0..nz {
-        for j in 0..ny {
-            for i in 0..nx {
-                let a = index(i, j, k);
-                let neighbours = [
-                    (i + 1 < nx).then(|| (index(i + 1, j, k), 0.7)),
-                    (j + 1 < ny).then(|| (index(i, j + 1, k), 1.1)),
-                    (k + 1 < nz).then(|| (index(i, j, k + 1), 3.0)),
-                ];
-                for (b, geometry) in neighbours.into_iter().flatten() {
-                    let (ka, kb) = (conductivity[a], conductivity[b]);
-                    let g = 2.0 * ka * kb / (ka + kb) * geometry;
-                    match (free[a], free[b]) {
-                        (Some(ra), Some(rb)) => {
-                            coo.push(ra, ra, g);
-                            coo.push(rb, rb, g);
-                            coo.push(ra, rb, -g);
-                            coo.push(rb, ra, -g);
-                        }
-                        (Some(ra), None) => coo.push(ra, ra, g),
-                        (None, Some(rb)) => coo.push(rb, rb, g),
-                        (None, None) => {}
-                    }
-                }
-            }
-        }
-    }
-    for j in 0..ny {
-        for i in 0..nx {
-            if let Some(row) = free[index(i, j, 0)] {
-                coo.push(row, row, 0.05);
-            }
-        }
-    }
-    coo.to_csr()
+    let nz = GRID.2;
+    ssor_fixtures::grid_operator(GRID, |_, _, k| k == nz - 1, seed)
 }
 
 fn random_vector(n: usize, rng: &mut StdRng) -> Vec<f64> {
     (0..n).map(|_| value(rng)).collect()
 }
 
-fn assert_apply_matches_reference(a: &CsrMatrix, omega: f64, seed: u64) {
+fn assert_apply_matches_reference(a: &CsrMatrix, omega: f64, seed: u64, what: &str) {
     let ssor = SsorPreconditioner::new(a, omega).expect("SPD fixture");
     let reference = ReferenceSsor::new(a, omega);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -268,7 +223,11 @@ fn assert_apply_matches_reference(a: &CsrMatrix, omega: f64, seed: u64) {
         let mut want = vec![0.0; n];
         ssor.apply(&r, &mut got);
         reference.apply(&r, &mut want);
-        assert_eq!(bits(&got), bits(&want), "split SSOR diverged from the full-row reference");
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{what}: split SSOR diverged from the full-row reference"
+        );
     }
 }
 
@@ -305,14 +264,14 @@ proptest! {
     fn split_ssor_matches_full_row_reference_on_random_spd(
         n in 1usize..60, per_row in 0usize..5, omega in 0.2f64..1.9, seed in 0u64..1 << 48
     ) {
-        assert_apply_matches_reference(&random_spd(n, per_row, seed), omega, seed ^ 1);
+        assert_apply_matches_reference(&random_spd(n, per_row, seed), omega, seed ^ 1, "random SPD");
     }
 
     #[test]
     fn split_ssor_matches_full_row_reference_on_fdm_operator(
         omega in 0.2f64..1.9, seed in 0u64..1 << 48
     ) {
-        assert_apply_matches_reference(&fdm_like_operator(seed), omega, seed ^ 2);
+        assert_apply_matches_reference(&fdm_like_operator(seed), omega, seed ^ 2, "fdm operator");
     }
 }
 
@@ -424,6 +383,42 @@ fn block_cg_with_ssor_matches_an_apply_only_preconditioner() {
         assert_eq!(blocked.columns, per_row.columns);
         assert_eq!(blocked.iterations, per_row.iterations);
         assert_eq!(blocked.trace, per_row.trace);
+    }
+}
+
+#[test]
+fn ssor_matches_the_full_row_reference_on_every_plan_fixture() {
+    // The grid family takes the wavefront schedule and the rest the
+    // natural order; `cg::tests` checks which fixture takes which.
+    for (case, fixture) in ssor_fixtures::fixtures().into_iter().enumerate() {
+        let a = &fixture.matrix;
+        let what = format!("{} (plan {:?})", fixture.name, fixture.block);
+        let ssor = SsorPreconditioner::new(a, 1.3).expect("SPD fixture");
+        let reference = ReferenceSsor::new(a, 1.3);
+        let n = a.rows();
+        on_each_pool(|threads| {
+            assert_apply_matches_reference(
+                a,
+                1.3,
+                case as u64,
+                &format!("{what}, {threads} threads"),
+            );
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            for &width in &BLOCK_ROWS {
+                let r = Matrix::from_fn(width, n, |_, _| value(&mut rng));
+                let mut z = Matrix::filled(width, n, f64::NAN);
+                ssor.apply_rows(&r, &mut z);
+                for i in 0..width {
+                    let mut want = vec![0.0; n];
+                    reference.apply(r.row(i), &mut want);
+                    assert_eq!(
+                        bits(z.row(i)),
+                        bits(&want),
+                        "{what}: width {width}, row {i} on {threads} threads"
+                    );
+                }
+            }
+        });
     }
 }
 
