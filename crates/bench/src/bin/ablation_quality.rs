@@ -34,7 +34,7 @@ fn evaluate(
     let mut pape_max: f64 = 0.0;
     let suite = paper_test_suite(20);
     for (_, map) in &suite {
-        let errors = experiment.evaluate_units(&map.to_grid(21))?;
+        let errors = experiment.evaluate(&map.to_grid(21))?;
         mape_sum += errors.mape;
         pape_max = pape_max.max(errors.pape);
     }

@@ -60,10 +60,10 @@ fn run() -> Result<(), BenchError> {
 
     std::fs::create_dir_all(&out_dir)?;
     for (case, (htc_top, htc_bottom)) in [("case1", (1000.0, 333.33)), ("case2", (500.0, 500.0))] {
-        let errors = experiment.evaluate(htc_top, htc_bottom)?;
-        let reference = experiment.reference_field(htc_top, htc_bottom)?;
-        let predicted = experiment.predict_field(htc_top, htc_bottom)?;
-        let chip = experiment.reference_chip(htc_top, htc_bottom)?;
+        let errors = experiment.evaluate(&(htc_top, htc_bottom))?;
+        let reference = experiment.reference_field(&(htc_top, htc_bottom))?;
+        let predicted = experiment.predict_field(&(htc_top, htc_bottom))?;
+        let chip = experiment.reference_chip(&(htc_top, htc_bottom))?;
         let grid = *chip.grid();
 
         let fold = |f: &[f64]| {

@@ -16,14 +16,12 @@
 //! (the CI job uploads this file as an artifact). `DEEPOHEAT_NUM_THREADS`
 //! overrides the pool width of the "pool" column.
 
-use std::time::Instant;
-
 use deepoheat::experiments::{
     HtcExperiment, HtcExperimentConfig, PowerMapExperiment, PowerMapExperimentConfig, Trainable,
     VolumetricExperiment, VolumetricExperimentConfig,
 };
 use deepoheat_autodiff::Activation;
-use deepoheat_bench::{init_telemetry, run_or_exit, Args, BenchError};
+use deepoheat_bench::{init_telemetry, run_or_exit, time_median, Args, BenchError};
 use deepoheat_fdm::{BoundaryCondition, Face, FluxMap, HeatProblem, SolveOptions, StructuredGrid};
 use deepoheat_linalg::{
     conjugate_gradient, dot, CgOptions, CooMatrix, JacobiPreconditioner, Matrix,
@@ -35,25 +33,6 @@ use rand::SeedableRng;
 
 fn main() {
     run_or_exit("parallel", run);
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Median wall-clock of `repeats` runs of `f`.
-fn time_median<F>(repeats: usize, mut f: F) -> Result<f64, BenchError>
-where
-    F: FnMut() -> Result<(), BenchError>,
-{
-    let mut samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let t = Instant::now();
-        f()?;
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    Ok(median(samples))
 }
 
 /// Records one serial-vs-pool comparison as telemetry gauges and a table

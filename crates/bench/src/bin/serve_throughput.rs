@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use deepoheat::{DeepOHeat, DeepOHeatConfig};
-use deepoheat_bench::{init_telemetry, run_or_exit, Args, BenchError};
+use deepoheat_bench::{init_telemetry, median, run_or_exit, time_median, Args, BenchError};
 use deepoheat_linalg::Matrix;
 use deepoheat_parallel as parallel;
 use deepoheat_serve::{
@@ -43,25 +43,6 @@ use rand::SeedableRng;
 
 fn main() {
     run_or_exit("serve", run);
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Median wall-clock of `repeats` runs of `f`.
-fn time_median<F>(repeats: usize, mut f: F) -> Result<f64, BenchError>
-where
-    F: FnMut() -> Result<(), BenchError>,
-{
-    let mut samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let t = Instant::now();
-        f()?;
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    Ok(median(samples))
 }
 
 /// A paper-scale surrogate: 21×21 power-map sensors through the §IV.A
@@ -162,7 +143,7 @@ fn run() -> Result<(), BenchError> {
             samples.push(t.elapsed().as_secs_f64());
             drop(fresh);
         }
-        median(samples)
+        median(samples)?
     };
 
     // --- 3 · batched, warm cache (combine only) ----------------------------

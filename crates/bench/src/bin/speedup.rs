@@ -23,32 +23,12 @@
 //!    configurations, so the marginal cost per design collapses — which
 //!    is exactly the thermal-optimisation workload the paper motivates.
 
-use std::time::Instant;
-
 use deepoheat::experiments::{
     HtcExperiment, HtcExperimentConfig, PowerMapExperiment, PowerMapExperimentConfig,
 };
-use deepoheat_bench::{init_telemetry, run_or_exit, Args, BenchError};
+use deepoheat_bench::{init_telemetry, run_or_exit, time_median, Args, BenchError};
 use deepoheat_linalg::Matrix;
 use deepoheat_telemetry as telemetry;
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn time_median<F>(repeats: usize, mut f: F) -> Result<f64, BenchError>
-where
-    F: FnMut() -> Result<(), BenchError>,
-{
-    let mut samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let t = Instant::now();
-        f()?;
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    Ok(median(samples))
-}
 
 fn main() {
     run_or_exit("speedup", run);
@@ -112,19 +92,18 @@ fn run() -> Result<(), BenchError> {
     let mut htc = HtcExperiment::new(HtcExperimentConfig::default().supervised(10))?;
     htc.run(train, train.max(1), |_| {})?;
     let solve = time_median(repeats, || {
-        htc.reference_field(700.0, 450.0)?;
+        htc.reference_field(&(700.0, 450.0))?;
         Ok(())
     })?;
     let infer = time_median(repeats.max(15), || {
-        htc.predict_field(700.0, 450.0)?;
+        htc.predict_field(&(700.0, 450.0))?;
         Ok(())
     })?;
     let h_top = Matrix::from_fn(batch, 1, |i, _| 0.4 + 0.01 * i as f64);
     let h_bot = Matrix::from_fn(batch, 1, |i, _| 0.9 - 0.01 * i as f64);
-    let chip = htc.reference_chip(500.0, 500.0)?;
-    let htc_coords = chip.grid().node_positions_normalized();
+    let htc_coords = htc.eval_coords();
     let infer_batch = time_median(repeats.max(15), || {
-        htc.model().predict(&[&h_top, &h_bot], &htc_coords)?;
+        htc.model().predict(&[&h_top, &h_bot], htc_coords)?;
         Ok(())
     })?;
 

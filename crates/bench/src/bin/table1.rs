@@ -75,7 +75,7 @@ fn run() -> Result<(), BenchError> {
     let mut header = String::from("            ");
     for (name, map) in &suite {
         let grid_map = map.to_grid(21);
-        let errors = experiment.evaluate_units(&grid_map)?;
+        let errors = experiment.evaluate(&grid_map)?;
         telemetry::event(
             "bench.table1.result",
             &[

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use deepoheat_bench::{init_telemetry, run_or_exit, Args, BenchError};
+use deepoheat_bench::{init_telemetry, median, run_or_exit, Args, BenchError};
 use deepoheat_telemetry as telemetry;
 
 fn main() {
@@ -88,11 +88,6 @@ fn time_loop(
     Ok(t.elapsed().as_secs_f64())
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 /// Measures the instrumentation overhead fraction. Host noise (CPU
 /// frequency shifts, scheduler steal in shared containers) swamps the
 /// sub-microsecond cost under test if the two sides are timed in long
@@ -119,7 +114,7 @@ fn measure_overhead(
         instr.push(instr_secs);
         fractions.push(if bare_secs > 0.0 { (instr_secs - bare_secs) / bare_secs } else { 0.0 });
     }
-    Ok((median(fractions), median(bare), median(instr)))
+    Ok((median(fractions)?, median(bare)?, median(instr)?))
 }
 
 fn run() -> Result<(), BenchError> {

@@ -1,6 +1,6 @@
 #![deny(unsafe_code)]
-//! Shared helpers for the experiment-regeneration binaries and Criterion
-//! benches of the DeepOHeat reproduction.
+//! Shared helpers for the experiment-regeneration and measurement binaries
+//! of the DeepOHeat reproduction.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md §5 for the experiment index):
@@ -14,6 +14,7 @@
 //! | `speedup` | §V.A.7 / §V.B speedup comparison |
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Boxed error type shared by the harness binaries' fallible bodies.
 pub type BenchError = Box<dyn std::error::Error>;
@@ -28,6 +29,38 @@ pub fn run_or_exit(name: &str, body: impl FnOnce() -> Result<(), BenchError>) {
         eprintln!("{name}: error: {err}");
         std::process::exit(1);
     }
+}
+
+/// The upper median of `samples`: the middle sample after sorting, the
+/// upper of the two middle ones for an even count.
+///
+/// # Errors
+///
+/// Returns an error when `samples` is empty.
+pub fn median(mut samples: Vec<f64>) -> Result<f64, BenchError> {
+    samples.sort_by(f64::total_cmp);
+    samples
+        .get(samples.len() / 2)
+        .copied()
+        .ok_or_else(|| "no samples to take the median of: the repeat count must be positive".into())
+}
+
+/// The median wall-clock seconds of `repeats` runs of `f`.
+///
+/// # Errors
+///
+/// Propagates the first error of `f`, and fails when `repeats` is zero.
+pub fn time_median<F>(repeats: usize, mut f: F) -> Result<f64, BenchError>
+where
+    F: FnMut() -> Result<(), BenchError>,
+{
+    let mut samples = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let t = Instant::now();
+        f()?;
+        samples.push(t.elapsed().as_secs_f64());
+    }
+    median(samples)
 }
 
 /// Minimal `--key value` / `--flag` argument parser for the harness
@@ -268,6 +301,24 @@ mod tests {
     fn trailing_flag_is_a_flag() {
         let a = Args::from_iter(["--verbose"].iter().map(|s| s.to_string()));
         assert!(a.flag("verbose"));
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle_sample() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]).unwrap(), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]).unwrap(), 3.0);
+    }
+
+    #[test]
+    fn median_of_zero_samples_is_an_error() {
+        assert!(median(Vec::new()).is_err());
+        let mut runs = 0;
+        assert!(time_median(0, || {
+            runs += 1;
+            Ok(())
+        })
+        .is_err());
+        assert_eq!(runs, 0);
     }
 
     #[test]

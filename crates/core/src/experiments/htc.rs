@@ -8,23 +8,23 @@
 //! random collocation points (the paper's mesh-free style); the sides are
 //! adiabatic and `k = 0.1 W/mK`, `T_amb = 298.15 K` as in §V.A.
 
-use deepoheat_autodiff::{Activation, Graph};
-use deepoheat_chip::{sample_face_points, sample_volume_points, Chip, Layer};
-use deepoheat_fdm::{BoundaryCondition, Face, SolveOptions};
-use deepoheat_linalg::Matrix;
-use deepoheat_nn::{Adam, AdamConfig, LrSchedule};
-use deepoheat_telemetry as telemetry;
-use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
-use crate::checkpoint::{self, CheckpointError, TrainingSnapshot};
+use deepoheat_autodiff::Activation;
+use deepoheat_chip::{Chip, Layer};
+use deepoheat_fdm::{BoundaryCondition, Face};
+use deepoheat_linalg::Matrix;
+use deepoheat_nn::LrSchedule;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+use crate::experiments::experiment::{pde_weight, settings};
 use crate::experiments::{
-    check_snapshot_model, run_training_loop, LossWeights, SupervisedDataset, Trainable,
-    TrainingMode, TrainingRecord, DATASET_SEED_SALT,
+    Coefficient, Experiment, LossWeights, Points, Residual, Scenario, Settings, Source, Term,
+    TrainingMode,
 };
-use crate::metrics::FieldErrors;
-use crate::physics::{self, HtcInput, PhysicsScales, ResidualKind};
-use crate::resilience::{self, ResilienceConfig, ResilienceError, ResilientReport};
-use crate::{DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
+use crate::physics::PhysicsScales;
+use crate::{DeepOHeatError, FourierConfig};
 
 /// Normalisation constant for HTC branch inputs: coefficients are divided
 /// by this before entering the branch nets so the inputs sit in
@@ -170,523 +170,119 @@ impl HtcExperimentConfig {
 
 /// The §V.B experiment: dual-input DeepOHeat over the HTC square.
 ///
-/// # Examples
-///
 /// ```no_run
 /// use deepoheat::experiments::{HtcExperiment, HtcExperimentConfig};
 ///
 /// let mut exp = HtcExperiment::new(HtcExperimentConfig::default())?;
 /// exp.run(1000, 100, |r| eprintln!("iter {} loss {:.3e}", r.iteration, r.loss))?;
-/// // The paper's two test cases.
-/// for (top, bottom) in [(1000.0, 333.33), (500.0, 500.0)] {
-///     let errors = exp.evaluate(top, bottom)?;
-///     println!("({top}, {bottom}): MAPE {:.3}% PAPE {:.3}%", errors.mape, errors.pape);
-/// }
+/// let errors = exp.evaluate(&(1000.0, 333.33))?; // (top, bottom), one of the paper's cases
 /// # Ok::<(), deepoheat::DeepOHeatError>(())
 /// ```
+pub type HtcExperiment = Experiment<Htc>;
+
+/// The §V.B scenario: the three-layer stack with its powered middle
+/// layer, whose designs are `(htc_top, htc_bottom)` pairs in W/m²K.
 #[derive(Debug)]
-pub struct HtcExperiment {
+pub struct Htc {
     config: HtcExperimentConfig,
-    model: DeepOHeat,
-    adam: Adam,
-    scales: PhysicsScales,
-    rng: rand::rngs::StdRng,
-    iteration: usize,
-    eval_coords: Matrix,
-    dataset: Option<SupervisedDataset>,
+    chip: Chip,
 }
 
-impl HtcExperiment {
-    /// Builds the experiment with a freshly initialised dual-branch model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors.
-    pub fn new(config: HtcExperimentConfig) -> Result<Self, DeepOHeatError> {
-        let (lo, hi) = config.htc_range;
+impl Scenario for Htc {
+    type Config = HtcExperimentConfig;
+    type Input = (f64, f64);
+
+    fn new(config: HtcExperimentConfig) -> Result<Self, DeepOHeatError> {
+        let c = &config;
+        let (lo, hi) = c.htc_range;
         if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi) {
-            return Err(DeepOHeatError::InvalidConfig {
-                what: format!("htc range must satisfy 0 < lo < hi, got ({lo}, {hi})"),
-            });
+            let what = format!("htc range must satisfy 0 < lo < hi, got ({lo}, {hi})");
+            return Err(DeepOHeatError::InvalidConfig { what });
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let mut model_cfg = DeepOHeatConfig::single_branch(
-            1,
-            &config.branch_hidden,
-            &config.trunk_hidden,
-            config.latent_dim,
-        )
-        .add_branch(1, &config.branch_hidden)
-        .with_output_transform(config.ambient, config.delta_t)
-        .with_trunk_activation(config.activation);
-        model_cfg.branches[0].activation = config.activation;
-        model_cfg.branches[1].activation = config.activation;
-        model_cfg.fourier = config.fourier;
-        let model = DeepOHeat::new(&model_cfg, &mut rng)?;
-        let scales = PhysicsScales::new(
-            config.conductivity,
-            config.delta_t,
-            [config.lx, config.ly, config.lz()],
-        )?;
-        let adam = Adam::new(AdamConfig::with_schedule(config.schedule));
-        let mut exp = HtcExperiment {
-            config,
-            model,
-            adam,
-            scales,
-            rng,
-            iteration: 0,
-            eval_coords: Matrix::zeros(1, 3),
-            dataset: None,
-        };
-        exp.eval_coords = exp.reference_chip(500.0, 500.0)?.grid().node_positions_normalized();
-        Ok(exp)
-    }
-
-    /// The experiment configuration.
-    pub fn config(&self) -> &HtcExperimentConfig {
-        &self.config
-    }
-
-    /// The trained (or in-training) surrogate.
-    pub fn model(&self) -> &DeepOHeat {
-        &self.model
-    }
-
-    /// Number of training iterations performed so far.
-    pub fn iterations_done(&self) -> usize {
-        self.iteration
-    }
-
-    /// Builds the nondimensional PDE source row for a set of normalized
-    /// points: the power-layer density where `z` falls inside the layer,
-    /// zero elsewhere (shared by every configuration in the batch).
-    fn source_row(&self, points: &Matrix) -> Matrix {
-        let (z0, z1) = self.config.power_layer_bounds();
-        let density = self.config.power_density();
-        Matrix::from_fn(1, points.rows(), |_, p| {
-            let z = points[(p, 2)];
-            if (z0..=z1).contains(&z) {
-                density
-            } else {
-                0.0
-            }
-        })
-    }
-
-    /// Runs one training step in the configured [`TrainingMode`],
-    /// returning the loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph/optimiser errors; reports
-    /// [`DeepOHeatError::Diverged`] on a non-finite loss.
-    pub fn train_step(&mut self) -> Result<f64, DeepOHeatError> {
-        let _span = telemetry::span("train.step");
-        match self.config.mode {
-            TrainingMode::PhysicsInformed => self.physics_step(),
-            TrainingMode::Supervised { dataset_size } => self.supervised_step(dataset_size),
-        }
-    }
-
-    /// Builds the supervised dataset on first use: `dataset_size` HTC
-    /// pairs solved by the reference solver, targets stored as θ fields.
-    fn ensure_dataset(&mut self, dataset_size: usize) -> Result<(), DeepOHeatError> {
-        if self.dataset.is_some() {
-            return Ok(());
-        }
-        if dataset_size == 0 {
-            return Err(DeepOHeatError::InvalidConfig {
-                what: "supervised mode needs a non-empty dataset".into(),
-            });
-        }
-        // A dedicated RNG keeps dataset construction off the training
-        // stream, so a resumed run rebuilds the identical dataset without
-        // perturbing the checkpointed RNG state.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed ^ DATASET_SEED_SALT);
-        let (lo, hi) = self.config.htc_range;
-        let mut top = Matrix::zeros(dataset_size, 1);
-        let mut bottom = Matrix::zeros(dataset_size, 1);
-        let mut targets = Matrix::zeros(dataset_size, self.eval_coords.rows());
-        for s in 0..dataset_size {
-            let ht = rng.gen_range(lo..=hi);
-            let hb = rng.gen_range(lo..=hi);
-            top[(s, 0)] = ht / HTC_INPUT_SCALE;
-            bottom[(s, 0)] = hb / HTC_INPUT_SCALE;
-            let field = self.reference_field(ht, hb)?;
-            for (t, f) in targets.row_mut(s).iter_mut().zip(&field) {
-                *t = (f - self.config.ambient) / self.config.delta_t;
-            }
-        }
-        self.dataset = Some(SupervisedDataset { inputs: vec![top, bottom], targets });
-        Ok(())
-    }
-
-    /// One data-driven step: MSE against reference θ fields on a
-    /// minibatch of HTC pairs × points.
-    fn supervised_step(&mut self, dataset_size: usize) -> Result<f64, DeepOHeatError> {
-        self.ensure_dataset(dataset_size)?;
-        let n_funcs = self.config.functions_per_batch;
-        let n_points = self.config.volume_points;
-        let dataset =
-            self.dataset.as_ref().expect("invariant: ensure_dataset ran at the top of this method");
-        let (inputs, cols, targets) = dataset.minibatch(n_funcs, n_points, &mut self.rng);
-
-        let mut graph = Graph::new();
-        let bound = self.model.bind(&mut graph);
-        let branch = bound.branch_product(&mut graph, &inputs)?;
-        let phi = bound.trunk_features(&mut graph, &self.eval_coords.select_rows(&cols))?;
-        let theta = bound.combine(&mut graph, branch, phi)?;
-        let target_leaf = graph.leaf(targets, false);
-        let total = graph.mse(theta, target_leaf)?;
-
-        let loss = graph.scalar(total);
-        if !loss.is_finite() {
-            return Err(DeepOHeatError::Diverged { iteration: self.iteration });
-        }
-        if telemetry::is_enabled() {
-            telemetry::event(
-                "train.step",
-                &[
-                    ("iteration", self.iteration.into()),
-                    ("loss", loss.into()),
-                    ("l_mse", loss.into()),
-                ],
-            );
-        }
-        let grads = graph.backward(total)?;
-        self.adam.step_model(&mut self.model, &bound, &grads)?;
-        self.iteration += 1;
-        telemetry::counter("train.steps.count", 1);
-        Ok(loss)
-    }
-
-    /// One self-supervised step on the physics residuals.
-    fn physics_step(&mut self) -> Result<f64, DeepOHeatError> {
-        let n = self.config.functions_per_batch;
-        let (lo, hi) = self.config.htc_range;
-        let htc_top = Matrix::from_fn(n, 1, |_, _| self.rng.gen_range(lo..=hi));
-        let htc_bottom = Matrix::from_fn(n, 1, |_, _| self.rng.gen_range(lo..=hi));
-
-        let mut volume = sample_volume_points(self.config.volume_points, &mut self.rng);
-        if self.config.power_layer_points > 0 {
-            let (z0, z1) = self.config.power_layer_bounds();
-            let layer_pts = Matrix::from_fn(self.config.power_layer_points, 3, |_, c| {
-                if c == 2 {
-                    self.rng.gen_range(z0..=z1)
-                } else {
-                    self.rng.gen_range(0.0..=1.0)
-                }
-            });
-            volume = volume.vcat(&layer_pts)?;
-        }
-        let top_pts = sample_face_points(Face::ZMax, self.config.face_points, &mut self.rng);
-        let bottom_pts = sample_face_points(Face::ZMin, self.config.face_points, &mut self.rng);
-        let mut x_sides =
-            sample_face_points(Face::XMin, self.config.face_points / 2 + 1, &mut self.rng);
-        x_sides = x_sides.vcat(&sample_face_points(
-            Face::XMax,
-            self.config.face_points / 2 + 1,
-            &mut self.rng,
-        ))?;
-        let mut y_sides =
-            sample_face_points(Face::YMin, self.config.face_points / 2 + 1, &mut self.rng);
-        y_sides = y_sides.vcat(&sample_face_points(
-            Face::YMax,
-            self.config.face_points / 2 + 1,
-            &mut self.rng,
-        ))?;
-
-        // Replicate the shared source row across the batch.
-        let source_row = self.source_row(&volume);
-        let source = Matrix::from_fn(n, volume.rows(), |_, p| source_row[(0, p)]);
-
-        let weights = self.config.loss_weights;
-        let mut graph = Graph::new();
-        let bound = self.model.bind(&mut graph);
-        let branch = bound.branch_product(
-            &mut graph,
-            &[htc_top.scaled(1.0 / HTC_INPUT_SCALE), htc_bottom.scaled(1.0 / HTC_INPUT_SCALE)],
-        )?;
-
-        // Interior PDE with the layered source.
-        let t_jet = bound.residual_jet(&mut graph, branch, &volume, ResidualKind::Pde)?;
-        let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, Some(&source))?;
-        let l_pde = graph.mean_square(r)?;
-
-        // Convection with per-configuration coefficients, top and bottom.
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &top_pts, ResidualKind::Face(Face::ZMax))?;
-        let r = physics::convection_residual(
-            &mut graph,
-            &t_jet,
-            Face::ZMax,
-            &self.scales,
-            &HtcInput::PerConfiguration(htc_top.clone()),
-        )?;
-        let l_top = graph.mean_square(r)?;
-
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &bottom_pts, ResidualKind::Face(Face::ZMin))?;
-        let r = physics::convection_residual(
-            &mut graph,
-            &t_jet,
-            Face::ZMin,
-            &self.scales,
-            &HtcInput::PerConfiguration(htc_bottom.clone()),
-        )?;
-        let l_bottom = graph.mean_square(r)?;
-
-        // Adiabatic sides.
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &x_sides, ResidualKind::Face(Face::XMin))?;
-        let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::XMin)?;
-        let l_adia_x = graph.mean_square(r)?;
-
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &y_sides, ResidualKind::Face(Face::YMin))?;
-        let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::YMin)?;
-        let l_adia_y = graph.mean_square(r)?;
-
-        // The nondimensional source is O(100) for the paper's power
-        // density; normalising the PDE term by its square keeps the five
-        // loss terms comparably scaled so none is ignored early on.
-        let source_scale =
-            (self.config.power_density() * self.scales.source_coefficient()).max(1.0);
-        let mut total = graph.scale(l_pde, weights.pde / (source_scale * source_scale))?;
-        for (term, w) in [
-            (l_top, weights.convection),
-            (l_bottom, weights.convection),
-            (l_adia_x, weights.adiabatic),
-            (l_adia_y, weights.adiabatic),
-        ] {
-            let scaled = graph.scale(term, w)?;
-            total = graph.add(total, scaled)?;
-        }
-
-        let loss = graph.scalar(total);
-        if !loss.is_finite() {
-            return Err(DeepOHeatError::Diverged { iteration: self.iteration });
-        }
-        if telemetry::is_enabled() {
-            telemetry::event(
-                "train.step",
-                &[
-                    ("iteration", self.iteration.into()),
-                    ("loss", loss.into()),
-                    ("l_pde", graph.scalar(l_pde).into()),
-                    ("l_top", graph.scalar(l_top).into()),
-                    ("l_bottom", graph.scalar(l_bottom).into()),
-                    ("l_adia_x", graph.scalar(l_adia_x).into()),
-                    ("l_adia_y", graph.scalar(l_adia_y).into()),
-                ],
-            );
-        }
-        let grads = graph.backward(total)?;
-        self.adam.step_model(&mut self.model, &bound, &grads)?;
-        self.iteration += 1;
-        telemetry::counter("train.steps.count", 1);
-        Ok(loss)
-    }
-
-    /// Trains for `iterations` steps, logging every `log_every` steps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training-step errors.
-    pub fn run<F>(
-        &mut self,
-        iterations: usize,
-        log_every: usize,
-        progress: F,
-    ) -> Result<Vec<TrainingRecord>, DeepOHeatError>
-    where
-        F: FnMut(&TrainingRecord),
-    {
-        run_training_loop(self, iterations, log_every, progress)
-    }
-
-    /// Trains under the divergence guard and checkpoint cadence of
-    /// [`crate::resilience::run_resilient`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::resilience::run_resilient`].
-    pub fn run_with_checkpoints<F>(
-        &mut self,
-        iterations: usize,
-        log_every: usize,
-        config: &ResilienceConfig,
-        progress: F,
-    ) -> Result<ResilientReport, ResilienceError>
-    where
-        F: FnMut(&TrainingRecord),
-    {
-        resilience::run_resilient(self, iterations, log_every, config, progress)
-    }
-
-    /// Writes the current training state to `path` (atomically).
-    ///
-    /// # Errors
-    ///
-    /// As [`checkpoint::save_to_path`].
-    pub fn save_checkpoint<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-    ) -> Result<(), CheckpointError> {
-        checkpoint::save_to_path(&Trainable::snapshot(self), path)
-    }
-
-    /// Restores training state from a checkpoint file, returning the
-    /// iteration the run resumes from. The subsequent trajectory is
-    /// bit-identical to the uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// As [`checkpoint::load_from_path`], plus a
-    /// [`CheckpointError::Model`] when the checkpointed state does not fit
-    /// this experiment.
-    pub fn resume_from<P: AsRef<std::path::Path>>(
-        &mut self,
-        path: P,
-    ) -> Result<usize, CheckpointError> {
-        let snapshot = checkpoint::load_from_path(path)?;
-        Trainable::restore(self, &snapshot)
-            .map_err(|e| CheckpointError::Model(crate::model_io::ModelIoError::Model(e)))?;
-        Ok(snapshot.iteration)
-    }
-
-    /// Builds the reference chip for a `(htc_top, htc_bottom)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chip construction errors.
-    pub fn reference_chip(&self, htc_top: f64, htc_bottom: f64) -> Result<Chip, DeepOHeatError> {
-        let c = &self.config;
         let footprint = c.lx * c.ly;
         let layers = vec![
             Layer::new(c.bottom_thickness, c.conductivity)?,
             Layer::with_total_power(c.power_thickness, c.conductivity, c.total_power, footprint)?,
             Layer::new(c.top_thickness, c.conductivity)?,
         ];
-        let mut chip = Chip::new(c.lx, c.ly, c.nx, c.nx, c.nz, layers)?;
-        chip.set_boundary(
-            Face::ZMax,
-            BoundaryCondition::Convection { htc: htc_top, ambient: c.ambient },
-        )?;
-        chip.set_boundary(
-            Face::ZMin,
-            BoundaryCondition::Convection { htc: htc_bottom, ambient: c.ambient },
-        )?;
+        let chip = Chip::new(c.lx, c.ly, c.nx, c.nx, c.nz, layers)?;
+        Ok(Htc { config, chip })
+    }
+
+    fn config(&self) -> &HtcExperimentConfig {
+        &self.config
+    }
+
+    fn settings(&self) -> Settings<'_> {
+        let c = &self.config;
+        settings!(c, vec![1, 1], c.volume_points)
+    }
+
+    /// The stack with adiabatic faces; each design sets the top and bottom
+    /// convection.
+    fn chip(&self) -> &Chip {
+        &self.chip
+    }
+
+    /// Interior PDE with the power layer's source, with extra points in the
+    /// layer; per-configuration convection on top and bottom; adiabatic
+    /// sides, grouped by normal axis. All points are mesh-free.
+    fn terms(&self, scales: &PhysicsScales) -> Vec<Term> {
+        let (c, w) = (&self.config, self.config.loss_weights);
+        let faces = |faces: &[Face], count| Points::Faces { faces: faces.to_vec(), count };
+        let (band, density) = (c.power_layer_bounds(), c.power_density());
+        let volume =
+            Points::Volume { count: c.volume_points, band_count: c.power_layer_points, band };
+        let top = faces(&[Face::ZMax], c.face_points);
+        let bottom = faces(&[Face::ZMin], c.face_points);
+        let x_sides = faces(&[Face::XMin, Face::XMax], c.face_points / 2 + 1);
+        let y_sides = faces(&[Face::YMin, Face::YMax], c.face_points / 2 + 1);
+        let source = Residual::Pde(Source::PerPoint { band, density });
+        let convection = |face, k| Residual::Convection(face, Coefficient::Batch(k));
+        vec![
+            Term::new("l_pde", volume, source, pde_weight(w.pde, density, scales)),
+            Term::new("l_top", top, convection(Face::ZMax, 0), w.convection),
+            Term::new("l_bottom", bottom, convection(Face::ZMin, 1), w.convection),
+            Term::new("l_adia_x", x_sides, Residual::Adiabatic(Face::XMin), w.adiabatic),
+            Term::new("l_adia_y", y_sides, Residual::Adiabatic(Face::YMin), w.adiabatic),
+        ]
+    }
+
+    /// One pair, top then bottom.
+    fn draw(&self, rng: &mut StdRng) -> Result<(f64, f64), DeepOHeatError> {
+        let (lo, hi) = self.config.htc_range;
+        Ok((rng.gen_range(lo..=hi), rng.gen_range(lo..=hi)))
+    }
+
+    fn encode(&self, pairs: &[&(f64, f64)]) -> Result<Vec<Matrix>, DeepOHeatError> {
+        Ok(vec![
+            Matrix::from_fn(pairs.len(), 1, |i, _| pairs[i].0 / HTC_INPUT_SCALE),
+            Matrix::from_fn(pairs.len(), 1, |i, _| pairs[i].1 / HTC_INPUT_SCALE),
+        ])
+    }
+
+    fn reference_chip(&self, &(htc_top, htc_bottom): &(f64, f64)) -> Result<Chip, DeepOHeatError> {
+        let ambient = self.config.ambient;
+        let mut chip = self.chip.clone();
+        chip.set_boundary(Face::ZMax, BoundaryCondition::Convection { htc: htc_top, ambient })?;
+        chip.set_boundary(Face::ZMin, BoundaryCondition::Convection { htc: htc_bottom, ambient })?;
         Ok(chip)
     }
 
-    /// Predicts the temperature field (Kelvin) at the reference grid's
-    /// nodes for one HTC pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors.
-    pub fn predict_field(&self, htc_top: f64, htc_bottom: f64) -> Result<Vec<f64>, DeepOHeatError> {
-        let fields = self.predict_fields(&[(htc_top, htc_bottom)])?;
-        Ok(fields.into_iter().next().expect("invariant: one pair in, one field out"))
+    /// All top coefficients, then all bottom ones, as W/m²K columns.
+    fn sample(&self, n: usize, rng: &mut StdRng) -> Result<Vec<Matrix>, DeepOHeatError> {
+        let (lo, hi) = self.config.htc_range;
+        let top = Matrix::from_fn(n, 1, |_, _| rng.gen_range(lo..=hi));
+        let bottom = Matrix::from_fn(n, 1, |_, _| rng.gen_range(lo..=hi));
+        Ok(vec![top, bottom])
     }
 
-    /// Predicts the temperature fields for a batch of `(htc_top,
-    /// htc_bottom)` pairs in one pass: both branch nets run once over all
-    /// pairs (one [`crate::BranchEmbedding`]) and the trunk once over the
-    /// grid — the HTC pairs share the geometry, so the coordinates are
-    /// encoded once at construction instead of per call. Bit-identical to
-    /// calling [`HtcExperiment::predict_field`] per pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors.
-    pub fn predict_fields(&self, pairs: &[(f64, f64)]) -> Result<Vec<Vec<f64>>, DeepOHeatError> {
-        let u1 = Matrix::from_fn(pairs.len(), 1, |i, _| pairs[i].0 / HTC_INPUT_SCALE);
-        let u2 = Matrix::from_fn(pairs.len(), 1, |i, _| pairs[i].1 / HTC_INPUT_SCALE);
-        let embedding = self.model.encode_branches(&[&u1, &u2])?;
-        let basis =
-            self.model.trunk_basis(&self.eval_coords, crate::DEFAULT_TRUNK_CHUNK, &|| false)?;
-        let t = basis.combine(&embedding)?;
-        Ok((0..pairs.len()).map(|i| t.row(i).to_vec()).collect())
-    }
-
-    /// The normalized grid coordinates every prediction is evaluated at
-    /// (`n_points × 3`, flat node order).
-    pub fn eval_coords(&self) -> &Matrix {
-        &self.eval_coords
-    }
-
-    /// Solves one HTC pair with the reference solver.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chip and solver errors.
-    pub fn reference_field(
-        &self,
-        htc_top: f64,
-        htc_bottom: f64,
-    ) -> Result<Vec<f64>, DeepOHeatError> {
-        let chip = self.reference_chip(htc_top, htc_bottom)?;
-        let solution = chip.heat_problem()?.solve(SolveOptions::default())?;
-        Ok(solution.into_temperatures())
-    }
-
-    /// Compares surrogate and reference for one HTC pair (the Fig. 5
-    /// metrics).
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction and solver errors.
-    pub fn evaluate(&self, htc_top: f64, htc_bottom: f64) -> Result<FieldErrors, DeepOHeatError> {
-        let predicted = self.predict_field(htc_top, htc_bottom)?;
-        let reference = self.reference_field(htc_top, htc_bottom)?;
-        FieldErrors::compare(&predicted, &reference)
-    }
-}
-
-impl Trainable for HtcExperiment {
-    fn train_step(&mut self) -> Result<f64, DeepOHeatError> {
-        HtcExperiment::train_step(self)
-    }
-
-    fn iterations_done(&self) -> usize {
-        self.iteration
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.adam.current_learning_rate()
-    }
-
-    fn learning_rate_scale(&self) -> f64 {
-        self.adam.learning_rate_scale()
-    }
-
-    fn set_learning_rate_scale(&mut self, scale: f64) {
-        self.adam.set_learning_rate_scale(scale);
-    }
-
-    fn snapshot(&self) -> TrainingSnapshot {
-        TrainingSnapshot {
-            model: self.model.clone(),
-            adam: self.adam.export_state(),
-            rng: self.rng.state(),
-            iteration: self.iteration,
-        }
-    }
-
-    fn restore(&mut self, snapshot: &TrainingSnapshot) -> Result<(), DeepOHeatError> {
-        check_snapshot_model(&self.model, snapshot)?;
-        self.adam.import_state(snapshot.adam.clone())?;
-        self.model = snapshot.model.clone();
-        self.rng = rand::rngs::StdRng::from_state(snapshot.rng);
-        self.iteration = snapshot.iteration;
-        Ok(())
-    }
-
-    fn model_mut(&mut self) -> &mut DeepOHeat {
-        &mut self.model
+    /// The columns times `1/HTC_INPUT_SCALE`. [`Scenario::encode`] divides
+    /// instead; the two differ in the last bit for about one coefficient in
+    /// seven, and each path keeps the form it has always used, so training
+    /// and prediction stay bit-identical to earlier runs.
+    fn branch_batch<'a>(&self, batch: &'a [Matrix]) -> Cow<'a, [Matrix]> {
+        Cow::Owned(batch.iter().map(|h| h.scaled(1.0 / HTC_INPUT_SCALE)).collect())
     }
 }
 
@@ -740,7 +336,9 @@ mod tests {
             &[0.5, 0.5, 0.9], // above
         ])
         .unwrap();
-        let s = exp.source_row(&pts);
+        let (band, density) = (exp.config().power_layer_bounds(), exp.config().power_density());
+        let source = Source::PerPoint { band, density };
+        let s = source.values(1, &pts, |_| unreachable!("a per-point source")).unwrap();
         assert_eq!(s[(0, 0)], 0.0);
         assert!(s[(0, 1)] > 1e6);
         assert_eq!(s[(0, 2)], 0.0);
@@ -761,7 +359,7 @@ mod tests {
     #[test]
     fn reference_solution_is_physical() {
         let exp = HtcExperiment::new(tiny_config()).unwrap();
-        let field = exp.reference_field(500.0, 500.0).unwrap();
+        let field = exp.reference_field(&(500.0, 500.0)).unwrap();
         let max = field.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let min = field.iter().copied().fold(f64::INFINITY, f64::min);
         // 0.625 mW over two 500 W/m²K films in parallel: mean rise
@@ -774,9 +372,9 @@ mod tests {
     #[test]
     fn prediction_has_reference_grid_shape() {
         let exp = HtcExperiment::new(tiny_config()).unwrap();
-        let pred = exp.predict_field(700.0, 400.0).unwrap();
+        let pred = exp.predict_field(&(700.0, 400.0)).unwrap();
         assert_eq!(pred.len(), 9 * 9 * 12);
-        let errors = exp.evaluate(700.0, 400.0).unwrap();
+        let errors = exp.evaluate(&(700.0, 400.0)).unwrap();
         assert!(errors.mape.is_finite());
     }
 }

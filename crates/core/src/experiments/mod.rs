@@ -1,41 +1,36 @@
-//! Runnable reproductions of the paper's evaluation experiments.
+//! Runnable reproductions of the paper's evaluation experiments. Every
+//! design family trains through one generic [`Experiment`]; a
+//! [`Scenario`] supplies only what differs:
 //!
-//! * [`power_map`] — §V.A: a single-input DeepOHeat learning the map from
-//!   top-surface 2-D power maps to the 3-D temperature field (Table I,
-//!   Fig. 3, Fig. 4).
-//! * [`htc`] — §V.B: a dual-input DeepOHeat learning the joint dependence
-//!   on the top and bottom heat-transfer coefficients (Fig. 5).
+//! * [`power_map`] — §V.A: top-surface 2-D power maps to the 3-D
+//!   temperature field (Table I, Fig. 3, Fig. 4).
+//! * [`htc`] — §V.B: the joint dependence on the top and bottom
+//!   heat-transfer coefficients (Fig. 5).
 //! * [`volumetric`] — extension: 3-D volumetric power maps, the §III
 //!   configuration family the paper's conclusion names as future work.
 //!
-//! Both experiments train *self-supervised* against physics residuals and
-//! evaluate against the `deepoheat-fdm` reference solver. Network sizes
-//! and iteration budgets default to CPU-friendly values; `paper()`
-//! constructors give the full-scale settings from the paper.
+//! The experiments train against physics residuals (or, as a baseline,
+//! reference fields) and evaluate against the `deepoheat-fdm` reference
+//! solver. Defaults are CPU-friendly; `paper()` constructors give the
+//! paper's full-scale settings.
 
+pub mod experiment;
 pub mod htc;
 pub mod power_map;
 pub mod volumetric;
 
-pub use htc::{HtcExperiment, HtcExperimentConfig};
-pub use power_map::{PowerMapExperiment, PowerMapExperimentConfig};
-pub use volumetric::{volumetric_test_suite, VolumetricExperiment, VolumetricExperimentConfig};
-
-use deepoheat_linalg::Matrix;
-use deepoheat_telemetry as telemetry;
-use rand::Rng;
+pub use experiment::{Coefficient, Experiment, Points, Residual, Scenario, Settings, Source, Term};
+pub use htc::{Htc, HtcExperiment, HtcExperimentConfig};
+pub use power_map::{PowerMap, PowerMapExperiment, PowerMapExperimentConfig};
+pub use volumetric::{
+    volumetric_test_suite, Volumetric, VolumetricExperiment, VolumetricExperimentConfig,
+};
 
 use crate::checkpoint::TrainingSnapshot;
 use crate::DeepOHeatError;
 
-/// Seed salt for the dedicated dataset RNG: supervised datasets are drawn
-/// from `seed ^ DATASET_SEED_SALT` instead of the training RNG, so a
-/// resumed process rebuilds the identical dataset without perturbing the
-/// training stream (required for bit-identical resume).
-pub(crate) const DATASET_SEED_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// The uniform training interface shared by all three experiments,
-/// providing everything the resilience layer ([`crate::resilience`] and
+/// The uniform training interface shared by all experiments, providing
+/// everything the resilience layer ([`crate::resilience`] and
 /// [`crate::checkpoint`]) needs: stepping, snapshot/restore, and the
 /// learning-rate backoff knob.
 pub trait Trainable {
@@ -89,102 +84,6 @@ pub trait Trainable {
                 p[(0, 0)] = f64::NAN;
             }
         }
-    }
-}
-
-/// Checks that a snapshot's model is interchangeable with the
-/// experiment's current one (same branch arity and input widths).
-pub(crate) fn check_snapshot_model(
-    current: &crate::DeepOHeat,
-    snapshot: &TrainingSnapshot,
-) -> Result<(), DeepOHeatError> {
-    if snapshot.model.branch_count() != current.branch_count() {
-        return Err(DeepOHeatError::InputMismatch {
-            what: format!(
-                "snapshot model has {} branches, experiment expects {}",
-                snapshot.model.branch_count(),
-                current.branch_count()
-            ),
-        });
-    }
-    for i in 0..current.branch_count() {
-        if snapshot.model.branch_input_dim(i) != current.branch_input_dim(i) {
-            return Err(DeepOHeatError::InputMismatch {
-                what: format!(
-                    "snapshot branch {i} takes {} inputs, experiment expects {}",
-                    snapshot.model.branch_input_dim(i),
-                    current.branch_input_dim(i)
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The shared training loop behind every experiment's `run`: steps,
-/// enforces loss finiteness uniformly, and logs records every `log_every`
-/// steps (and on the final step).
-pub(crate) fn run_training_loop<T, F>(
-    exp: &mut T,
-    iterations: usize,
-    log_every: usize,
-    mut progress: F,
-) -> Result<Vec<TrainingRecord>, DeepOHeatError>
-where
-    T: Trainable + ?Sized,
-    F: FnMut(&TrainingRecord),
-{
-    let mut records = Vec::new();
-    for step in 0..iterations {
-        let lr = exp.learning_rate();
-        let loss = exp.train_step()?;
-        if !loss.is_finite() {
-            // Every step implementation already reports divergence, but the
-            // loop is the single enforcement point for all experiments.
-            return Err(DeepOHeatError::Diverged {
-                iteration: exp.iterations_done().saturating_sub(1),
-            });
-        }
-        if step.is_multiple_of(log_every.max(1)) || step + 1 == iterations {
-            let record =
-                TrainingRecord { iteration: exp.iterations_done() - 1, loss, learning_rate: lr };
-            telemetry::gauge("train.loss", loss);
-            progress(&record);
-            records.push(record);
-        }
-    }
-    Ok(records)
-}
-
-/// A cached supervised training set: branch inputs paired with
-/// nondimensional reference fields at every mesh/grid point.
-#[derive(Debug, Clone)]
-pub(crate) struct SupervisedDataset {
-    /// `n_samples × sensors` branch inputs.
-    pub inputs: Vec<Matrix>,
-    /// `n_samples × n_points` nondimensional target fields.
-    pub targets: Matrix,
-}
-
-impl SupervisedDataset {
-    /// Draws a minibatch: `n_funcs` sample rows × `n_points` point columns
-    /// (with replacement), returning per-branch input batches, the
-    /// selected point indices and the target block.
-    pub fn minibatch<R: Rng + ?Sized>(
-        &self,
-        n_funcs: usize,
-        n_points: usize,
-        rng: &mut R,
-    ) -> (Vec<Matrix>, Vec<usize>, Matrix) {
-        let rows: Vec<usize> =
-            (0..n_funcs).map(|_| rng.gen_range(0..self.targets.rows())).collect();
-        let cols: Vec<usize> = (0..n_points.min(self.targets.cols()))
-            .map(|_| rng.gen_range(0..self.targets.cols()))
-            .collect();
-        let inputs = self.inputs.iter().map(|m| m.select_rows(&rows)).collect();
-        let targets =
-            Matrix::from_fn(rows.len(), cols.len(), |f, p| self.targets[(rows[f], cols[p])]);
-        (inputs, cols, targets)
     }
 }
 

@@ -7,24 +7,21 @@
 //! (`h = 500 W/m²K`, `T_amb = 298.15 K`, `k = 0.1 W/mK`). Training is
 //! purely physics-informed on the 21 × 21 × 11 mesh.
 
-use deepoheat_autodiff::{Activation, Graph};
+use deepoheat_autodiff::Activation;
 use deepoheat_chip::{Chip, MeshPartition};
-use deepoheat_fdm::{BoundaryCondition, Face, SolveOptions};
+use deepoheat_fdm::{BoundaryCondition, Face};
 use deepoheat_grf::GaussianRandomField;
 use deepoheat_linalg::Matrix;
-use deepoheat_nn::{Adam, AdamConfig, LrSchedule};
-use deepoheat_telemetry as telemetry;
-use rand::{Rng, SeedableRng};
+use deepoheat_nn::LrSchedule;
+use rand::rngs::StdRng;
 
-use crate::checkpoint::{self, CheckpointError, TrainingSnapshot};
+use crate::experiments::experiment::settings;
 use crate::experiments::{
-    check_snapshot_model, run_training_loop, LossWeights, SupervisedDataset, Trainable,
-    TrainingMode, TrainingRecord, DATASET_SEED_SALT,
+    Coefficient, Experiment, LossWeights, Points, Residual, Scenario, Settings, Source, Term,
+    TrainingMode,
 };
-use crate::metrics::FieldErrors;
-use crate::physics::{self, HtcInput, PhysicsScales, ResidualKind};
-use crate::resilience::{self, ResilienceConfig, ResilienceError, ResilientReport};
-use crate::{DeepOHeat, DeepOHeatConfig, DeepOHeatError, FourierConfig};
+use crate::physics::PhysicsScales;
+use crate::{DeepOHeatError, FourierConfig};
 
 /// Configuration of the §V.A experiment. `Default` gives CPU-friendly
 /// scaled-down settings; [`PowerMapExperimentConfig::paper`] gives the
@@ -146,550 +143,100 @@ impl PowerMapExperimentConfig {
     }
 }
 
-/// The §V.A experiment: chip, mesh partition, GRF sampler, model and
-/// optimiser, with training, prediction and evaluation entry points.
-///
-/// # Examples
-///
-/// ```no_run
-/// use deepoheat::experiments::{PowerMapExperiment, PowerMapExperimentConfig};
-/// use deepoheat_grf::paper_test_suite;
-///
-/// let mut exp = PowerMapExperiment::new(PowerMapExperimentConfig::default())?;
-/// exp.run(1500, 100, |r| eprintln!("iter {} loss {:.3e}", r.iteration, r.loss))?;
-/// for (name, map) in paper_test_suite(20) {
-///     let errors = exp.evaluate_units(&map.to_grid(21))?;
-///     println!("{name}: MAPE {:.3}% PAPE {:.3}%", errors.mape, errors.pape);
-/// }
-/// # Ok::<(), deepoheat::DeepOHeatError>(())
-/// ```
+/// The §V.A experiment (see [`Experiment`] for an example).
+pub type PowerMapExperiment = Experiment<PowerMap>;
+
+/// The §V.A scenario: the chip with bottom convection, its mesh partition,
+/// and a GRF sampler of `nx × ny` top-surface power maps (paper units per
+/// node).
 #[derive(Debug)]
-pub struct PowerMapExperiment {
+pub struct PowerMap {
     config: PowerMapExperimentConfig,
     chip: Chip,
     partition: MeshPartition,
     grf: GaussianRandomField,
-    model: DeepOHeat,
-    adam: Adam,
-    scales: PhysicsScales,
-    coords: Matrix,
-    rng: rand::rngs::StdRng,
-    iteration: usize,
-    dataset: Option<SupervisedDataset>,
 }
 
-impl PowerMapExperiment {
-    /// Builds the experiment: chip, partition, GRF and a freshly
-    /// initialised model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from any substrate.
-    pub fn new(config: PowerMapExperimentConfig) -> Result<Self, DeepOHeatError> {
-        if config.nx != config.ny {
-            return Err(DeepOHeatError::InvalidConfig {
-                what: format!(
-                    "power-map encoding requires nx == ny, got {} x {}",
-                    config.nx, config.ny
-                ),
-            });
+impl Scenario for PowerMap {
+    type Config = PowerMapExperimentConfig;
+    type Input = Matrix;
+
+    fn new(config: PowerMapExperimentConfig) -> Result<Self, DeepOHeatError> {
+        let c = &config;
+        if c.nx != c.ny {
+            let what = format!("power-map encoding requires nx == ny, got {} x {}", c.nx, c.ny);
+            return Err(DeepOHeatError::InvalidConfig { what });
         }
-        let mut chip = Chip::single_cuboid(
-            config.lx,
-            config.ly,
-            config.lz,
-            config.nx,
-            config.ny,
-            config.nz,
-            config.conductivity,
-        )?;
-        chip.set_boundary(
-            Face::ZMin,
-            BoundaryCondition::Convection { htc: config.htc_bottom, ambient: config.ambient },
-        )?;
+        let mut chip = Chip::single_cuboid(c.lx, c.ly, c.lz, c.nx, c.ny, c.nz, c.conductivity)?;
+        let bottom = BoundaryCondition::Convection { htc: c.htc_bottom, ambient: c.ambient };
+        chip.set_boundary(Face::ZMin, bottom)?;
         let partition = MeshPartition::new(chip.grid());
-        let grf = GaussianRandomField::on_unit_grid(config.nx, config.grf_length_scale)?;
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let sensors = config.nx * config.ny;
-        let mut model_cfg = DeepOHeatConfig::single_branch(
-            sensors,
-            &config.branch_hidden,
-            &config.trunk_hidden,
-            config.latent_dim,
-        )
-        .with_output_transform(config.ambient, config.delta_t)
-        .with_trunk_activation(config.activation);
-        model_cfg.branches[0].activation = config.activation;
-        model_cfg.fourier = config.fourier;
-        let model = DeepOHeat::new(&model_cfg, &mut rng)?;
-
-        let scales = PhysicsScales::new(
-            config.conductivity,
-            config.delta_t,
-            [config.lx, config.ly, config.lz],
-        )?;
-        let coords = chip.grid().node_positions_normalized();
-        let adam = Adam::new(AdamConfig::with_schedule(config.schedule));
-
-        Ok(PowerMapExperiment {
-            config,
-            chip,
-            partition,
-            grf,
-            model,
-            adam,
-            scales,
-            coords,
-            rng,
-            iteration: 0,
-            dataset: None,
-        })
+        let grf = GaussianRandomField::on_unit_grid(c.nx, c.grf_length_scale)?;
+        Ok(PowerMap { config, chip, partition, grf })
     }
 
-    /// The experiment configuration.
-    pub fn config(&self) -> &PowerMapExperimentConfig {
+    fn config(&self) -> &PowerMapExperimentConfig {
         &self.config
     }
 
-    /// The chip under study.
-    pub fn chip(&self) -> &Chip {
+    fn settings(&self) -> Settings<'_> {
+        let c = &self.config;
+        settings!(c, vec![c.nx * c.ny], c.interior_points.unwrap_or(self.chip.grid().node_count()))
+    }
+
+    fn chip(&self) -> &Chip {
         &self.chip
     }
 
-    /// The trained (or in-training) surrogate.
-    pub fn model(&self) -> &DeepOHeat {
-        &self.model
+    /// Interior PDE; the power map as an imposed flux on the top face;
+    /// bottom convection; adiabatic sides, grouped by normal axis.
+    fn terms(&self, _scales: &PhysicsScales) -> Vec<Term> {
+        let (c, w) = (&self.config, self.config.loss_weights);
+        let nodes = |faces: &[Face], count| Points::Nodes {
+            pool: faces.iter().flat_map(|&face| self.partition.face(face)).copied().collect(),
+            count,
+        };
+        let interior = self.partition.interior().to_vec();
+        let interior = Points::Nodes { pool: interior, count: c.interior_points };
+        let top = nodes(&[Face::ZMax], c.boundary_points);
+        let bottom = nodes(&[Face::ZMin], c.boundary_points);
+        let sides = c.boundary_points.map(|n| 2 * n);
+        let x_sides = nodes(&[Face::XMin, Face::XMax], sides);
+        let y_sides = nodes(&[Face::YMin, Face::YMax], sides);
+        let flux = Residual::Flux(Face::ZMax, self.chip.unit_flux_density());
+        let convection = Residual::Convection(Face::ZMin, Coefficient::Uniform(c.htc_bottom));
+        vec![
+            Term::new("l_pde", interior, Residual::Pde(Source::None), w.pde),
+            Term::new("l_flux", top, flux, w.flux),
+            Term::new("l_conv", bottom, convection, w.convection),
+            Term::new("l_adia_x", x_sides, Residual::Adiabatic(Face::XMin), w.adiabatic),
+            Term::new("l_adia_y", y_sides, Residual::Adiabatic(Face::YMin), w.adiabatic),
+        ]
     }
 
-    /// Number of training iterations performed so far.
-    pub fn iterations_done(&self) -> usize {
-        self.iteration
+    fn draw(&self, rng: &mut StdRng) -> Result<Matrix, DeepOHeatError> {
+        Ok(Matrix::from_vec(self.config.nx, self.config.ny, self.grf.sample(rng)?)?)
     }
 
-    /// Draws a batch of training power maps from the GRF, flattened to
-    /// `n × (nx·ny)` branch-input rows (paper units).
-    fn sample_power_batch(&mut self) -> Result<Matrix, DeepOHeatError> {
-        let n = self.config.functions_per_batch;
-        let sensors = self.config.nx * self.config.ny;
-        let mut batch = Matrix::zeros(n, sensors);
-        for f in 0..n {
-            let sample = self.grf.sample(&mut self.rng)?;
-            batch.row_mut(f).copy_from_slice(&sample);
+    fn encode(&self, maps: &[&Matrix]) -> Result<Vec<Matrix>, DeepOHeatError> {
+        let (nx, ny) = (self.config.nx, self.config.ny);
+        if let Some(map) = maps.iter().find(|map| map.shape() != (nx, ny)) {
+            let what = format!("power map is {}x{}, expected {nx}x{ny}", map.rows(), map.cols());
+            return Err(DeepOHeatError::InputMismatch { what });
         }
-        Ok(batch)
+        Ok(vec![Matrix::from_fn(maps.len(), nx * ny, |i, j| maps[i].as_slice()[j])])
     }
 
-    /// Subsamples `count` entries of `pool` (all of them when `count` is
-    /// `None` or exceeds the pool).
-    fn subsample(&mut self, pool: &[usize], count: Option<usize>) -> Vec<usize> {
-        match count {
-            Some(c) if c < pool.len() => {
-                (0..c).map(|_| pool[self.rng.gen_range(0..pool.len())]).collect()
-            }
-            _ => pool.to_vec(),
-        }
-    }
-
-    /// Runs one training step in the configured [`TrainingMode`],
-    /// returning the loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph/optimiser errors and reports
-    /// [`DeepOHeatError::Diverged`] on a non-finite loss.
-    pub fn train_step(&mut self) -> Result<f64, DeepOHeatError> {
-        let _span = telemetry::span("train.step");
-        match self.config.mode {
-            TrainingMode::PhysicsInformed => self.physics_step(),
-            TrainingMode::Supervised { dataset_size } => self.supervised_step(dataset_size),
-        }
-    }
-
-    /// One self-supervised step on the physics residuals (Eq. 8–11).
-    fn physics_step(&mut self) -> Result<f64, DeepOHeatError> {
-        let power_units = self.sample_power_batch()?;
-
-        // Collocation points for this step.
-        let interior =
-            self.subsample_owned(|s| s.partition.interior().to_vec(), |c| c.interior_points);
-        let top =
-            self.subsample_owned(|s| s.partition.face(Face::ZMax).to_vec(), |c| c.boundary_points);
-        let bottom =
-            self.subsample_owned(|s| s.partition.face(Face::ZMin).to_vec(), |c| c.boundary_points);
-        let x_sides = self.subsample_two_faces(Face::XMin, Face::XMax);
-        let y_sides = self.subsample_two_faces(Face::YMin, Face::YMax);
-
-        // Flux targets at the sampled top nodes, aligned with the batch.
-        let unit_flux = self.chip.unit_flux_density();
-        let grid = *self.chip.grid();
-        let n_funcs = power_units.rows();
-        let flux_targets = Matrix::from_fn(n_funcs, top.len(), |f, p| {
-            let (i, j, _) = grid.coordinates(top[p]);
-            power_units[(f, i * self.config.ny + j)] * unit_flux
-        });
-
-        let weights = self.config.loss_weights;
-        let mut graph = Graph::new();
-        let bound = self.model.bind(&mut graph);
-        let branch = bound.branch_product(&mut graph, &[power_units])?;
-
-        // Interior PDE residual.
-        let rows = self.coords.select_rows(&interior);
-        let t_jet = bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Pde)?;
-        let r = physics::pde_residual(&mut graph, &t_jet, &self.scales, None)?;
-        let l_pde = graph.mean_square(r)?;
-
-        // Top power map (Neumann).
-        let rows = self.coords.select_rows(&top);
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::ZMax))?;
-        let r =
-            physics::flux_residual(&mut graph, &t_jet, Face::ZMax, &self.scales, &flux_targets)?;
-        let l_flux = graph.mean_square(r)?;
-
-        // Bottom convection.
-        let rows = self.coords.select_rows(&bottom);
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::ZMin))?;
-        let r = physics::convection_residual(
-            &mut graph,
-            &t_jet,
-            Face::ZMin,
-            &self.scales,
-            &HtcInput::Uniform(self.config.htc_bottom),
-        )?;
-        let l_conv = graph.mean_square(r)?;
-
-        // Adiabatic sides, grouped by normal axis.
-        let rows = self.coords.select_rows(&x_sides);
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::XMin))?;
-        let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::XMin)?;
-        let l_adia_x = graph.mean_square(r)?;
-
-        let rows = self.coords.select_rows(&y_sides);
-        let t_jet =
-            bound.residual_jet(&mut graph, branch, &rows, ResidualKind::Face(Face::YMin))?;
-        let r = physics::adiabatic_residual(&mut graph, &t_jet, Face::YMin)?;
-        let l_adia_y = graph.mean_square(r)?;
-
-        // Weighted total, Eq. (11).
-        let mut total = graph.scale(l_pde, weights.pde)?;
-        for (term, w) in [
-            (l_flux, weights.flux),
-            (l_conv, weights.convection),
-            (l_adia_x, weights.adiabatic),
-            (l_adia_y, weights.adiabatic),
-        ] {
-            let scaled = graph.scale(term, w)?;
-            total = graph.add(total, scaled)?;
-        }
-
-        let loss = graph.scalar(total);
-        if !loss.is_finite() {
-            return Err(DeepOHeatError::Diverged { iteration: self.iteration });
-        }
-        if telemetry::is_enabled() {
-            // Per-term breakdown of Eq. (11); reading already-evaluated
-            // graph nodes is a cheap lookup.
-            telemetry::event(
-                "train.step",
-                &[
-                    ("iteration", self.iteration.into()),
-                    ("loss", loss.into()),
-                    ("l_pde", graph.scalar(l_pde).into()),
-                    ("l_flux", graph.scalar(l_flux).into()),
-                    ("l_conv", graph.scalar(l_conv).into()),
-                    ("l_adia_x", graph.scalar(l_adia_x).into()),
-                    ("l_adia_y", graph.scalar(l_adia_y).into()),
-                ],
-            );
-        }
-        let grads = graph.backward(total)?;
-        self.adam.step_model(&mut self.model, &bound, &grads)?;
-        self.iteration += 1;
-        telemetry::counter("train.steps.count", 1);
-        Ok(loss)
-    }
-
-    /// Builds the supervised dataset on first use: `dataset_size` GRF maps
-    /// solved by the reference solver, targets stored as θ fields.
-    fn ensure_dataset(&mut self, dataset_size: usize) -> Result<(), DeepOHeatError> {
-        if self.dataset.is_some() {
-            return Ok(());
-        }
-        if dataset_size == 0 {
-            return Err(DeepOHeatError::InvalidConfig {
-                what: "supervised mode needs a non-empty dataset".into(),
-            });
-        }
-        // A dedicated RNG keeps dataset construction off the training
-        // stream, so a resumed run rebuilds the identical dataset without
-        // perturbing the checkpointed RNG state.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed ^ DATASET_SEED_SALT);
-        let sensors = self.config.nx * self.config.ny;
-        let mut inputs = Matrix::zeros(dataset_size, sensors);
-        let mut targets = Matrix::zeros(dataset_size, self.chip.grid().node_count());
-        for s in 0..dataset_size {
-            let sample = self.grf.sample(&mut rng)?;
-            inputs.row_mut(s).copy_from_slice(&sample);
-            let map = Matrix::from_vec(self.config.nx, self.config.ny, sample)?;
-            let field = self.reference_field(&map)?;
-            for (t, f) in targets.row_mut(s).iter_mut().zip(&field) {
-                *t = (f - self.config.ambient) / self.config.delta_t;
-            }
-        }
-        self.dataset = Some(SupervisedDataset { inputs: vec![inputs], targets });
-        Ok(())
-    }
-
-    /// One data-driven step: MSE against reference θ fields on a
-    /// minibatch of maps × points.
-    fn supervised_step(&mut self, dataset_size: usize) -> Result<f64, DeepOHeatError> {
-        self.ensure_dataset(dataset_size)?;
-        let n_funcs = self.config.functions_per_batch;
-        let n_points = self.config.interior_points.unwrap_or(self.chip.grid().node_count());
-        let dataset =
-            self.dataset.as_ref().expect("invariant: ensure_dataset ran at the top of this method");
-        let (inputs, cols, targets) = dataset.minibatch(n_funcs, n_points, &mut self.rng);
-
-        let mut graph = Graph::new();
-        let bound = self.model.bind(&mut graph);
-        let branch = bound.branch_product(&mut graph, &inputs)?;
-        let phi = bound.trunk_features(&mut graph, &self.coords.select_rows(&cols))?;
-        let theta = bound.combine(&mut graph, branch, phi)?;
-        let target_leaf = graph.leaf(targets, false);
-        let total = graph.mse(theta, target_leaf)?;
-
-        let loss = graph.scalar(total);
-        if !loss.is_finite() {
-            return Err(DeepOHeatError::Diverged { iteration: self.iteration });
-        }
-        if telemetry::is_enabled() {
-            telemetry::event(
-                "train.step",
-                &[
-                    ("iteration", self.iteration.into()),
-                    ("loss", loss.into()),
-                    ("l_mse", loss.into()),
-                ],
-            );
-        }
-        let grads = graph.backward(total)?;
-        self.adam.step_model(&mut self.model, &bound, &grads)?;
-        self.iteration += 1;
-        telemetry::counter("train.steps.count", 1);
-        Ok(loss)
-    }
-
-    fn subsample_owned<P, C>(&mut self, pool: P, count: C) -> Vec<usize>
-    where
-        P: Fn(&Self) -> Vec<usize>,
-        C: Fn(&PowerMapExperimentConfig) -> Option<usize>,
-    {
-        let pool = pool(self);
-        let count = count(&self.config);
-        self.subsample(&pool, count)
-    }
-
-    fn subsample_two_faces(&mut self, a: Face, b: Face) -> Vec<usize> {
-        let mut pool = self.partition.face(a).to_vec();
-        pool.extend_from_slice(self.partition.face(b));
-        let count = self.config.boundary_points.map(|c| 2 * c);
-        self.subsample(&pool, count)
-    }
-
-    /// Trains for `iterations` steps, invoking `progress` every
-    /// `log_every` steps (and on the final step), and returns the logged
-    /// records.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training-step errors.
-    pub fn run<F>(
-        &mut self,
-        iterations: usize,
-        log_every: usize,
-        progress: F,
-    ) -> Result<Vec<TrainingRecord>, DeepOHeatError>
-    where
-        F: FnMut(&TrainingRecord),
-    {
-        run_training_loop(self, iterations, log_every, progress)
-    }
-
-    /// Trains under the divergence guard and checkpoint cadence of
-    /// [`crate::resilience::run_resilient`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::resilience::run_resilient`].
-    pub fn run_with_checkpoints<F>(
-        &mut self,
-        iterations: usize,
-        log_every: usize,
-        config: &ResilienceConfig,
-        progress: F,
-    ) -> Result<ResilientReport, ResilienceError>
-    where
-        F: FnMut(&TrainingRecord),
-    {
-        resilience::run_resilient(self, iterations, log_every, config, progress)
-    }
-
-    /// Writes the current training state to `path` (atomically).
-    ///
-    /// # Errors
-    ///
-    /// As [`checkpoint::save_to_path`].
-    pub fn save_checkpoint<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-    ) -> Result<(), CheckpointError> {
-        checkpoint::save_to_path(&Trainable::snapshot(self), path)
-    }
-
-    /// Restores training state from a checkpoint file, returning the
-    /// iteration the run resumes from. The subsequent trajectory is
-    /// bit-identical to the uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// As [`checkpoint::load_from_path`], plus a
-    /// [`CheckpointError::Model`] when the checkpointed state does not fit
-    /// this experiment.
-    pub fn resume_from<P: AsRef<std::path::Path>>(
-        &mut self,
-        path: P,
-    ) -> Result<usize, CheckpointError> {
-        let snapshot = checkpoint::load_from_path(path)?;
-        Trainable::restore(self, &snapshot)
-            .map_err(|e| CheckpointError::Model(crate::model_io::ModelIoError::Model(e)))?;
-        Ok(snapshot.iteration)
-    }
-
-    /// Predicts the full-mesh temperature field (Kelvin, flat node order)
-    /// for a `nx × ny` power map in paper units.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepOHeatError::InputMismatch`] on a map shape mismatch.
-    pub fn predict_field(&self, power_units: &Matrix) -> Result<Vec<f64>, DeepOHeatError> {
-        let fields = self.predict_fields(std::slice::from_ref(power_units))?;
-        Ok(fields.into_iter().next().expect("invariant: one map in, one field out"))
-    }
-
-    /// Predicts the full-mesh temperature fields for a batch of power
-    /// maps in one pass: the branch net runs once over all maps (one
-    /// [`crate::BranchEmbedding`]) and the trunk once over the mesh,
-    /// instead of one full-network evaluation per map. Bit-identical to
-    /// calling [`PowerMapExperiment::predict_field`] per map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepOHeatError::InputMismatch`] on a map shape mismatch.
-    pub fn predict_fields(&self, maps: &[Matrix]) -> Result<Vec<Vec<f64>>, DeepOHeatError> {
-        for map in maps {
-            self.check_map(map)?;
-        }
-        let sensors = self.config.nx * self.config.ny;
-        let input = Matrix::from_fn(maps.len(), sensors, |i, j| maps[i].as_slice()[j]);
-        let embedding = self.model.encode_branches(&[&input])?;
-        let basis = self.model.trunk_basis(&self.coords, crate::DEFAULT_TRUNK_CHUNK, &|| false)?;
-        let t = basis.combine(&embedding)?;
-        Ok((0..maps.len()).map(|i| t.row(i).to_vec()).collect())
-    }
-
-    /// The normalized mesh coordinates every prediction is evaluated at
-    /// (`n_points × 3`, flat node order).
-    pub fn eval_coords(&self) -> &Matrix {
-        &self.coords
-    }
-
-    /// Solves the same configuration with the finite-volume reference
-    /// solver ("Celsius"), returning the field in flat node order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chip and solver errors.
-    pub fn reference_field(&self, power_units: &Matrix) -> Result<Vec<f64>, DeepOHeatError> {
-        self.check_map(power_units)?;
+    fn reference_chip(&self, power_units: &Matrix) -> Result<Chip, DeepOHeatError> {
         let mut chip = self.chip.clone();
         chip.set_top_power_map_units(power_units)?;
-        let solution = chip.heat_problem()?.solve(SolveOptions::default())?;
-        Ok(solution.into_temperatures())
+        Ok(chip)
     }
 
-    /// Compares surrogate and reference on one power map, producing the
-    /// MAPE/PAPE pair reported in Table I.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction and solver errors.
-    pub fn evaluate_units(&self, power_units: &Matrix) -> Result<FieldErrors, DeepOHeatError> {
-        let predicted = self.predict_field(power_units)?;
-        let reference = self.reference_field(power_units)?;
-        FieldErrors::compare(&predicted, &reference)
-    }
-
-    fn check_map(&self, power_units: &Matrix) -> Result<(), DeepOHeatError> {
-        if power_units.shape() != (self.config.nx, self.config.ny) {
-            return Err(DeepOHeatError::InputMismatch {
-                what: format!(
-                    "power map is {}x{}, expected {}x{}",
-                    power_units.rows(),
-                    power_units.cols(),
-                    self.config.nx,
-                    self.config.ny
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Trainable for PowerMapExperiment {
-    fn train_step(&mut self) -> Result<f64, DeepOHeatError> {
-        PowerMapExperiment::train_step(self)
-    }
-
-    fn iterations_done(&self) -> usize {
-        self.iteration
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.adam.current_learning_rate()
-    }
-
-    fn learning_rate_scale(&self) -> f64 {
-        self.adam.learning_rate_scale()
-    }
-
-    fn set_learning_rate_scale(&mut self, scale: f64) {
-        self.adam.set_learning_rate_scale(scale);
-    }
-
-    fn snapshot(&self) -> TrainingSnapshot {
-        TrainingSnapshot {
-            model: self.model.clone(),
-            adam: self.adam.export_state(),
-            rng: self.rng.state(),
-            iteration: self.iteration,
-        }
-    }
-
-    fn restore(&mut self, snapshot: &TrainingSnapshot) -> Result<(), DeepOHeatError> {
-        check_snapshot_model(&self.model, snapshot)?;
-        self.adam.import_state(snapshot.adam.clone())?;
-        self.model = snapshot.model.clone();
-        self.rng = rand::rngs::StdRng::from_state(snapshot.rng);
-        self.iteration = snapshot.iteration;
-        Ok(())
-    }
-
-    fn model_mut(&mut self) -> &mut DeepOHeat {
-        &mut self.model
+    /// The power-map entry `(i, j)` above the node.
+    fn sensor(&self, node: usize) -> usize {
+        let (i, j, _) = self.chip.grid().coordinates(node);
+        i * self.config.ny + j
     }
 }
 
@@ -779,7 +326,7 @@ mod tests {
     fn evaluation_produces_finite_errors() {
         let exp = PowerMapExperiment::new(tiny_config()).unwrap();
         let map = Matrix::filled(9, 9, 1.0);
-        let errors = exp.evaluate_units(&map).unwrap();
+        let errors = exp.evaluate(&map).unwrap();
         assert!(errors.mape.is_finite());
         assert!(errors.pape >= errors.mape);
     }

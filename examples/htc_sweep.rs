@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for ht in values {
         print!("{ht:>12.0}");
         for hb in values {
-            let field = experiment.predict_field(ht, hb)?;
+            let field = experiment.predict_field(&(ht, hb))?;
             let peak = field.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             if peak < best.0 {
                 best = (peak, ht, hb);
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Verify the surrogate's pick with the reference solver.
-    let reference = experiment.reference_field(best.1, best.2)?;
+    let reference = experiment.reference_field(&(best.1, best.2))?;
     let ref_peak = reference.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     println!(
         "coolest design: h_top = {:.0}, h_bot = {:.0} -> surrogate peak {:.3} K, reference peak {:.3} K",

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let grid = *experiment.chip().grid();
     for (name, map) in volumetric_test_suite(nx, ny, nz) {
-        let errors = experiment.evaluate_units(&map)?;
+        let errors = experiment.evaluate(&map)?;
         println!(
             "\n{name}: MAPE {:.3}%  PAPE {:.3}%  peak |err| {:.3} K",
             errors.mape, errors.pape, errors.peak_abs

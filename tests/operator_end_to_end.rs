@@ -56,7 +56,7 @@ fn supervised_training_reaches_tight_accuracy() {
             map[(i, j)] = 1.0;
         }
     }
-    let errors = exp.evaluate_units(&map).expect("evaluation");
+    let errors = exp.evaluate(&map).expect("evaluation");
     assert!(errors.mape < 0.5, "MAPE {}%", errors.mape);
     assert!(errors.pape < 3.0, "PAPE {}%", errors.pape);
 }
@@ -80,7 +80,7 @@ fn htc_supervised_pipeline_matches_reference_closely() {
         exp.train_step().expect("step");
     }
     for (ht, hb) in [(1000.0, 333.33), (500.0, 500.0)] {
-        let errors = exp.evaluate(ht, hb).expect("evaluation");
+        let errors = exp.evaluate(&(ht, hb)).expect("evaluation");
         assert!(errors.mape < 0.2, "({ht},{hb}) MAPE {}%", errors.mape);
     }
 }
@@ -97,7 +97,7 @@ fn evaluation_against_the_paper_suite_is_wired_up() {
     })
     .expect("experiment");
     for (name, map) in paper_test_suite(20) {
-        let errors = exp.evaluate_units(&map.to_grid(21)).expect("evaluation");
+        let errors = exp.evaluate(&map.to_grid(21)).expect("evaluation");
         assert!(errors.mape.is_finite(), "{name} produced a non-finite MAPE");
         assert!(errors.pape >= errors.mape, "{name}: PAPE below MAPE");
     }
