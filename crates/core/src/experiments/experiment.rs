@@ -630,7 +630,8 @@ impl<S: Scenario> Experiment<S> {
     }
 
     /// Predicts the full-mesh temperature field (Kelvin, flat node order)
-    /// for one design; a malformed one is [`DeepOHeatError::InputMismatch`].
+    /// for one design. A design the reference solver rejects is rejected
+    /// here too, with the same error (see [`Experiment::predict_fields`]).
     pub fn predict_field(&self, input: &S::Input) -> Result<Vec<f64>, DeepOHeatError> {
         let fields = self.predict_fields(std::slice::from_ref(&input))?;
         Ok(fields.into_iter().next().expect("invariant: one design in, one field out"))
@@ -640,11 +641,20 @@ impl<S: Scenario> Experiment<S> {
     /// nets run once over all designs (one [`crate::BranchEmbedding`]) and
     /// the trunk once over the mesh. Bit-identical to calling
     /// [`Experiment::predict_field`] per design.
+    ///
+    /// Each design first goes through [`Scenario::reference_chip`], the
+    /// check [`Experiment::reference_field`] applies, and the first one it
+    /// rejects is the error: a non-finite power-map entry or HTC, or a
+    /// non-positive HTC, gives no prediction rather than a NaN or
+    /// extrapolated field.
     pub fn predict_fields<I: Borrow<S::Input>>(
         &self,
         inputs: &[I],
     ) -> Result<Vec<Vec<f64>>, DeepOHeatError> {
         let inputs: Vec<&S::Input> = inputs.iter().map(Borrow::borrow).collect();
+        for input in &inputs {
+            self.scenario.reference_chip(input)?;
+        }
         let branch = self.scenario.encode(&inputs)?;
         let embedding = self.model.encode_branches(&branch.iter().collect::<Vec<_>>())?;
         let basis = self.model.trunk_basis(&self.coords, crate::DEFAULT_TRUNK_CHUNK, &|| false)?;

@@ -29,7 +29,7 @@ use std::time::Instant;
 use deepoheat_linalg::{block_cg, row_norms, BlockCgOptions, Matrix, RecycleSpace};
 use deepoheat_telemetry as telemetry;
 
-use crate::problem::{cg_ladder, Assembly, PreconditionerCache};
+use crate::problem::{cg_ladder, scatter, Assembly, Node, PreconditionerCache};
 use crate::{BoundaryCondition, Face, FdmError, FluxMap, HeatProblem, Solution, SolveOptions};
 
 /// A warm start counts as a recycle *hit* when it puts the column's
@@ -204,18 +204,14 @@ impl HeatProblem {
         let mut base = self.clone();
         base.set_boundary(face, BoundaryCondition::Adiabatic)?;
         let assembly_span = telemetry::span("fdm.batch.assemble");
-        let Assembly { matrix, rhs, free_index, dirichlet } = base.assemble()?;
+        let Assembly { matrix, rhs, nodes } = base.assemble()?;
         drop(assembly_span);
         let grid = *self.grid();
-        let n_nodes = grid.node_count();
 
         if matrix.rows() == 0 {
             // Every node is Dirichlet-pinned: flux maps cannot influence
             // anything and each solution is the boundary data itself.
-            let temps: Vec<f64> = dirichlet
-                .iter()
-                .map(|d| d.expect("invariant: zero free rows means every node is pinned"))
-                .collect();
+            let temps = scatter(&nodes, &[]);
             let solutions = power_maps
                 .iter()
                 .map(|_| Solution::from_parts(grid, temps.clone(), 0, 0.0, None, false))
@@ -228,8 +224,9 @@ impl HeatProblem {
         let stencil: Vec<(usize, usize, usize, f64)> = base
             .face_nodes(face)
             .into_iter()
-            .filter_map(|(idx, a, b)| {
-                free_index[idx].map(|row| (row, a, b, base.patch_area(face, a, b)))
+            .filter_map(|(idx, a, b)| match nodes[idx] {
+                Node::Free(row) => Some((row, a, b, base.patch_area(face, a, b))),
+                Node::Pinned(_) => None,
             })
             .collect();
         let n_free = matrix.rows();
@@ -364,18 +361,9 @@ impl HeatProblem {
         let solutions = outcomes
             .into_iter()
             .map(|col| {
-                let mut temps = vec![0.0; n_nodes];
-                for idx in 0..n_nodes {
-                    temps[idx] = match free_index[idx] {
-                        Some(row) => col.temps[row],
-                        None => dirichlet[idx].expect(
-                            "invariant: assemble() pins exactly the nodes without a free row",
-                        ),
-                    };
-                }
                 Solution::from_parts(
                     grid,
-                    temps,
+                    scatter(&nodes, &col.temps),
                     col.iterations,
                     col.relative_residual,
                     None,

@@ -1,31 +1,43 @@
 use std::cell::{Cell, OnceCell};
 
 use deepoheat_linalg::{
-    conjugate_gradient_attempt, norm2, CgAttempt, CgOptions, CgTrace, CooMatrix, CsrMatrix,
+    conjugate_gradient_attempt, norm2, CgAttempt, CgOptions, CgTrace, CsrMatrix,
     IncompleteCholesky, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
 };
-use deepoheat_parallel as parallel;
 use deepoheat_telemetry as telemetry;
 
 use crate::{BoundaryCondition, Face, FdmError, Solution, StructuredGrid};
 
-/// Target node count per pooled assembly chunk: z-plane ranges are sized
-/// so each job covers about this many nodes. Derived from the grid shape
-/// only — never the thread count — so the chunk decomposition (and the
-/// merged COO entry order) is reproducible.
-const ASSEMBLY_CHUNK_NODES: usize = 4096;
+/// A grid node's place in the assembled system.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Node {
+    /// Solved for: the node's row (and column) of the operator.
+    Free(usize),
+    /// Eliminated by a Dirichlet face: the temperature it is held at.
+    Pinned(f64),
+}
+
+/// The full-grid field, flat node order, for the free-row values `free`:
+/// each pinned node carries its Dirichlet temperature.
+pub(crate) fn scatter(nodes: &[Node], free: &[f64]) -> Vec<f64> {
+    nodes
+        .iter()
+        .map(|&node| match node {
+            Node::Free(row) => free[row],
+            Node::Pinned(temperature) => temperature,
+        })
+        .collect()
+}
 
 /// The assembled steady operator over the free (non-Dirichlet) nodes,
-/// shared between the static solver and the transient stepper.
+/// shared by the static, batch and transient solvers.
 pub(crate) struct Assembly {
     /// SPD conduction + convection operator.
     pub matrix: CsrMatrix,
     /// Source + boundary right-hand side.
     pub rhs: Vec<f64>,
-    /// Node index → free-row index (None for Dirichlet-pinned nodes).
-    pub free_index: Vec<Option<usize>>,
-    /// Node index → pinned temperature (None for free nodes).
-    pub dirichlet: Vec<Option<f64>>,
+    /// Every node's place in the system, flat node order.
+    pub nodes: Vec<Node>,
 }
 
 /// Options controlling the linear solve inside [`HeatProblem::solve`].
@@ -322,143 +334,156 @@ impl HeatProblem {
         }
     }
 
-    /// Assembles the steady operator over the free (non-Dirichlet) nodes:
-    /// `A T = b` with `A` SPD. Reused by [`HeatProblem::solve`] and the
-    /// transient stepper.
-    ///
-    /// # Errors
-    ///
-    /// Only if the assembly produced an entry outside the free-node
-    /// operator, which the free-row numbering rules out.
-    pub(crate) fn assemble(&self) -> Result<Assembly, FdmError> {
+    /// Every node's place in the system, flat node order: a node on a
+    /// Dirichlet face is pinned at the temperature of the last such face
+    /// in [`Face::ALL`] order, and the free nodes take rows in flat order.
+    fn node_map(&self) -> Vec<Node> {
         let g = &self.grid;
-        let n = g.node_count();
-        let (nx, ny, nz) = (g.nx(), g.ny(), g.nz());
-        let (dx, dy, dz) = (g.dx(), g.dy(), g.dz());
-
-        // Dirichlet nodes are eliminated from the linear system.
-        let mut dirichlet: Vec<Option<f64>> = vec![None; n];
-        for face in Face::ALL {
-            if let BoundaryCondition::Dirichlet { temperature } = self.boundaries[face.index()] {
-                for (idx, _, _) in self.face_nodes(face) {
-                    dirichlet[idx] = Some(temperature);
-                }
-            }
-        }
-        let free_index: Vec<Option<usize>> = {
-            let mut next = 0usize;
-            dirichlet
-                .iter()
-                .map(|d| {
-                    if d.is_none() {
-                        let v = next;
-                        next += 1;
-                        Some(v)
-                    } else {
-                        None
-                    }
-                })
-                .collect()
+        let n = [g.nx(), g.ny(), g.nz()];
+        let pinned = |face: Face| match self.boundary(face) {
+            BoundaryCondition::Dirichlet { temperature } => Some(*temperature),
+            _ => None,
         };
-        let n_free = free_index.iter().flatten().count();
-        let mut rhs = vec![0.0; n_free];
-
-        // Volumetric sources integrated over control volumes.
-        for idx in 0..n {
-            let Some(row) = free_index[idx] else { continue };
-            let (i, j, k) = g.coordinates(idx);
-            rhs[row] += self.volumetric_power[idx] * g.control_volume(i, j, k);
-        }
-
-        // Internal conduction: one harmonic-mean link per neighbouring pair.
-        // Face area between (i,j,k) and its +x neighbour spans the control
-        // extents of the in-plane axes (identical from both sides, so the
-        // assembled operator is symmetric).
-        //
-        // The link loop is the assembly hot spot, so z-plane chunks run on
-        // the worker pool, each producing local COO-entry and RHS-delta
-        // buffers. Chunk boundaries depend only on the grid shape, each
-        // chunk traverses its planes in the serial k-j-i order, and the
-        // buffers are appended in chunk order below — so the accumulated
-        // entry sequence (and therefore `to_csr`'s push-order duplicate
-        // sums and every bit of the operator) is identical to a serial
-        // assembly at any thread count.
-        let cv = |i: usize, nn: usize, d: f64| if i == 0 || i == nn - 1 { d / 2.0 } else { d };
-        let planes_per_chunk = (ASSEMBLY_CHUNK_NODES / (nx * ny).max(1)).clamp(1, nz.max(1));
-        let chunks = parallel::par_map_chunks(nz, planes_per_chunk, |krange| {
-            // At most three links per node, four entries per link.
-            let mut entries: Vec<(usize, usize, f64)> =
-                Vec::with_capacity(12 * krange.len() * nx * ny);
-            let mut rhs_adds: Vec<(usize, f64)> = Vec::new();
-            for k in krange {
-                for j in 0..ny {
-                    for i in 0..nx {
-                        let idx = g.index(i, j, k);
-                        let neighbours = [
-                            (i + 1 < nx).then(|| {
-                                (g.index(i + 1, j, k), cv(j, ny, dy) * cv(k, nz, dz) / dx)
-                            }),
-                            (j + 1 < ny).then(|| {
-                                (g.index(i, j + 1, k), cv(i, nx, dx) * cv(k, nz, dz) / dy)
-                            }),
-                            (k + 1 < nz).then(|| {
-                                (g.index(i, j, k + 1), cv(i, nx, dx) * cv(j, ny, dy) / dz)
-                            }),
-                        ];
-                        for (nb, geom) in neighbours.into_iter().flatten() {
-                            let k_face =
-                                harmonic_mean(self.conductivity[idx], self.conductivity[nb]);
-                            let gcond = k_face * geom;
-                            add_link(
-                                &mut entries,
-                                &mut rhs_adds,
-                                &free_index,
-                                &dirichlet,
-                                idx,
-                                nb,
-                                gcond,
-                            );
+        let mut nodes = Vec::with_capacity(g.node_count());
+        let mut rows = 0;
+        for k in 0..n[2] {
+            for j in 0..n[1] {
+                for i in 0..n[0] {
+                    let pinned_by = |face| face_local(face, [i, j, k], n).and(pinned(face));
+                    match Face::ALL.into_iter().rev().find_map(pinned_by) {
+                        Some(temperature) => nodes.push(Node::Pinned(temperature)),
+                        None => {
+                            nodes.push(Node::Free(rows));
+                            rows += 1;
                         }
                     }
                 }
             }
-            (entries, rhs_adds)
-        });
-        // Convection below adds at most one entry per boundary node.
-        let boundary_nodes = 2 * (nx * ny + ny * nz + nx * nz);
-        let link_entries: usize = chunks.iter().map(|(entries, _)| entries.len()).sum();
-        let mut coo = CooMatrix::with_capacity(n_free, n_free, link_entries + boundary_nodes);
-        for (mut entries, rhs_adds) in chunks {
-            coo.append(&mut entries)?;
-            for (row, dv) in rhs_adds {
-                rhs[row] += dv;
+        }
+        nodes
+    }
+
+    /// Assembles the steady operator over the free (non-Dirichlet) nodes:
+    /// `A T = b` with `A` SPD. Reused by [`HeatProblem::solve`],
+    /// [`HeatProblem::solve_batch`] and the transient stepper.
+    ///
+    /// One serial pass over the nodes in flat (k, j, i) order writes each
+    /// free row straight into CSR arrays. Row `r` holds its free −z, −y
+    /// and −x neighbours, the diagonal, then its free +x, +y and +z
+    /// neighbours; free rows follow flat order, so the columns are sorted.
+    /// A link's conductance is the harmonic-mean face conductivity times
+    /// the face area over the spacing. The face area spans the control
+    /// extents of the in-plane axes, the same from both nodes, so the
+    /// operator is symmetric.
+    ///
+    /// Every sum runs in a fixed order, the one the `assembly_oracle`
+    /// tests check bit for bit against the COO assembly they keep:
+    ///
+    /// * the diagonal adds the row's links in the order −z, −y, −x, +x,
+    ///   +y, +z (links to pinned neighbours included), then `h·A` of each
+    ///   convection face in [`Face::ALL`] order;
+    /// * the right-hand side starts at `0.0 + q·V`, adds `g·T` for each
+    ///   pinned neighbour in the same link order, then each face's flux
+    ///   or `h·A·T_amb` in [`Face::ALL`] order.
+    ///
+    /// # Errors
+    ///
+    /// Only if the arrays fail [`CsrMatrix::from_raw`]'s validation, which
+    /// the row layout rules out.
+    pub(crate) fn assemble(&self) -> Result<Assembly, FdmError> {
+        let g = &self.grid;
+        let n = [g.nx(), g.ny(), g.nz()];
+        let [nx, ny, nz] = n;
+        let (dx, dy, dz) = (g.dx(), g.dy(), g.dz());
+        let plane = nx * ny;
+        let nodes = self.node_map();
+        let n_free = nodes.iter().filter(|node| matches!(node, Node::Free(_))).count();
+        // A free row holds its diagonal and at most six links.
+        let mut row_ptr = Vec::with_capacity(n_free + 1);
+        let mut col_idx = Vec::with_capacity(7 * n_free);
+        let mut values = Vec::with_capacity(7 * n_free);
+        let mut rhs = Vec::with_capacity(n_free);
+        row_ptr.push(0);
+        let k_at = &self.conductivity;
+        // Control-volume extent: half cells on the two boundary planes.
+        let cv = |i: usize, n: usize, d: f64| if i == 0 || i == n - 1 { d / 2.0 } else { d };
+        for k in 0..nz {
+            let cv_z = cv(k, nz, dz);
+            for j in 0..ny {
+                let cv_y = cv(j, ny, dy);
+                for i in 0..nx {
+                    let idx = (k * ny + j) * nx + i;
+                    let Node::Free(row) = nodes[idx] else { continue };
+                    let cv_x = cv(i, nx, dx);
+                    // Areas of the control-volume faces normal to x, y, z,
+                    // and each over its axis's spacing.
+                    let area = [cv_y * cv_z, cv_x * cv_z, cv_x * cv_y];
+                    let (gx, gy, gz) = (area[0] / dx, area[1] / dy, area[2] / dz);
+                    // Conductances are positive, so a diagonal summed from
+                    // 0.0 has the bits of one summed from its first link.
+                    let mut diag = 0.0;
+                    let mut b = 0.0 + self.volumetric_power[idx] * (cv_x * cv_y * cv_z);
+                    // Adds the link to `nb` to the diagonal; returns the
+                    // off-diagonal entry of a free `nb`, folds a pinned
+                    // one's `g·T` into the right-hand side.
+                    let mut link = |nb: usize, geom: f64| {
+                        let conductance =
+                            harmonic_mean(k_at[idx.min(nb)], k_at[idx.max(nb)]) * geom;
+                        diag += conductance;
+                        match nodes[nb] {
+                            Node::Free(col) => Some((col, -conductance)),
+                            Node::Pinned(temperature) => {
+                                b += conductance * temperature;
+                                None
+                            }
+                        }
+                    };
+                    // Each neighbour as (present, flat offset, geometry):
+                    // −z, −y, −x below the diagonal, +x, +y, +z above it.
+                    let below = [(k > 0, plane, gz), (j > 0, nx, gy), (i > 0, 1, gx)];
+                    let above =
+                        [(i + 1 < nx, 1, gx), (j + 1 < ny, nx, gy), (k + 1 < nz, plane, gz)];
+                    for (present, step, geom) in below {
+                        if let Some((col, value)) =
+                            present.then(|| link(idx - step, geom)).flatten()
+                        {
+                            col_idx.push(col);
+                            values.push(value);
+                        }
+                    }
+                    let diag_at = values.len();
+                    col_idx.push(row);
+                    values.push(0.0);
+                    for (present, step, geom) in above {
+                        if let Some((col, value)) =
+                            present.then(|| link(idx + step, geom)).flatten()
+                        {
+                            col_idx.push(col);
+                            values.push(value);
+                        }
+                    }
+                    for face in Face::ALL {
+                        let Some((fa, fb)) = face_local(face, [i, j, k], n) else { continue };
+                        let patch = area[face.normal_axis()];
+                        match self.boundary(face) {
+                            BoundaryCondition::HeatFlux { flux } => b += flux.value(fa, fb) * patch,
+                            BoundaryCondition::Convection { htc, ambient } => {
+                                let ha = htc * patch;
+                                diag += ha;
+                                b += ha * ambient;
+                            }
+                            BoundaryCondition::Adiabatic | BoundaryCondition::Dirichlet { .. } => {}
+                        }
+                    }
+                    values[diag_at] = diag;
+                    rhs.push(b);
+                    row_ptr.push(values.len());
+                }
             }
         }
-
-        // Boundary conditions on each face.
-        for face in Face::ALL {
-            match &self.boundaries[face.index()] {
-                BoundaryCondition::Adiabatic | BoundaryCondition::Dirichlet { .. } => {}
-                BoundaryCondition::HeatFlux { flux } => {
-                    for (idx, a, b) in self.face_nodes(face) {
-                        let Some(row) = free_index[idx] else { continue };
-                        rhs[row] += flux.value(a, b) * self.patch_area(face, a, b);
-                    }
-                }
-                BoundaryCondition::Convection { htc, ambient } => {
-                    for (idx, a, b) in self.face_nodes(face) {
-                        let Some(row) = free_index[idx] else { continue };
-                        let ha = htc * self.patch_area(face, a, b);
-                        coo.push(row, row, ha);
-                        rhs[row] += ha * ambient;
-                    }
-                }
-            }
-        }
-
-        let matrix = coo.to_csr();
+        let matrix = CsrMatrix::from_raw(n_free, n_free, row_ptr, col_idx, values)?;
         debug_assert!(matrix.is_symmetric(1e-9), "assembled operator must be symmetric");
-        Ok(Assembly { matrix, rhs, free_index, dirichlet })
+        Ok(Assembly { matrix, rhs, nodes })
     }
 
     /// Solves the steady heat equation, returning the temperature field.
@@ -481,17 +506,12 @@ impl HeatProblem {
         }
 
         let g = &self.grid;
-        let n = g.node_count();
         let assembly_span = telemetry::span("fdm.assemble");
-        let Assembly { matrix, rhs, free_index, dirichlet } = self.assemble()?;
+        let Assembly { matrix, rhs, nodes } = self.assemble()?;
         drop(assembly_span);
         if matrix.rows() == 0 {
             // Every node is pinned: the solution is the Dirichlet data itself.
-            let temps: Vec<f64> = dirichlet
-                .iter()
-                .map(|d| d.expect("invariant: zero free rows means every node is pinned"))
-                .collect();
-            return Ok(Solution::from_parts(*g, temps, 0, 0.0, None, false));
+            return Ok(Solution::from_parts(*g, scatter(&nodes, &[]), 0, 0.0, None, false));
         }
         let solve_span = telemetry::span("fdm.solve");
         let pre_cache = PreconditionerCache::new(&matrix, options.ssor_omega)?;
@@ -501,17 +521,9 @@ impl HeatProblem {
         telemetry::gauge("fdm.cg.relative_residual", cg.relative_residual);
         telemetry::observe("fdm.cg.iterations.hist", cg.iterations as f64);
 
-        let mut temps = vec![0.0; n];
-        for idx in 0..n {
-            temps[idx] = match free_index[idx] {
-                Some(row) => cg.solution[row],
-                None => dirichlet[idx]
-                    .expect("invariant: assemble() pins exactly the nodes without a free row"),
-            };
-        }
         Ok(Solution::from_parts(
             *g,
-            temps,
+            scatter(&nodes, &cg.solution),
             cg.iterations,
             cg.relative_residual,
             cg.trace,
@@ -520,43 +532,23 @@ impl HeatProblem {
     }
 }
 
-/// Adds one symmetric conduction link of conductance `gcond` between nodes
-/// `a` and `b` to a chunk-local buffer, folding Dirichlet values into
-/// chunk-local RHS deltas. Buffers merge in chunk order so the global
-/// entry sequence matches a serial assembly exactly.
-#[allow(clippy::too_many_arguments)] // the full assembly context is the argument list
-fn add_link(
-    entries: &mut Vec<(usize, usize, f64)>,
-    rhs_adds: &mut Vec<(usize, f64)>,
-    free_index: &[Option<usize>],
-    dirichlet: &[Option<f64>],
-    a: usize,
-    b: usize,
-    gcond: f64,
-) {
-    match (free_index[a], free_index[b]) {
-        (Some(ra), Some(rb)) => {
-            entries.push((ra, ra, gcond));
-            entries.push((rb, rb, gcond));
-            entries.push((ra, rb, -gcond));
-            entries.push((rb, ra, -gcond));
-        }
-        (Some(ra), None) => {
-            entries.push((ra, ra, gcond));
-            rhs_adds.push((
-                ra,
-                gcond * dirichlet[b].expect("invariant: a node without a free row is pinned"),
-            ));
-        }
-        (None, Some(rb)) => {
-            entries.push((rb, rb, gcond));
-            rhs_adds.push((
-                rb,
-                gcond * dirichlet[a].expect("invariant: a node without a free row is pinned"),
-            ));
-        }
-        (None, None) => {}
-    }
+/// Face-local coordinates `(a, b)` of node `(i, j, k)` on `face` of a
+/// grid with `(nx, ny, nz)` vertices (see [`Face`] for their order), or
+/// `None` when the node is not on that face.
+fn face_local(
+    face: Face,
+    [i, j, k]: [usize; 3],
+    [nx, ny, nz]: [usize; 3],
+) -> Option<(usize, usize)> {
+    let (on, a, b) = match face {
+        Face::XMin => (i == 0, j, k),
+        Face::XMax => (i + 1 == nx, j, k),
+        Face::YMin => (j == 0, i, k),
+        Face::YMax => (j + 1 == ny, i, k),
+        Face::ZMin => (k == 0, i, j),
+        Face::ZMax => (k + 1 == nz, i, j),
+    };
+    on.then_some((a, b))
 }
 
 fn harmonic_mean(a: f64, b: f64) -> f64 {
@@ -1143,5 +1135,337 @@ mod tests {
         let sol = p.solve(SolveOptions::default()).unwrap();
         assert_eq!(sol.iterations(), 0);
         assert!(sol.temperatures().iter().all(|&t| t == 311.0));
+    }
+}
+
+/// The direct CSR assembly against the COO assembly it replaced, bit for
+/// bit: `row_ptr`, columns and value bits of every row, right-hand-side
+/// bits and the node map.
+///
+/// The reference is that assembly, run serially (its pooled chunks merged
+/// in this same order): pin each Dirichlet face's nodes in [`Face::ALL`]
+/// order, number the free nodes in flat order, add `q·V` to the
+/// right-hand side, push each link's entries into a [`CooMatrix`] in
+/// (k, j, i) order of its lower node (folding pinned neighbours into the
+/// right-hand side), apply the faces in [`Face::ALL`] order and let
+/// [`CooMatrix::to_csr`] sum each row's duplicates in push order.
+#[cfg(test)]
+mod assembly_oracle {
+    use super::*;
+    use crate::FluxMap;
+    use deepoheat_linalg::{CooMatrix, Matrix};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    struct Reference {
+        matrix: CsrMatrix,
+        rhs: Vec<f64>,
+        free_index: Vec<Option<usize>>,
+        dirichlet: Vec<Option<f64>>,
+    }
+
+    fn reference_assemble(p: &HeatProblem) -> Reference {
+        let g = &p.grid;
+        let n = g.node_count();
+        let (nx, ny, nz) = (g.nx(), g.ny(), g.nz());
+        let (dx, dy, dz) = (g.dx(), g.dy(), g.dz());
+        let mut dirichlet: Vec<Option<f64>> = vec![None; n];
+        for face in Face::ALL {
+            if let BoundaryCondition::Dirichlet { temperature } = p.boundaries[face.index()] {
+                for (idx, _, _) in p.face_nodes(face) {
+                    dirichlet[idx] = Some(temperature);
+                }
+            }
+        }
+        let mut n_free = 0;
+        let free_index: Vec<Option<usize>> = dirichlet
+            .iter()
+            .map(|d| {
+                d.is_none().then(|| {
+                    n_free += 1;
+                    n_free - 1
+                })
+            })
+            .collect();
+        let mut rhs = vec![0.0; n_free];
+        for idx in 0..n {
+            let Some(row) = free_index[idx] else { continue };
+            let (i, j, k) = g.coordinates(idx);
+            rhs[row] += p.volumetric_power[idx] * g.control_volume(i, j, k);
+        }
+        let cv = |i: usize, nn: usize, d: f64| if i == 0 || i == nn - 1 { d / 2.0 } else { d };
+        let mut coo = CooMatrix::new(n_free, n_free);
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let a = g.index(i, j, k);
+                    let neighbours = [
+                        (i + 1 < nx)
+                            .then(|| (g.index(i + 1, j, k), cv(j, ny, dy) * cv(k, nz, dz) / dx)),
+                        (j + 1 < ny)
+                            .then(|| (g.index(i, j + 1, k), cv(i, nx, dx) * cv(k, nz, dz) / dy)),
+                        (k + 1 < nz)
+                            .then(|| (g.index(i, j, k + 1), cv(i, nx, dx) * cv(j, ny, dy) / dz)),
+                    ];
+                    for (b, geom) in neighbours.into_iter().flatten() {
+                        let gc = harmonic_mean(p.conductivity[a], p.conductivity[b]) * geom;
+                        match (free_index[a], free_index[b]) {
+                            (Some(ra), Some(rb)) => {
+                                coo.push(ra, ra, gc);
+                                coo.push(rb, rb, gc);
+                                coo.push(ra, rb, -gc);
+                                coo.push(rb, ra, -gc);
+                            }
+                            (Some(ra), None) => {
+                                coo.push(ra, ra, gc);
+                                rhs[ra] += gc * dirichlet[b].unwrap();
+                            }
+                            (None, Some(rb)) => {
+                                coo.push(rb, rb, gc);
+                                rhs[rb] += gc * dirichlet[a].unwrap();
+                            }
+                            (None, None) => {}
+                        }
+                    }
+                }
+            }
+        }
+        for face in Face::ALL {
+            match &p.boundaries[face.index()] {
+                BoundaryCondition::Adiabatic | BoundaryCondition::Dirichlet { .. } => {}
+                BoundaryCondition::HeatFlux { flux } => {
+                    for (idx, a, b) in p.face_nodes(face) {
+                        let Some(row) = free_index[idx] else { continue };
+                        rhs[row] += flux.value(a, b) * p.patch_area(face, a, b);
+                    }
+                }
+                BoundaryCondition::Convection { htc, ambient } => {
+                    for (idx, a, b) in p.face_nodes(face) {
+                        let Some(row) = free_index[idx] else { continue };
+                        let ha = htc * p.patch_area(face, a, b);
+                        coo.push(row, row, ha);
+                        rhs[row] += ha * ambient;
+                    }
+                }
+            }
+        }
+        Reference { matrix: coo.to_csr(), rhs, free_index, dirichlet }
+    }
+
+    /// Fails unless `p`'s assembly matches the reference bit for bit.
+    fn assert_same_bits(case: &str, p: &HeatProblem) {
+        let got = p.assemble().unwrap();
+        let want = reference_assemble(p);
+        let rows = want.matrix.rows();
+        assert_eq!(got.matrix.shape(), (rows, rows), "{case}: shape");
+        assert_eq!(got.matrix.nnz(), want.matrix.nnz(), "{case}: nonzeros");
+        // Equal (column, value bits) lists in every row: the same
+        // `row_ptr`, columns and values.
+        let row_bits = |m: &CsrMatrix, r: usize| -> Vec<(usize, u64)> {
+            m.row_entries(r).map(|(c, v)| (c, v.to_bits())).collect()
+        };
+        for r in 0..rows {
+            assert_eq!(row_bits(&got.matrix, r), row_bits(&want.matrix, r), "{case}: row {r}");
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.rhs), bits(&want.rhs), "{case}: right-hand side");
+        let got_nodes: Vec<(Option<usize>, Option<u64>)> = got
+            .nodes
+            .iter()
+            .map(|node| match *node {
+                Node::Free(row) => (Some(row), None),
+                Node::Pinned(t) => (None, Some(t.to_bits())),
+            })
+            .collect();
+        let want_nodes: Vec<(Option<usize>, Option<u64>)> = want
+            .free_index
+            .iter()
+            .zip(&want.dirichlet)
+            .map(|(&row, t)| (row, t.map(f64::to_bits)))
+            .collect();
+        assert_eq!(got_nodes, want_nodes, "{case}: node map");
+    }
+
+    /// `len` seeded values in `scale · [-0.1, 1)`, about one in three of
+    /// them an exact `0.0` or `-0.0`.
+    fn seeded_values(rng: &mut StdRng, len: usize, scale: f64) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => scale * rng.gen_range(-0.1..1.0),
+            })
+            .collect()
+    }
+
+    fn flux_field(p: &HeatProblem, face: Face, rng: &mut StdRng) -> FluxMap {
+        let (a, b) = p.face_shape(face);
+        FluxMap::Field(Matrix::from_vec(a, b, seeded_values(rng, a * b, 2e5)).unwrap())
+    }
+
+    /// An `nx × ny × nz` grid over 1 × 0.8 × 0.5 mm, adiabatic, with
+    /// seeded conductivity in `[0.05, 5)` W/mK and seeded volumetric
+    /// power (W/m³) when `seed` is set; uniform k = 0.1 and no power
+    /// otherwise.
+    fn problem(nx: usize, ny: usize, nz: usize, seed: Option<u64>) -> HeatProblem {
+        let grid = StructuredGrid::new(nx, ny, nz, 1e-3, 0.8e-3, 0.5e-3).unwrap();
+        let mut p = HeatProblem::new(grid, 0.1);
+        if let Some(seed) = seed {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = grid.node_count();
+            p.set_conductivity_field((0..n).map(|_| rng.gen_range(0.05..5.0)).collect()).unwrap();
+            p.set_volumetric_power(seeded_values(&mut rng, n, 1e9)).unwrap();
+        }
+        p
+    }
+
+    fn with(mut p: HeatProblem, faces: &[(Face, BoundaryCondition)]) -> HeatProblem {
+        for (face, bc) in faces {
+            p.set_boundary(*face, bc.clone()).unwrap();
+        }
+        p
+    }
+
+    fn dirichlet(temperature: f64) -> BoundaryCondition {
+        BoundaryCondition::Dirichlet { temperature }
+    }
+
+    fn convection(htc: f64, ambient: f64) -> BoundaryCondition {
+        BoundaryCondition::Convection { htc, ambient }
+    }
+
+    /// The benchmark's 41 × 41 × 21 chip (1 × 1 × 0.5 mm, k = 0.1 W/mK,
+    /// bottom convection) under a seeded top flux field.
+    fn suite_chip(seed: u64) -> HeatProblem {
+        let grid = StructuredGrid::new(41, 41, 21, 1e-3, 1e-3, 0.5e-3).unwrap();
+        let p = HeatProblem::new(grid, 0.1);
+        let top = flux_field(&p, Face::ZMax, &mut StdRng::seed_from_u64(seed));
+        let faces = [
+            (Face::ZMax, BoundaryCondition::HeatFlux { flux: top }),
+            (Face::ZMin, convection(500.0, 298.15)),
+        ];
+        with(p, &faces)
+    }
+
+    #[test]
+    fn suite_chip_matches() {
+        assert_same_bits("suite chip", &suite_chip(1));
+    }
+
+    #[test]
+    fn suite_chip_variants_match() {
+        let side = with(
+            suite_chip(2),
+            &[(Face::XMin, dirichlet(310.0)), (Face::YMax, convection(800.0, 300.0))],
+        );
+        assert_same_bits("suite chip, x-min dirichlet, y-max convection", &side);
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut powered = suite_chip(3);
+        let n = powered.grid().node_count();
+        powered.set_conductivity_field((0..n).map(|_| rng.gen_range(0.05..5.0)).collect()).unwrap();
+        powered.set_volumetric_power(seeded_values(&mut rng, n, 1e9)).unwrap();
+        assert_same_bits("suite chip, variable k, volumetric power", &powered);
+        let both = with(
+            powered,
+            &[(Face::XMin, dirichlet(310.0)), (Face::YMax, convection(800.0, 300.0))],
+        );
+        assert_same_bits("suite chip, all of the above", &both);
+    }
+
+    #[test]
+    fn each_face_kind_on_each_face_matches() {
+        for (f, face) in Face::ALL.into_iter().enumerate() {
+            let seed = Some(10 + f as u64);
+            let mut rng = StdRng::seed_from_u64(20 + f as u64);
+            let base = problem(6, 5, 4, seed);
+            let field = flux_field(&base, face, &mut rng);
+            let kinds = [
+                ("dirichlet", dirichlet(300.0 + f as f64)),
+                ("convection", convection(250.0 + 100.0 * f as f64, 295.0)),
+                ("uniform flux", BoundaryCondition::HeatFlux { flux: FluxMap::Uniform(-1.5e4) }),
+                ("field flux", BoundaryCondition::HeatFlux { flux: field }),
+            ];
+            for (kind, bc) in kinds {
+                assert_same_bits(&format!("{kind} on {face}"), &with(base.clone(), &[(face, bc)]));
+            }
+            // Every face but this one pinned, each at its own temperature,
+            // so edges and corners take the later face's value.
+            let others: Vec<_> = Face::ALL
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, other)| other != face)
+                .map(|(o, other)| (other, dirichlet(290.0 + 7.5 * o as f64)))
+                .collect();
+            assert_same_bits(&format!("dirichlet on all but {face}"), &with(base, &others));
+        }
+    }
+
+    #[test]
+    fn opposite_and_meeting_faces_match() {
+        let base = problem(6, 5, 4, Some(31));
+        for (lo, hi) in
+            [(Face::XMin, Face::XMax), (Face::YMin, Face::YMax), (Face::ZMin, Face::ZMax)]
+        {
+            let pinned = with(base.clone(), &[(lo, dirichlet(280.0)), (hi, dirichlet(330.0))]);
+            assert_same_bits(&format!("dirichlet on {lo} and {hi}"), &pinned);
+        }
+        // Convection on faces meeting at an edge, at a corner, and on all
+        // six; then every kind at once, meeting at edges and corners.
+        let edge = [(Face::XMax, convection(400.0, 300.0)), (Face::YMax, convection(900.0, 290.0))];
+        assert_same_bits("convection at an edge", &with(base.clone(), &edge));
+        let corner = [
+            (Face::XMin, convection(300.0, 300.0)),
+            (Face::YMin, convection(700.0, 310.0)),
+            (Face::ZMin, convection(1100.0, 280.0)),
+        ];
+        assert_same_bits("convection at a corner", &with(base.clone(), &corner));
+        let all: Vec<_> =
+            Face::ALL.into_iter().map(|face| (face, convection(123.0, 298.15))).collect();
+        assert_same_bits("convection on every face", &with(base.clone(), &all));
+        let mut rng = StdRng::seed_from_u64(32);
+        let top = flux_field(&base, Face::ZMax, &mut rng);
+        let mixed = [
+            (Face::XMin, dirichlet(305.0)),
+            (Face::XMax, convection(600.0, 300.0)),
+            (Face::YMin, BoundaryCondition::HeatFlux { flux: FluxMap::Uniform(3e3) }),
+            (Face::YMax, convection(250.0, 285.0)),
+            (Face::ZMin, dirichlet(295.0)),
+            (Face::ZMax, BoundaryCondition::HeatFlux { flux: top }),
+        ];
+        assert_same_bits("every kind at once", &with(base, &mixed));
+    }
+
+    #[test]
+    fn variable_conductivity_with_volumetric_power_matches() {
+        let p = with(
+            problem(9, 8, 7, Some(41)),
+            &[(Face::ZMin, convection(500.0, 298.15)), (Face::ZMax, convection(50.0, 310.0))],
+        );
+        assert_same_bits("variable k, volumetric power", &p);
+    }
+
+    #[test]
+    fn smallest_and_non_cubic_grids_match() {
+        let mut rng = StdRng::seed_from_u64(51);
+        let tiny = problem(2, 2, 2, Some(52));
+        let side = flux_field(&tiny, Face::YMin, &mut rng);
+        let faces = [
+            (Face::XMin, dirichlet(300.0)),
+            (Face::YMin, BoundaryCondition::HeatFlux { flux: side }),
+            (Face::ZMax, convection(500.0, 298.15)),
+        ];
+        assert_same_bits("2 x 2 x 2", &with(tiny.clone(), &faces));
+        assert_same_bits("2 x 2 x 2, convection only", &with(tiny, &faces[2..]));
+
+        let odd = problem(5, 3, 7, Some(53));
+        let top = flux_field(&odd, Face::ZMax, &mut rng);
+        let faces = [
+            (Face::YMax, dirichlet(320.0)),
+            (Face::XMin, convection(700.0, 300.0)),
+            (Face::ZMax, BoundaryCondition::HeatFlux { flux: top }),
+        ];
+        assert_same_bits("5 x 3 x 7", &with(odd.clone(), &faces));
+        assert_same_bits("5 x 3 x 7, uniform k", &with(problem(5, 3, 7, None), &faces));
     }
 }

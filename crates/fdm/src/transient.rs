@@ -15,11 +15,12 @@
 //! that, plus the lumped-capacitance analytic decay.
 
 use deepoheat_linalg::{
-    conjugate_gradient_attempt, CgOptions, CooMatrix, CsrMatrix, SsorPreconditioner,
+    conjugate_gradient_attempt, CgOptions, CsrMatrix, LinalgError, SsorPreconditioner,
 };
 use deepoheat_parallel as parallel;
 use deepoheat_telemetry as telemetry;
 
+use crate::problem::{scatter, Node};
 use crate::{FdmError, HeatProblem, Solution, SolveOptions, StructuredGrid};
 
 /// Fixed chunk length for the pooled per-step right-hand-side update.
@@ -212,8 +213,8 @@ impl HeatProblem {
         // Lumped heat capacity per free node, divided by dt.
         let rho_cp = options.density * options.heat_capacity;
         let mut cap_over_dt = vec![0.0; n_free];
-        for idx in 0..grid.node_count() {
-            if let Some(row) = assembly.free_index[idx] {
+        for (idx, node) in assembly.nodes.iter().enumerate() {
+            if let Node::Free(row) = *node {
                 let (i, j, k) = grid.coordinates(idx);
                 cap_over_dt[row] = rho_cp * grid.control_volume(i, j, k) / options.dt;
             }
@@ -228,10 +229,8 @@ impl HeatProblem {
             record_trace: false,
         };
 
-        let mut temps: Vec<f64> = (0..grid.node_count())
-            .map(|idx| assembly.dirichlet[idx].unwrap_or(initial_temperature))
-            .collect();
         let mut free_state: Vec<f64> = vec![initial_temperature; n_free];
+        let mut temps = scatter(&assembly.nodes, &free_state);
         let mut times = Vec::new();
         let mut fields = Vec::new();
 
@@ -274,11 +273,7 @@ impl HeatProblem {
             telemetry::counter("fdm.transient.steps.count", 1);
             telemetry::counter("fdm.transient.cg_iterations.count", cg.iterations as u64);
             free_state = cg.solution;
-            for idx in 0..grid.node_count() {
-                if let Some(row) = assembly.free_index[idx] {
-                    temps[idx] = free_state[row];
-                }
-            }
+            temps = scatter(&assembly.nodes, &free_state);
             if options.record_history || step + 1 == options.steps {
                 times.push((step + 1) as f64 * options.dt);
                 fields.push(temps.clone());
@@ -289,17 +284,33 @@ impl HeatProblem {
     }
 }
 
-/// Returns `a + diag(d)` as a new CSR matrix.
+/// Returns `a + diag(d)` as a new CSR matrix with `a`'s pattern: each
+/// stored diagonal `a_rr` becomes `a_rr + d_r`.
+///
+/// # Errors
+///
+/// [`LinalgError::InvalidDimension`] if a row of `a` stores no diagonal.
 fn add_diagonal(a: &CsrMatrix, d: &[f64]) -> Result<CsrMatrix, FdmError> {
     let n = a.rows();
-    let mut coo = CooMatrix::new(n, n);
-    for r in 0..n {
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(a.nnz());
+    let mut values = Vec::with_capacity(a.nnz());
+    row_ptr.push(0);
+    for (r, &dr) in (0..n).zip(d) {
+        let start = values.len();
         for (c, v) in a.row_entries(r) {
-            coo.push(r, c, v);
+            col_idx.push(c);
+            values.push(if c == r { v + dr } else { v });
         }
-        coo.push(r, r, d[r]);
+        if !col_idx[start..].contains(&r) {
+            return Err(FdmError::Linalg(LinalgError::InvalidDimension {
+                op: "transient stepping matrix",
+                what: format!("row {r} stores no diagonal"),
+            }));
+        }
+        row_ptr.push(values.len());
     }
-    Ok(coo.to_csr())
+    Ok(CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)?)
 }
 
 #[cfg(test)]
@@ -482,6 +493,26 @@ mod tests {
             problem.solve_transient_partial(298.15, TransientOptions::silicon(1e-3, 5)).unwrap();
         assert!(outcome.failure.is_none());
         assert_eq!(outcome.solution.fields().len(), 5);
+    }
+
+    #[test]
+    fn stepping_matrix_adds_the_capacity_to_each_stored_diagonal() {
+        // [ 2 -1 ]
+        // [-1  3 ]
+        let a =
+            CsrMatrix::from_raw(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![2.0, -1.0, -1.0, 3.0])
+                .unwrap();
+        let m = add_diagonal(&a, &[0.5, 0.25]).unwrap();
+        assert_eq!(m.row_entries(0).collect::<Vec<_>>(), vec![(0, 2.5), (1, -1.0)]);
+        assert_eq!(m.row_entries(1).collect::<Vec<_>>(), vec![(0, -1.0), (1, 3.25)]);
+
+        // Row 1 stores no diagonal: a typed error, not a panic.
+        let gap =
+            CsrMatrix::from_raw(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![2.0, -1.0, -1.0]).unwrap();
+        assert!(matches!(
+            add_diagonal(&gap, &[1.0, 1.0]),
+            Err(FdmError::Linalg(LinalgError::InvalidDimension { .. }))
+        ));
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl CooMatrix {
         CooMatrix { rows, cols, entries: Vec::new() }
     }
 
-    /// Creates an empty builder with room for `capacity` entries.
-    pub fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
-        CooMatrix { rows, cols, entries: Vec::with_capacity(capacity) }
-    }
-
     /// Adds `value` at `(row, col)`; repeated pushes accumulate.
     ///
     /// # Panics
@@ -142,27 +137,6 @@ impl CooMatrix {
             self.cols
         );
         self.entries.push((row, col, value));
-    }
-
-    /// Moves every `(row, col, value)` entry of `entries` onto the end of
-    /// the builder, in order, leaving `entries` empty: the same matrix as
-    /// pushing them one by one, with one bounds check pass and one copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidDimension`] if an entry is out of
-    /// bounds; nothing is appended then.
-    pub fn append(&mut self, entries: &mut Vec<(usize, usize, f64)>) -> Result<(), LinalgError> {
-        if let Some(&(row, col, _)) =
-            entries.iter().find(|&&(r, c, _)| r >= self.rows || c >= self.cols)
-        {
-            return Err(LinalgError::InvalidDimension {
-                op: "coo append",
-                what: format!("entry ({row}, {col}) out of bounds for {}x{}", self.rows, self.cols),
-            });
-        }
-        self.entries.append(entries);
-        Ok(())
     }
 
     /// Returns the number of stored (possibly duplicate) entries.
@@ -704,26 +678,6 @@ mod tests {
         // Sorted rows, empty rows and a 0×0 matrix stay valid.
         assert!(CsrMatrix::from_raw(3, 3, vec![0, 2, 2, 3], vec![0, 2, 1], vec![1.0; 3]).is_ok());
         assert!(CsrMatrix::from_raw(0, 0, vec![0], vec![], vec![]).is_ok());
-    }
-
-    #[test]
-    fn append_matches_pushes_and_rejects_out_of_bounds() {
-        let entries = vec![(1, 0, 2.0), (0, 1, -1.0), (1, 0, 0.5), (0, 0, 3.0)];
-        let mut pushed = CooMatrix::new(2, 2);
-        for &(r, c, v) in &entries {
-            pushed.push(r, c, v);
-        }
-        let mut appended = CooMatrix::with_capacity(2, 2, entries.len());
-        let mut buffer = entries.clone();
-        appended.append(&mut buffer).unwrap();
-        assert!(buffer.is_empty());
-        assert_eq!(appended.nnz(), pushed.nnz());
-        assert_eq!(appended.to_csr(), pushed.to_csr());
-
-        let mut bad = vec![(0, 0, 1.0), (2, 0, 1.0)];
-        assert!(matches!(appended.append(&mut bad), Err(LinalgError::InvalidDimension { .. })));
-        assert_eq!(bad.len(), 2, "a rejected append moves nothing");
-        assert_eq!(appended.nnz(), entries.len());
     }
 
     #[test]
