@@ -36,7 +36,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 use std::thread;
 
 /// Environment variable consulted (once, at first use) to size the global
@@ -399,14 +399,27 @@ impl Drop for ServiceHandle {
 /// handed out as [`ServiceHandle`]s. The service closure may freely use
 /// the scoped helpers; it runs as an ordinary external submitter, not a
 /// pool worker.
+///
+/// Returns once the new thread is running, so services spawned one after
+/// another start in spawn order. A starting thread takes its allocator
+/// arena (glibc hands it the one the most recently exited thread
+/// released), so services started in a fixed order and stopped in the
+/// reverse order reuse, one for one, the memory of the services they
+/// replace rather than whichever arena a race left on top.
 pub fn spawn_service<F>(name: &str, f: F) -> ServiceHandle
 where
     F: FnOnce() + Send + 'static,
 {
+    let started = Arc::new(Barrier::new(2));
+    let running = Arc::clone(&started);
     let builder = thread::Builder::new().name(name.to_string());
     let handle = builder
-        .spawn(f)
+        .spawn(move || {
+            running.wait();
+            f();
+        })
         .expect("invariant: OS refused to spawn a service thread (resource exhaustion)");
+    started.wait();
     ServiceHandle { name: name.to_string(), handle: Some(handle) }
 }
 

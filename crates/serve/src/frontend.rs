@@ -633,6 +633,14 @@ impl ServeFrontend {
     /// Idempotent; called on drop.
     /// Already-admitted requests still resolve — a close never discards
     /// queued work.
+    ///
+    /// Shards stop one at a time, last shard first: each queue is closed
+    /// and its worker joined before the next one down. Shards start in
+    /// index order ([`spawn_service`] returns once a thread runs), so a
+    /// front-end built after this one gives each shard the allocator
+    /// arena of the same shard here, and a mesh's home shard finds the
+    /// room its basis took instead of growing another arena by the basis
+    /// and its scratch (about 10 MiB at the paper's mesh).
     pub fn shutdown(&mut self) {
         if self.shut_down {
             return;
@@ -640,10 +648,8 @@ impl ServeFrontend {
         self.shut_down = true;
         self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.gate.release();
-        for queue in &self.shared.queues {
+        for (queue, worker) in self.shared.queues.iter().zip(self.workers.drain(..)).rev() {
             queue.close();
-        }
-        for worker in self.workers.drain(..) {
             worker.join();
         }
         // Belt and braces: if a worker died outside its panic boundary,
