@@ -23,9 +23,7 @@ use deepoheat::experiments::{
 use deepoheat_autodiff::Activation;
 use deepoheat_bench::{init_telemetry, run_or_exit, time_median, Args, BenchError};
 use deepoheat_fdm::{BoundaryCondition, Face, FluxMap, HeatProblem, SolveOptions, StructuredGrid};
-use deepoheat_linalg::{
-    conjugate_gradient, dot, CgOptions, CooMatrix, JacobiPreconditioner, Matrix,
-};
+use deepoheat_linalg::{block_cg, dot, BlockCgOptions, CooMatrix, JacobiPreconditioner, Matrix};
 use deepoheat_nn::{Mlp, MlpConfig};
 use deepoheat_parallel as parallel;
 use deepoheat_telemetry as telemetry;
@@ -59,7 +57,7 @@ where
 
 /// A 7-point-Laplacian SPD system on an `n³` grid, the sparsity pattern of
 /// every solve in the workspace.
-fn laplacian(n: usize) -> (deepoheat_linalg::CsrMatrix, Vec<f64>) {
+fn laplacian(n: usize) -> (deepoheat_linalg::CsrMatrix, Matrix) {
     let idx = |i: usize, j: usize, k: usize| (k * n + j) * n + i;
     let mut coo = CooMatrix::new(n * n * n, n * n * n);
     for k in 0..n {
@@ -77,7 +75,8 @@ fn laplacian(n: usize) -> (deepoheat_linalg::CsrMatrix, Vec<f64>) {
             }
         }
     }
-    let b: Vec<f64> = (0..n * n * n).map(|i| ((i * 13) % 7) as f64 * 0.1 + 0.5).collect();
+    // One right-hand side, as a one-row block.
+    let b = Matrix::from_fn(1, n * n * n, |_, i| ((i * 13) % 7) as f64 * 0.1 + 0.5);
     (coo.to_csr(), b)
 }
 
@@ -146,10 +145,14 @@ fn run() -> Result<(), BenchError> {
     let n = if quick { 16 } else { 32 };
     let (lap, rhs) = laplacian(n);
     let pc = JacobiPreconditioner::new(&lap)?;
-    let cg_options = CgOptions { max_iterations: 10_000, tolerance: 1e-8, record_trace: false };
+    let cg_options =
+        BlockCgOptions { max_iterations: 10_000, tolerance: 1e-8, record_trace: false };
     compare(&format!("cg_{n}cubed"), repeats, || {
-        let out = conjugate_gradient(&lap, &rhs, None, &pc, cg_options)?;
-        std::hint::black_box(dot(&out.solution, &out.solution));
+        let out = block_cg(&lap, &rhs, None, &pc, cg_options)?;
+        if !out.all_converged() {
+            return Err(format!("cg_{n}cubed did not converge: {:?}", out.columns).into());
+        }
+        std::hint::black_box(dot(out.solution.as_slice(), out.solution.as_slice()));
         Ok(())
     })?;
 

@@ -16,10 +16,10 @@
 //!   each column bitwise what per-column kernels would give it;
 //! * a [`RecycleSpace`] carries the A-orthonormalised span of solved
 //!   iterates across sub-batches, warm-starting later maps;
-//! * columns the block phase leaves unconverged fall back to the existing
-//!   per-column scalar CG ladder (warm-started from the block iterate),
-//!   and only then to the degraded flag — the same escalation contract as
-//!   [`HeatProblem::solve`].
+//! * columns the block phase leaves unconverged fall back to the
+//!   per-column CG ladder of [`HeatProblem::solve`] (one-row block CG,
+//!   warm-started from the block iterate), and only then to the degraded
+//!   flag — the same escalation contract as `solve`.
 //!
 //! Everything on the solve path keeps the workspace determinism contract:
 //! the returned temperatures are bit-identical at any worker-pool width.
@@ -92,14 +92,14 @@ pub struct BatchReport {
     pub columns: usize,
     /// Columns the block phase converged on its own.
     pub block_converged: usize,
-    /// Columns polished by the per-column scalar ladder afterwards.
+    /// Columns polished by the per-column ladder afterwards.
     pub polished: usize,
     /// Columns that only met the relaxed degraded tolerance.
     pub degraded: usize,
     /// Block-CG iterations summed over sub-batches.
     pub block_iterations: usize,
     /// Fraction of warm-started columns whose initial relative residual
-    /// was at most [`RECYCLE_HIT_RESIDUAL`]; `0.0` when nothing was
+    /// was at most `RECYCLE_HIT_RESIDUAL` (0.5); `0.0` when nothing was
     /// warm-started.
     pub recycle_hit_ratio: f64,
     /// Measured sequential-ladder time divided by batched time; present
@@ -295,14 +295,14 @@ impl HeatProblem {
                         degraded: false,
                     }
                 } else {
-                    // Per-column escalation: the scalar ladder picks the
+                    // Per-column escalation: the one-row ladder picks the
                     // column up from the block iterate and owns the
                     // degraded/failure contract from here.
                     report.polished += 1;
                     telemetry::counter("fdm.block_cg.polished.count", 1);
                     let ladder = cg_ladder(
                         &matrix,
-                        b.row(slot),
+                        b.row(slot).to_vec(),
                         Some(block.solution.row(slot)),
                         &pre_cache,
                         &polish_options,
@@ -338,7 +338,7 @@ impl HeatProblem {
             let serial_span = telemetry::span("fdm.batch.serial_baseline");
             let serial_started = Instant::now();
             for map in power_maps {
-                cg_ladder(&matrix, &rhs_for(map), None, &pre_cache, &polish_options)?;
+                cg_ladder(&matrix, rhs_for(map), None, &pre_cache, &polish_options)?;
             }
             let serial_seconds = serial_started.elapsed().as_secs_f64();
             drop(serial_span);

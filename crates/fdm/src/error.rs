@@ -97,12 +97,7 @@ impl Error for FdmError {
 
 impl From<LinalgError> for FdmError {
     fn from(e: LinalgError) -> Self {
-        match e {
-            LinalgError::SolverDidNotConverge { iterations, residual } => {
-                FdmError::SolveFailed { iterations, residual }
-            }
-            other => FdmError::Linalg(other),
-        }
+        FdmError::Linalg(e)
     }
 }
 
@@ -121,11 +116,5 @@ mod tests {
         assert!(e.to_string().contains("21x21"));
         let e = FdmError::SolveFailed { iterations: 10, residual: 0.5 };
         assert!(e.to_string().contains("10"));
-    }
-
-    #[test]
-    fn cg_failure_maps_to_solve_failed() {
-        let e: FdmError = LinalgError::SolverDidNotConverge { iterations: 3, residual: 1.0 }.into();
-        assert!(matches!(e, FdmError::SolveFailed { iterations: 3, .. }));
     }
 }

@@ -1,8 +1,8 @@
 use std::cell::{Cell, OnceCell};
 
 use deepoheat_linalg::{
-    conjugate_gradient_attempt, norm2, CgAttempt, CgOptions, CgTrace, CsrMatrix,
-    IncompleteCholesky, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
+    block_cg, norm2, BlockCgOptions, BlockCgOutcome, CsrMatrix, IncompleteCholesky,
+    JacobiPreconditioner, Matrix, Preconditioner, SsorPreconditioner,
 };
 use deepoheat_telemetry as telemetry;
 
@@ -49,7 +49,7 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// SSOR relaxation factor in `(0, 2)`.
     pub ssor_omega: f64,
-    /// Record a per-iteration CG convergence trace into
+    /// Record the per-iteration CG residual history into
     /// [`Solution::cg_trace`]. Off by default.
     pub record_cg_trace: bool,
     /// Enable the conjugate-gradient fallback ladder: on non-convergence
@@ -515,7 +515,7 @@ impl HeatProblem {
         }
         let solve_span = telemetry::span("fdm.solve");
         let pre_cache = PreconditionerCache::new(&matrix, options.ssor_omega)?;
-        let cg = cg_ladder(&matrix, &rhs, None, &pre_cache, &options)?;
+        let cg = cg_ladder(&matrix, rhs, None, &pre_cache, &options)?;
         drop(solve_span);
         telemetry::gauge("fdm.cg.iterations", cg.iterations as f64);
         telemetry::gauge("fdm.cg.relative_residual", cg.relative_residual);
@@ -632,15 +632,16 @@ pub(crate) struct LadderOutcome {
     /// Total CG iterations across every attempt.
     pub iterations: usize,
     pub relative_residual: f64,
-    /// Concatenated residual history across attempts (when tracing). Under
-    /// escalation `residuals.len()` exceeds `iterations + 1` by one entry
-    /// per extra attempt.
-    pub trace: Option<CgTrace>,
+    /// Concatenated relative residual history across attempts (when
+    /// tracing). Under escalation its length exceeds `iterations + 1` by one
+    /// entry per extra attempt.
+    pub trace: Option<Vec<f64>>,
     /// `true` when only the relaxed degraded tolerance was met.
     pub degraded: bool,
 }
 
-/// Solves `matrix · x = rhs` through the escalation ladder:
+/// Solves `matrix · x = rhs` through the escalation ladder, every rung a
+/// [`block_cg`] solve of the one-row block `rhs`:
 ///
 /// 1. SSOR-preconditioned CG from the zero start (the historical path);
 /// 2. restart from the best iterate so far — the restart recomputes the
@@ -657,32 +658,33 @@ pub(crate) struct LadderOutcome {
 /// with [`FdmError::SolveFailed`].
 pub(crate) fn cg_ladder(
     matrix: &CsrMatrix,
-    rhs: &[f64],
+    rhs: Vec<f64>,
     x0: Option<&[f64]>,
     pre_cache: &PreconditionerCache<'_>,
     options: &SolveOptions,
 ) -> Result<LadderOutcome, FdmError> {
-    let cg_options = CgOptions {
+    let cg_options = BlockCgOptions {
         max_iterations: options.max_iterations,
         tolerance: options.tolerance,
         record_trace: options.record_cg_trace,
     };
+    let b = Matrix::from_vec(1, rhs.len(), rhs)?;
 
     let mut injections_left = options.inject_cg_failures;
     let mut total_iterations = 0usize;
-    let mut merged_trace: Option<CgTrace> = None;
+    let mut merged_trace: Option<Vec<f64>> = None;
     // Best iterate seen so far and its true relative residual. A caller
     // warm start (e.g. a block-CG iterate being polished) seeds it so the
     // first rung continues from there instead of the zero vector.
-    let mut best: Option<(Vec<f64>, f64)> = match x0 {
+    let mut best: Option<(Matrix, f64)> = match x0 {
         Some(x) => {
             let mut r = matrix.spmv(x)?;
-            for (ri, &bi) in r.iter_mut().zip(rhs) {
+            for (ri, &bi) in r.iter_mut().zip(b.as_slice()) {
                 *ri = bi - *ri;
             }
-            let b_norm = norm2(rhs);
+            let b_norm = norm2(b.as_slice());
             let res = if b_norm > 0.0 { norm2(&r) / b_norm } else { 0.0 };
-            Some((x.to_vec(), res))
+            Some((Matrix::row_vector(x), res))
         }
         None => None,
     };
@@ -710,19 +712,17 @@ pub(crate) fn cg_ladder(
                 &[("rung", (*label).into()), ("index", rung_index.into())],
             );
         }
-        let start = best.as_ref().map(|(x, _)| x.as_slice());
+        let start = best.as_ref().map(|(x, _)| x);
         // One span per rung attempt: in the trace tree, a solve that
         // escalated shows as fdm.solve → N fdm.cg.attempt children.
         let attempt_span = telemetry::span("fdm.cg.attempt");
-        let mut attempt: CgAttempt =
-            conjugate_gradient_attempt(matrix, rhs, start, &pre, cg_options)?;
+        let BlockCgOutcome { solution, columns, trace, .. } =
+            block_cg(matrix, &b, start, &pre, cg_options)?;
         drop(attempt_span);
+        let mut attempt = columns[0]; // one row in, one column verdict out
         total_iterations += attempt.iterations;
-        if let Some(t) = attempt.trace.take() {
-            let merged = merged_trace.get_or_insert_with(CgTrace::default);
-            merged.residuals.extend(t.residuals);
-            merged.preconditioner_seconds += t.preconditioner_seconds;
-            merged.spmv_seconds += t.spmv_seconds;
+        if let Some(t) = trace {
+            merged_trace.get_or_insert_with(Vec::new).extend(t.max_residual);
         }
         if injections_left > 0 {
             // Deterministic fault injection: pretend this attempt failed
@@ -731,7 +731,7 @@ pub(crate) fn cg_ladder(
             attempt.converged = false;
         }
         if best.as_ref().is_none_or(|(_, res)| attempt.relative_residual < *res) {
-            best = Some((attempt.solution, attempt.relative_residual));
+            best = Some((solution, attempt.relative_residual));
         }
         let met_tolerance =
             attempt.converged && best.as_ref().is_some_and(|(_, r)| *r <= options.tolerance);
@@ -741,7 +741,7 @@ pub(crate) fn cg_ladder(
             }
             if let Some((solution, relative_residual)) = best.take() {
                 return Ok(LadderOutcome {
-                    solution,
+                    solution: solution.into_vec(),
                     iterations: total_iterations,
                     relative_residual,
                     trace: merged_trace,
@@ -767,7 +767,7 @@ pub(crate) fn cg_ladder(
         // flagged so callers know the accuracy contract was not met.
         telemetry::counter("fdm.cg.degraded.count", 1);
         return Ok(LadderOutcome {
-            solution,
+            solution: solution.into_vec(),
             iterations: total_iterations,
             relative_residual,
             trace: merged_trace,
@@ -828,8 +828,12 @@ mod tests {
         let traced =
             problem.solve(SolveOptions { record_cg_trace: true, ..Default::default() }).unwrap();
         let trace = traced.cg_trace().expect("trace requested");
-        assert_eq!(trace.residuals.len(), traced.iterations() + 1);
-        assert_eq!(*trace.residuals.last().unwrap(), traced.relative_residual());
+        assert_eq!(trace.len(), traced.iterations() + 1);
+        assert_eq!(trace.last(), Some(&traced.relative_residual()));
+        // From the zero start, ‖b‖/‖b‖; tracing leaves the arithmetic alone.
+        assert_eq!(trace[0], 1.0);
+        assert_eq!(plain.temperatures(), traced.temperatures());
+        assert_eq!(plain.iterations(), traced.iterations());
     }
 
     #[test]
@@ -1065,13 +1069,15 @@ mod tests {
         assert_eq!(cache.constructions(), 1, "only SSOR is built eagerly");
 
         let options = SolveOptions { inject_cg_failures: 4, ..Default::default() };
-        let first = cg_ladder(&assembly.matrix, &assembly.rhs, None, &cache, &options).unwrap();
+        let first =
+            cg_ladder(&assembly.matrix, assembly.rhs.clone(), None, &cache, &options).unwrap();
         assert!(first.degraded, "all four rungs must have run");
         assert_eq!(cache.constructions(), 3, "ssor + jacobi + ic0, each built once");
 
         // A second solve against the same operator — the batched-RHS shape
         // — constructs nothing further.
-        let second = cg_ladder(&assembly.matrix, &assembly.rhs, None, &cache, &options).unwrap();
+        let second =
+            cg_ladder(&assembly.matrix, assembly.rhs.clone(), None, &cache, &options).unwrap();
         assert!(second.degraded);
         assert_eq!(cache.constructions(), 3, "retry/batch reuse must not rebuild");
     }
@@ -1084,10 +1090,16 @@ mod tests {
         let assembly = problem.assemble().unwrap();
         let cache = PreconditionerCache::new(&assembly.matrix, 1.5).unwrap();
         let options = SolveOptions::default();
-        let cold = cg_ladder(&assembly.matrix, &assembly.rhs, None, &cache, &options).unwrap();
-        let warm =
-            cg_ladder(&assembly.matrix, &assembly.rhs, Some(&cold.solution), &cache, &options)
-                .unwrap();
+        let cold =
+            cg_ladder(&assembly.matrix, assembly.rhs.clone(), None, &cache, &options).unwrap();
+        let warm = cg_ladder(
+            &assembly.matrix,
+            assembly.rhs.clone(),
+            Some(&cold.solution),
+            &cache,
+            &options,
+        )
+        .unwrap();
         assert!(!warm.degraded);
         assert!(warm.iterations <= 2, "warm restart took {} iterations", warm.iterations);
         assert!(warm.relative_residual <= options.tolerance);

@@ -1,4 +1,4 @@
-use deepoheat_linalg::{CgTrace, Matrix};
+use deepoheat_linalg::Matrix;
 
 use crate::{Face, StructuredGrid};
 
@@ -10,7 +10,7 @@ pub struct Solution {
     temperatures: Vec<f64>,
     iterations: usize,
     relative_residual: f64,
-    cg_trace: Option<CgTrace>,
+    cg_trace: Option<Vec<f64>>,
     degraded: bool,
 }
 
@@ -20,7 +20,7 @@ impl Solution {
         temperatures: Vec<f64>,
         iterations: usize,
         relative_residual: f64,
-        cg_trace: Option<CgTrace>,
+        cg_trace: Option<Vec<f64>>,
         degraded: bool,
     ) -> Self {
         debug_assert_eq!(temperatures.len(), grid.node_count());
@@ -53,10 +53,11 @@ impl Solution {
         self.relative_residual
     }
 
-    /// Per-iteration CG convergence trace, present iff the solve ran with
-    /// [`crate::SolveOptions::record_cg_trace`] set.
-    pub fn cg_trace(&self) -> Option<&CgTrace> {
-        self.cg_trace.as_ref()
+    /// Per-iteration CG relative residuals, present iff the solve ran with
+    /// [`crate::SolveOptions::record_cg_trace`]; unless the ladder escalated,
+    /// `iterations() + 1` of them, the last [`Solution::relative_residual`].
+    pub fn cg_trace(&self) -> Option<&[f64]> {
+        self.cg_trace.as_deref()
     }
 
     /// `true` if the solve only met the relaxed

@@ -15,7 +15,7 @@
 //! that, plus the lumped-capacitance analytic decay.
 
 use deepoheat_linalg::{
-    conjugate_gradient_attempt, CgOptions, CsrMatrix, LinalgError, SsorPreconditioner,
+    block_cg, BlockCgOptions, CsrMatrix, LinalgError, Matrix, SsorPreconditioner,
 };
 use deepoheat_parallel as parallel;
 use deepoheat_telemetry as telemetry;
@@ -223,35 +223,36 @@ impl HeatProblem {
         // Stepping operator M = C/dt + A (SPD because both parts are).
         let stepping = add_diagonal(&assembly.matrix, &cap_over_dt)?;
         let pre = SsorPreconditioner::new(&stepping, options.solver.ssor_omega)?;
-        let cg_options = CgOptions {
+        let cg_options = BlockCgOptions {
             max_iterations: options.solver.max_iterations,
             tolerance: options.solver.tolerance,
             record_trace: false,
         };
 
-        let mut free_state: Vec<f64> = vec![initial_temperature; n_free];
-        let mut temps = scatter(&assembly.nodes, &free_state);
+        let mut free_state = Matrix::filled(1, n_free, initial_temperature);
+        let mut temps = scatter(&assembly.nodes, free_state.as_slice());
         let mut times = Vec::new();
         let mut fields = Vec::new();
 
-        let mut rhs = vec![0.0; n_free];
+        let mut rhs = Matrix::zeros(1, n_free);
         for step in 0..options.steps {
             // rhs = C/dt * T^n + b. Elementwise, so pooled chunks produce
             // the same bits as a serial pass at any thread count.
-            parallel::par_chunks_mut(&mut rhs, RHS_CHUNK, |ci, chunk| {
+            let state = free_state.as_slice();
+            parallel::par_chunks_mut(rhs.as_mut_slice(), RHS_CHUNK, |ci, chunk| {
                 let off = ci * RHS_CHUNK;
                 for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = cap_over_dt[off + j] * free_state[off + j] + assembly.rhs[off + j];
+                    *v = cap_over_dt[off + j] * state[off + j] + assembly.rhs[off + j];
                 }
             });
             let step_span = telemetry::span("fdm.transient.step");
-            let mut cg =
-                conjugate_gradient_attempt(&stepping, &rhs, Some(&free_state), &pre, cg_options)?;
+            let cg = block_cg(&stepping, &rhs, Some(&free_state), &pre, cg_options)?;
             drop(step_span);
+            let mut column = cg.columns[0];
             if options.inject_failure_at_step == Some(step) {
-                cg.converged = false;
+                column.converged = false;
             }
-            if !cg.converged {
+            if !column.converged {
                 telemetry::counter("fdm.transient.step_failed.count", 1);
                 // Record the last good state so callers can inspect where
                 // the trajectory stood when the step stalled. A step-0
@@ -265,15 +266,15 @@ impl HeatProblem {
                     failure: Some(TransientStepFailure {
                         step,
                         time: (step + 1) as f64 * options.dt,
-                        iterations: cg.iterations,
-                        residual: cg.relative_residual,
+                        iterations: column.iterations,
+                        residual: column.relative_residual,
                     }),
                 });
             }
             telemetry::counter("fdm.transient.steps.count", 1);
-            telemetry::counter("fdm.transient.cg_iterations.count", cg.iterations as u64);
+            telemetry::counter("fdm.transient.cg_iterations.count", column.iterations as u64);
             free_state = cg.solution;
-            temps = scatter(&assembly.nodes, &free_state);
+            temps = scatter(&assembly.nodes, free_state.as_slice());
             if options.record_history || step + 1 == options.steps {
                 times.push((step + 1) as f64 * options.dt);
                 fields.push(temps.clone());

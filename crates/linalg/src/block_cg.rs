@@ -21,16 +21,19 @@
 //! Every kernel splits its work over the pool by fixed bands of the
 //! problem shape, so a block solve is bit-identical at any pool width.
 //!
-//! # Determinism and the scalar-CG correspondence
+//! # Determinism and the one-vector case
 //!
 //! For a one-row block the recurrence collapses to textbook PCG, and this
-//! implementation is engineered to be *bitwise* identical to
-//! [`crate::conjugate_gradient_attempt`] in that case: the `1×1` Gram
-//! systems are solved by direct division (never via a Cholesky square
-//! root), the block updates round exactly like `axpy` (separate multiply
-//! and add, no FMA anywhere in this crate), and the residual check, restart
-//! and breakdown orderings mirror the scalar loop statement for statement.
-//! The property suite in `tests/block_cg_properties.rs` pins this down.
+//! implementation is engineered to be *bitwise* that loop, at the cost of
+//! that loop: the `1×1` Gram systems are solved by direct division (never
+//! via a Cholesky square root), every block kernel given one vector runs
+//! the one-vector kernel (an SpMV, [`Preconditioner::apply`], a [`dot`],
+//! an elementwise update pass), no multiply and add fuse into an FMA
+//! anywhere in this crate, and the residual check and breakdown orderings
+//! follow the textbook loop statement for statement. A one-row block is
+//! therefore the workspace's single-right-hand-side solver too. The
+//! property suite in `tests/block_cg_properties.rs` pins it against a
+//! textbook PCG oracle kept there.
 //!
 //! Converged columns are *deflated*: they leave the active block, so late
 //! stragglers keep iterating on a thin block instead of dragging the whole
@@ -70,8 +73,10 @@ impl BlockCgOptions {
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidDimension`] if `max_iterations` is
-    /// zero or `tolerance` is not a strictly positive finite number, for
-    /// the same reasons as [`crate::CgOptions::validate`].
+    /// zero or `tolerance` is not a strictly positive finite number. A zero
+    /// or negative tolerance can never be met by floating-point residuals,
+    /// so it is rejected up front instead of burning `max_iterations`
+    /// first.
     pub fn validate(&self) -> Result<(), LinalgError> {
         if self.max_iterations == 0 {
             return Err(LinalgError::InvalidDimension {
@@ -91,7 +96,10 @@ impl BlockCgOptions {
 
 /// Per-iteration history recorded when [`BlockCgOptions::record_trace`] is
 /// set. One entry per block iteration, observed at the top of the
-/// iteration (before that iteration's deflation).
+/// iteration (before that iteration's deflation), and one for the state
+/// the solve stopped in. For a one-row block that is `iterations + 1`
+/// entries, and `max_residual` is the column's relative residual history,
+/// ending with its final [`BlockCgColumn::relative_residual`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BlockCgTrace {
     /// Number of still-active (unconverged) columns.
@@ -116,10 +124,10 @@ pub struct BlockCgColumn {
     pub breakdown: bool,
 }
 
-/// The result of one [`block_cg`] attempt. Like
-/// [`crate::conjugate_gradient_attempt`], non-convergence is data, not an
+/// The result of one [`block_cg`] attempt. Non-convergence is data, not an
 /// error: partial iterates are preserved per column so callers can
-/// escalate column-by-column.
+/// escalate column-by-column (restart from the iterate, switch
+/// preconditioner, relax the tolerance) instead of starting over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockCgOutcome {
     /// The iterate block, one right-hand side per **row** (matching the
@@ -189,7 +197,7 @@ fn fit_dependent(r: &Matrix, slot: usize) -> Option<Vec<f64>> {
         return None;
     }
     // The fit must actually explain the residual: a Gram breakdown can
-    // also come from indefiniteness (the scalar `pᵀAp ≤ 0` case), where
+    // also come from indefiniteness (the one-vector `pᵀAp ≤ 0` case), where
     // the column is NOT in the others' span and reconstruction would
     // silently return garbage.
     let mut err = r.row(slot).to_vec();
@@ -207,7 +215,7 @@ fn fit_dependent(r: &Matrix, slot: usize) -> Option<Vec<f64>> {
 /// Solves the small dense SPD system `S α = Rhs` column by column and
 /// returns `αᵀ` (the operand shape the row-major block updates need).
 /// A positive-definiteness breakdown or non-finite solve — the block-CG
-/// analogue of the scalar `pᵀAp ≤ 0` check — returns `Err` with the
+/// analogue of the one-vector `pᵀAp ≤ 0` check — returns `Err` with the
 /// offending pivot's index: the column whose direction became (numerically)
 /// linearly dependent on the earlier ones.
 fn solve_gram_transposed(s: &Matrix, rhs: &Matrix) -> Result<Matrix, usize> {
@@ -239,8 +247,9 @@ fn solve_gram_transposed(s: &Matrix, rhs: &Matrix) -> Result<Matrix, usize> {
 /// an `n×n` operator), matching the row-major [`Matrix`] layout so block
 /// updates are contiguous GEMM operands. `x0` optionally warm-starts the
 /// iterate block (same shape); the initial residual is always recomputed
-/// as the true residual `B − A X₀`. Zero rows of `b` short-circuit to a
-/// zero solution exactly like the scalar solver.
+/// as the true residual `B − A X₀`, so restarting a stalled solve from its
+/// partial iterate discards any drift the recurrence accumulated. Zero rows
+/// of `b` short-circuit to a zero solution, even over a warm start.
 ///
 /// # Errors
 ///
@@ -285,8 +294,7 @@ pub fn block_cg<P: Preconditioner>(
     let mut columns = vec![BlockCgColumn::default(); k];
 
     // Zero right-hand sides short-circuit to the zero solution (even over a
-    // warm start, mirroring the scalar solver); the rest become the active
-    // block.
+    // warm start); the rest become the active block.
     let b_norms = row_norms(b);
     let mut active: Vec<usize> = Vec::with_capacity(k);
     for (i, &bn) in b_norms.iter().enumerate() {
@@ -313,7 +321,7 @@ pub fn block_cg<P: Preconditioner>(
                   trace: Option<BlockCgTrace>,
                   records: &[DependentRecord]|
      -> Result<BlockCgOutcome, LinalgError> {
-        let mut scratch = vec![0.0; n];
+        let mut scratch = if records.is_empty() { Vec::new() } else { vec![0.0; n] };
         for rec in records.iter().rev() {
             let mut delta = vec![0.0; n];
             for (j, &ck) in rec.kept.iter().enumerate() {
@@ -339,18 +347,22 @@ pub fn block_cg<P: Preconditioner>(
     };
 
     if active.is_empty() {
+        if let Some(trace) = trace.as_mut() {
+            trace.active_columns.push(0);
+            trace.max_residual.push(0.0);
+        }
         return finish(x, columns, 0, trace, &records);
     }
 
     // Builds the recurrence state (R = B − A X, Z = M⁻¹R, P = Z, ρ = RᵀZ)
     // from the *true* residual over the given active set. Used at entry and
     // on a breakdown restart: recomputing from the true residual discards
-    // the drift the recurrence accumulated, exactly like the scalar
-    // solver's warm-restart contract.
+    // the drift the recurrence accumulated. An all-active block is `x`
+    // itself, with no copy.
     let rebuild =
         |x: &Matrix, active: &[usize]| -> Result<(Matrix, Matrix, Matrix, Matrix), LinalgError> {
             let ka = active.len();
-            let mut r = a.spmm(&x.select_rows(active))?;
+            let mut r = if ka == x.rows() { a.spmm(x)? } else { a.spmm(&x.select_rows(active))? };
             for (slot, &c) in active.iter().enumerate() {
                 let row = r.row_mut(slot);
                 for (ri, &bi) in row.iter_mut().zip(b.row(c)) {
@@ -415,13 +427,12 @@ pub fn block_cg<P: Preconditioner>(
         a.spmm_into(&p, &mut q)?;
         let s = gram(&p, &q)?;
         let alpha_t = if ka == 1 {
-            // Direct division: bitwise-identical to the scalar solver's
-            // `alpha = rz / pap`, where a 1×1 Cholesky would round through
-            // a square root instead.
+            // Direct division: textbook PCG's `alpha = rz / pap`, where a
+            // 1×1 Cholesky would round through a square root instead.
             let pap = s.row(0)[0];
             if pap <= 0.0 || !pap.is_finite() {
-                // Mirror the scalar solver exactly: a single-direction
-                // breakdown is final, never restarted.
+                // The operator is not SPD along this direction. A
+                // single-direction breakdown is final, never restarted.
                 let c = active[0];
                 columns[c].breakdown = true;
                 return finish(x, columns, iter, trace, &records);
@@ -467,8 +478,7 @@ pub fn block_cg<P: Preconditioner>(
         };
 
         // X += αᵀP and R −= αᵀQ: each element's product term is formed in
-        // full, then added or subtracted (two roundings, exactly like the
-        // scalar solver's `axpy`).
+        // full, then added or subtracted (two roundings, as in `axpy`).
         add_product(&alpha_t, &p, &mut x, &active)?;
         sub_product(&alpha_t, &q, &mut r)?;
 
@@ -476,8 +486,7 @@ pub fn block_cg<P: Preconditioner>(
         preconditioner.apply_rows(&r, &mut z);
         let rho_new = gram(&r, &z)?;
         let beta_t = if ka == 1 {
-            // Mirrors the scalar `beta = rz_new / rz` (which performs the
-            // division unconditionally).
+            // Textbook PCG's `beta = rz_new / rz`, divided unconditionally.
             Matrix::from_fn(1, 1, |_, _| rho_new.row(0)[0] / rho.row(0)[0])
         } else {
             match solve_gram_transposed(&rho, &rho_new) {
@@ -669,7 +678,7 @@ impl RecycleSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CooMatrix, IdentityPreconditioner, JacobiPreconditioner};
+    use crate::{CooMatrix, IdentityPreconditioner, JacobiPreconditioner, SsorPreconditioner};
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -728,19 +737,19 @@ mod tests {
         let out =
             block_cg(&a, &b, None, &IdentityPreconditioner, BlockCgOptions::default()).unwrap();
         assert!(out.all_converged());
-        let scalar = crate::conjugate_gradient_attempt(
+        let single = block_cg(
             &a,
-            b.row(0),
+            &b.select_rows(&[0]),
             None,
             &IdentityPreconditioner,
-            crate::CgOptions::default(),
+            BlockCgOptions::default(),
         )
         .unwrap();
         assert!(
-            out.iterations < scalar.iterations,
-            "block {} !< scalar {}",
+            out.iterations < single.iterations,
+            "block {} !< single {}",
             out.iterations,
-            scalar.iterations
+            single.iterations
         );
     }
 
@@ -833,6 +842,197 @@ mod tests {
         let bad = BlockCgOptions { max_iterations: 0, ..BlockCgOptions::default() };
         let err = block_cg(&a, &Matrix::zeros(1, 5), None, &IdentityPreconditioner, bad);
         assert!(matches!(err, Err(LinalgError::InvalidDimension { .. })));
+        // An empty block, and a non-square operator.
+        let err = block_cg(
+            &a,
+            &Matrix::zeros(0, 5),
+            None,
+            &IdentityPreconditioner,
+            BlockCgOptions::default(),
+        );
+        assert!(matches!(err, Err(LinalgError::ShapeMismatch { .. })));
+        let wide = CooMatrix::new(5, 6).to_csr();
+        let err = block_cg(
+            &wide,
+            &Matrix::zeros(1, 5),
+            None,
+            &IdentityPreconditioner,
+            BlockCgOptions::default(),
+        );
+        assert!(matches!(err, Err(LinalgError::InvalidDimension { .. })));
+    }
+
+    #[test]
+    fn options_validation_rejects_degenerate_configs() {
+        let with = |max_iterations, tolerance| BlockCgOptions {
+            max_iterations,
+            tolerance,
+            record_trace: false,
+        };
+        for bad in [
+            with(0, 1e-10),
+            with(100, 0.0),
+            with(100, -1.0),
+            with(100, f64::NAN),
+            with(100, f64::INFINITY),
+        ] {
+            assert!(matches!(bad.validate(), Err(LinalgError::InvalidDimension { .. })), "{bad:?}");
+            // The solver itself refuses invalid options up front.
+            let err = block_cg(
+                &laplacian_1d(4),
+                &Matrix::filled(1, 4, 1.0),
+                None,
+                &IdentityPreconditioner,
+                bad,
+            );
+            assert!(matches!(err, Err(LinalgError::InvalidDimension { .. })), "{bad:?}");
+        }
+        assert!(with(100, 1e-10).validate().is_ok());
+    }
+
+    #[test]
+    fn one_row_solves_laplacian_with_every_preconditioner() {
+        let n = 50;
+        let a = laplacian_1d(n);
+        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+        let b = Matrix::from_vec(1, n, a.spmv(&x_true).unwrap()).unwrap();
+        let opts = BlockCgOptions { max_iterations: 1000, tolerance: 1e-12, record_trace: false };
+        let jacobi = JacobiPreconditioner::new(&a).unwrap();
+        let ssor = SsorPreconditioner::new(&a, 1.4).unwrap();
+        let preconditioners: [&dyn Preconditioner; 3] = [&IdentityPreconditioner, &jacobi, &ssor];
+        for pre in preconditioners {
+            let out = block_cg(&a, &b, None, &pre, opts).unwrap();
+            assert!(out.all_converged(), "{:?}", out.columns);
+            for (xi, ti) in out.solution.row(0).iter().zip(&x_true) {
+                assert!((xi - ti).abs() < 1e-8, "cg solution mismatch: {xi} vs {ti}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_ssor_converges_faster_than_identity() {
+        let n = 200;
+        let a = laplacian_1d(n);
+        let b = Matrix::filled(1, n, 1.0);
+        let opts = BlockCgOptions::default();
+        let plain = block_cg(&a, &b, None, &IdentityPreconditioner, opts).unwrap();
+        let ssor = SsorPreconditioner::new(&a, 1.5).unwrap();
+        let pre = block_cg(&a, &b, None, &ssor, opts).unwrap();
+        assert!(plain.all_converged() && pre.all_converged());
+        assert!(
+            pre.iterations < plain.iterations,
+            "ssor {} !< plain {}",
+            pre.iterations,
+            plain.iterations
+        );
+    }
+
+    #[test]
+    fn one_row_warm_start_from_a_solution_needs_at_most_one_iteration() {
+        let n = 100;
+        let a = laplacian_1d(n);
+        let b = Matrix::filled(1, n, 1.0);
+        let jacobi = JacobiPreconditioner::new(&a).unwrap();
+        let cold = block_cg(&a, &b, None, &jacobi, BlockCgOptions::default()).unwrap();
+        let warm =
+            block_cg(&a, &b, Some(&cold.solution), &jacobi, BlockCgOptions::default()).unwrap();
+        assert!(warm.all_converged());
+        assert!(warm.iterations <= 1, "warm start took {} iterations", warm.iterations);
+    }
+
+    #[test]
+    fn one_row_zero_rhs_returns_the_zero_solution_over_a_warm_start() {
+        let a = laplacian_1d(5);
+        let opts = BlockCgOptions { record_trace: true, ..BlockCgOptions::default() };
+        let start = Matrix::filled(1, 5, 3.0);
+        let out = block_cg(&a, &Matrix::zeros(1, 5), Some(&start), &IdentityPreconditioner, opts)
+            .unwrap();
+        assert_eq!(out.solution.as_slice(), &[0.0; 5]);
+        assert_eq!(out.iterations, 0);
+        let column = BlockCgColumn {
+            iterations: 0,
+            relative_residual: 0.0,
+            converged: true,
+            breakdown: false,
+        };
+        assert_eq!(out.columns, vec![column]);
+        let trace = out.trace.expect("record_trace was set");
+        assert_eq!((trace.active_columns, trace.max_residual), (vec![0], vec![0.0]));
+    }
+
+    #[test]
+    fn one_row_non_convergence_keeps_the_partial_iterate() {
+        let n = 100;
+        let a = laplacian_1d(n);
+        let b = Matrix::filled(1, n, 1.0);
+        let opts = BlockCgOptions { max_iterations: 5, tolerance: 1e-14, record_trace: false };
+        let out = block_cg(&a, &b, None, &IdentityPreconditioner, opts).unwrap();
+        let column = out.columns[0];
+        assert!(!column.converged && !column.breakdown && !out.breakdown);
+        assert_eq!((out.iterations, column.iterations), (5, 5));
+        // The partial iterate is preserved (not reset to the zero start).
+        assert!(column.relative_residual.is_finite());
+        assert!(out.solution.iter().any(|&v| v != 0.0));
+
+        // Restarting from the partial iterate finishes the solve.
+        let resumed = block_cg(
+            &a,
+            &b,
+            Some(&out.solution),
+            &IdentityPreconditioner,
+            BlockCgOptions::default(),
+        )
+        .unwrap();
+        assert!(resumed.all_converged());
+        assert!(resumed.columns[0].relative_residual <= 1e-10);
+    }
+
+    #[test]
+    fn one_row_breakdown_on_indefinite_matrix_is_final() {
+        // diag(1, -1) is symmetric but indefinite: pᵀAp < 0 at once.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0);
+        coo.push(1, 1, -1.0);
+        let a = coo.to_csr();
+        let b = Matrix::from_vec(1, 2, vec![0.0, 1.0]).unwrap();
+        let out =
+            block_cg(&a, &b, None, &IdentityPreconditioner, BlockCgOptions::default()).unwrap();
+        assert!(out.breakdown);
+        let column = BlockCgColumn {
+            iterations: 0,
+            relative_residual: 1.0,
+            converged: false,
+            breakdown: true,
+        };
+        assert_eq!(out.columns, vec![column]);
+    }
+
+    #[test]
+    fn one_row_trace_ends_at_the_final_residual_and_leaves_the_arithmetic_alone() {
+        let n = 80;
+        let a = laplacian_1d(n);
+        let b = Matrix::filled(1, n, 1.0);
+        let jacobi = JacobiPreconditioner::new(&a).unwrap();
+        let traced = BlockCgOptions { record_trace: true, ..BlockCgOptions::default() };
+        let out = block_cg(&a, &b, None, &jacobi, traced).unwrap();
+        let trace = out.trace.as_ref().expect("record_trace was set");
+        // One residual per iteration plus the accepted final value.
+        assert_eq!(trace.max_residual.len(), out.iterations + 1);
+        assert_eq!(trace.active_columns, vec![1; out.iterations + 1]);
+        assert_eq!(trace.max_residual.last(), Some(&out.columns[0].relative_residual));
+        assert_eq!(trace.max_residual[0], 1.0); // zero initial guess: ‖b‖/‖b‖
+
+        // Tracing must not change the arithmetic.
+        let untraced = block_cg(&a, &b, None, &jacobi, BlockCgOptions::default()).unwrap();
+        let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&untraced.solution), bits(&out.solution));
+        assert_eq!(untraced.columns, out.columns);
+        assert!(untraced.trace.is_none());
+
+        // A warm start's history ends at its final residual too.
+        let warm = block_cg(&a, &b, Some(&out.solution), &jacobi, traced).unwrap();
+        let trace = warm.trace.expect("record_trace was set");
+        assert_eq!(trace.max_residual.last(), Some(&warm.columns[0].relative_residual));
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl Cholesky {
 /// # Examples
 ///
 /// ```
-/// use deepoheat_linalg::{conjugate_gradient, CgOptions, CooMatrix, IncompleteCholesky};
+/// use deepoheat_linalg::{block_cg, BlockCgOptions, CooMatrix, IncompleteCholesky, Matrix};
 ///
 /// let n = 32;
 /// let mut coo = CooMatrix::new(n, n);
@@ -172,8 +172,9 @@ impl Cholesky {
 /// }
 /// let a = coo.to_csr();
 /// let ic = IncompleteCholesky::new(&a)?;
-/// let out = conjugate_gradient(&a, &vec![1.0; n], None, &ic, CgOptions::default())?;
-/// assert!(out.iterations <= 2); // tridiagonal: IC(0) is exact
+/// let b = Matrix::filled(1, n, 1.0); // one right-hand side
+/// let out = block_cg(&a, &b, None, &ic, BlockCgOptions::default())?;
+/// assert!(out.all_converged() && out.iterations <= 2); // tridiagonal: IC(0) is exact
 /// # Ok::<(), deepoheat_linalg::LinalgError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -374,21 +375,22 @@ mod tests {
 
     #[test]
     fn ic0_is_exact_on_tridiagonal() {
-        use crate::{conjugate_gradient, CgOptions};
+        use crate::{block_cg, BlockCgOptions, Matrix};
         let n = 50;
         let a = laplacian_1d(n);
         let ic = IncompleteCholesky::new(&a).unwrap();
         assert_eq!(ic.dim(), n);
-        let out = conjugate_gradient(&a, &vec![1.0; n], None, &ic, CgOptions::default()).unwrap();
+        let b = Matrix::filled(1, n, 1.0);
+        let out = block_cg(&a, &b, None, &ic, BlockCgOptions::default()).unwrap();
         // Tridiagonal lower triangle = full Cholesky pattern, so the
         // preconditioner inverts A exactly and CG needs a single step.
         assert!(out.iterations <= 2, "iterations = {}", out.iterations);
-        assert!(out.relative_residual <= 1e-10);
+        assert!(out.columns[0].relative_residual <= 1e-10);
     }
 
     #[test]
     fn ic0_beats_jacobi_on_2d_grid() {
-        use crate::{conjugate_gradient, CgOptions, JacobiPreconditioner};
+        use crate::{block_cg, BlockCgOptions, JacobiPreconditioner, Matrix};
         // 2-D 5-point Laplacian on a 12×12 grid (not tridiagonal, so IC(0)
         // is genuinely incomplete here).
         let m = 12;
@@ -413,19 +415,20 @@ mod tests {
             }
         }
         let a = coo.to_csr();
-        let b = vec![1.0; n];
-        let opts = CgOptions { max_iterations: 10_000, tolerance: 1e-10, ..CgOptions::default() };
+        let b = Matrix::filled(1, n, 1.0);
+        let opts = BlockCgOptions::default();
         let jacobi = JacobiPreconditioner::new(&a).unwrap();
-        let plain = conjugate_gradient(&a, &b, None, &jacobi, opts).unwrap();
+        let plain = block_cg(&a, &b, None, &jacobi, opts).unwrap();
         let ic = IncompleteCholesky::new(&a).unwrap();
-        let pre = conjugate_gradient(&a, &b, None, &ic, opts).unwrap();
+        let pre = block_cg(&a, &b, None, &ic, opts).unwrap();
+        assert!(plain.all_converged() && pre.all_converged());
         assert!(
             pre.iterations < plain.iterations,
             "ic0 {} !< jacobi {}",
             pre.iterations,
             plain.iterations
         );
-        for (x, y) in pre.solution.iter().zip(&plain.solution) {
+        for (x, y) in pre.solution.iter().zip(plain.solution.iter()) {
             assert!((x - y).abs() < 1e-7);
         }
     }

@@ -28,13 +28,6 @@ pub enum LinalgError {
         /// Value of the offending diagonal entry.
         value: f64,
     },
-    /// An iterative solver failed to reach the requested tolerance.
-    SolverDidNotConverge {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-        /// Relative residual at the final iteration.
-        residual: f64,
-    },
     /// Raw data length did not match the requested matrix shape.
     DataLengthMismatch {
         /// Expected number of elements (`rows * cols`).
@@ -55,18 +48,12 @@ impl fmt::Display for LinalgError {
             LinalgError::InvalidDimension { op, what } => {
                 write!(f, "invalid dimension in {op}: {what}")
             }
-            LinalgError::NotPositiveDefinite { pivot, value } => write!(
-                f,
-                "matrix is not positive definite: pivot {pivot} has value {value:e}"
-            ),
-            LinalgError::SolverDidNotConverge { iterations, residual } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations (relative residual {residual:e})"
-            ),
-            LinalgError::DataLengthMismatch { expected, actual } => write!(
-                f,
-                "data length mismatch: expected {expected} elements, got {actual}"
-            ),
+            LinalgError::NotPositiveDefinite { pivot, value } => {
+                write!(f, "matrix is not positive definite: pivot {pivot} has value {value:e}")
+            }
+            LinalgError::DataLengthMismatch { expected, actual } => {
+                write!(f, "data length mismatch: expected {expected} elements, got {actual}")
+            }
         }
     }
 }
@@ -83,7 +70,6 @@ mod tests {
             LinalgError::ShapeMismatch { op: "matmul", lhs: (2, 3), rhs: (4, 5) },
             LinalgError::InvalidDimension { op: "new", what: "zero rows".into() },
             LinalgError::NotPositiveDefinite { pivot: 3, value: -1.0 },
-            LinalgError::SolverDidNotConverge { iterations: 100, residual: 1e-2 },
             LinalgError::DataLengthMismatch { expected: 6, actual: 5 },
         ];
         for e in errors {

@@ -297,7 +297,7 @@ impl<T: Element> Epilogue<'_, T> {
 /// zero-padded to `NR` lanes — padded lanes accumulate garbage that is
 /// never stored back. Strips are outermost so that any run of whole
 /// strips, i.e. any `NR`-aligned range of operand rows, is one contiguous
-/// region: that is what lets [`pack_rows_chunked`] pack each chunk into
+/// region: that is what lets `pack_rows_chunked` pack each chunk into
 /// place from its own job.
 pub struct PackedRhs<T> {
     buf: Vec<T>,

@@ -11,8 +11,10 @@
 //!   systems (used for Gaussian-random-field sampling),
 //! * [`CsrMatrix`] — compressed sparse row storage for the finite-volume
 //!   operator assembled by `deepoheat-fdm`,
-//! * [`conjugate_gradient`] — a preconditioned conjugate-gradient solver with
-//!   [`Preconditioner`] implementations (identity, Jacobi, SSOR).
+//! * [`block_cg`] — preconditioned (block) conjugate gradients for one or
+//!   many right-hand sides, with [`Preconditioner`] implementations
+//!   (identity, Jacobi, SSOR, IC(0)); a one-row block is the
+//!   single-right-hand-side solver.
 //!
 //! # Examples
 //!
@@ -39,10 +41,7 @@ mod vector;
 pub use block_cg::{
     block_cg, BlockCgColumn, BlockCgOptions, BlockCgOutcome, BlockCgTrace, RecycleSpace,
 };
-pub use cg::{
-    conjugate_gradient, conjugate_gradient_attempt, CgAttempt, CgOptions, CgOutcome, CgTrace,
-    IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
-};
+pub use cg::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner};
 pub use cholesky::{Cholesky, IncompleteCholesky};
 pub use error::LinalgError;
 pub use kernels::PackedRhs;

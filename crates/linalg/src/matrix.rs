@@ -315,7 +315,7 @@ impl Matrix {
 
     /// Returns the transpose of the matrix.
     ///
-    /// Copies panels of [`TRANSPOSE_PANEL`] source rows column by column,
+    /// Copies panels of `TRANSPOSE_PANEL` source rows column by column,
     /// so each column writes one contiguous run of the output — a whole
     /// cache line — instead of one element at a stride of `rows`.
     pub fn transpose(&self) -> Matrix {
@@ -337,7 +337,7 @@ impl Matrix {
     /// Matrix multiplication `self * rhs`.
     ///
     /// Runs on the packed, register-blocked microkernel suite in
-    /// [`crate::kernels`]: the right-hand side is packed once into
+    /// `crate::kernels`: the right-hand side is packed once into
     /// `NR`-wide column panels, output tiles are produced by an `MR × NR`
     /// register-blocked kernel (AVX2 when the CPU has it, a bit-identical
     /// scalar tile otherwise), and large products dispatch fixed row bands

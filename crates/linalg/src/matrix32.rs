@@ -8,7 +8,7 @@ use crate::{LinalgError, Matrix};
 /// conversion from/to [`Matrix`], elementwise map, horizontal concat and
 /// the fused multiplication kernels — so `f64` stays the obvious default
 /// everywhere else. It shares the packed microkernel driver in
-/// [`crate::kernels`] with [`Matrix`], and inherits the same determinism
+/// `crate::kernels` with [`Matrix`], and inherits the same determinism
 /// contract: results are bitwise independent of thread count *within this
 /// precision* (an f32 product is of course not bit-comparable to f64).
 #[derive(Clone, PartialEq, Debug, Default)]

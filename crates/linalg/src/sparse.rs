@@ -456,7 +456,8 @@ impl CsrMatrix {
     /// lane of the group, so `A`'s values and indices stream once per
     /// group instead of once per vector, and the lanes' independent sums
     /// run side by side in vector registers. Pool jobs own fixed row chunks
-    /// and write their slice of every output row directly.
+    /// and write their slice of every output row directly. A group of one
+    /// vector is `spmv_into` itself.
     ///
     /// # Errors
     ///
@@ -486,7 +487,7 @@ impl CsrMatrix {
                 8 => self.spmm_group::<8>(x, v, count, out),
                 4 => self.spmm_group::<4>(x, v, count, out),
                 2 => self.spmm_group::<2>(x, v, count, out),
-                _ => self.spmm_group::<1>(x, v, count, out),
+                _ => self.spmv_into(x.row(v), out)?,
             }
         }
         Ok(())

@@ -1,8 +1,8 @@
 //! BLAS-level-1 helpers on `&[f64]` slices, and the block kernels block CG
 //! runs on row-major blocks of such vectors.
 //!
-//! The iterative solvers in [`crate::conjugate_gradient`] and the optimiser
-//! loops in `deepoheat-nn` are built on the level-1 helpers. Long vectors
+//! Block CG ([`crate::block_cg`]) and the optimiser loops in
+//! `deepoheat-nn` are built on the level-1 helpers. Long vectors
 //! are processed in fixed [`VEC_CHUNK`]-element chunks on the
 //! `deepoheat-parallel` pool; the chunk boundaries depend only on the
 //! vector length, and reduction partials combine in chunk order, so every
@@ -15,7 +15,9 @@
 //! level-1 or GEMM computation it stands for, but do the whole block in one
 //! pass: independent sums run side by side as lanes instead of one
 //! latency-bound chain after another, and the pool gets one dispatch per
-//! block instead of one per entry.
+//! block instead of one per entry. A one-vector block costs what the
+//! level-1 kernel costs: a 1 × 1 Gram block is one `dot`, and a 1 × 1
+//! update is one elementwise pass per [`VEC_CHUNK`] chunk, like [`axpy`].
 
 use std::ops::Range;
 
@@ -206,14 +208,15 @@ fn square_lanes<const L: usize>(x: &Matrix, i0: usize, range: &Range<usize>, acc
 }
 
 /// How a fused block update combines a destination element `d` with the
-/// element `acc` of the product.
+/// element `acc` of the product, and which rows the product runs over.
 #[derive(Clone, Copy)]
 enum Combine<'a> {
-    /// `d + acc`.
-    Add,
-    /// `d - acc`.
-    Sub,
-    /// `z + acc`, with `z` at the destination's own position.
+    /// `d + acc`, the product over the rows of the given source.
+    Add(&'a Matrix),
+    /// `d - acc`, the product over the rows of the given source.
+    Sub(&'a Matrix),
+    /// `z + acc`, with `z` at the destination's own position and the
+    /// product over the destination rows themselves.
     Onto(&'a Matrix),
 }
 
@@ -252,7 +255,7 @@ pub fn add_product(
             }
         }
     }
-    fused_update(coef, Some(p), dst, Combine::Add);
+    fused_update(coef, dst, Combine::Add(p));
     Ok(())
 }
 
@@ -266,7 +269,7 @@ pub fn add_product(
 /// q.rows()` or `q` and `r` differ in row length.
 pub fn sub_product(coef: &Matrix, q: &Matrix, r: &mut Matrix) -> Result<(), LinalgError> {
     check_product("sub_product", coef, q, r.shape())?;
-    fused_update(coef, Some(q), rows_mut(r), Combine::Sub);
+    fused_update(coef, rows_mut(r), Combine::Sub(q));
     Ok(())
 }
 
@@ -288,7 +291,7 @@ pub fn direction_update(coef: &Matrix, z: &Matrix, p: &mut Matrix) -> Result<(),
             rhs: z.shape(),
         });
     }
-    fused_update(coef, None, rows_mut(p), Combine::Onto(z));
+    fused_update(coef, rows_mut(p), Combine::Onto(z));
     Ok(())
 }
 
@@ -319,9 +322,14 @@ fn rows_mut(m: &mut Matrix) -> Vec<&mut [f64]> {
 }
 
 /// `dst[s] = combine(dst[s], Σⱼ coef[s][j] · src[j])` for every
-/// destination row, with `src` the rows of `src`, or of `dst` itself when
-/// `None`. Pool jobs own fixed column bands of every destination row.
-fn fused_update(coef: &Matrix, src: Option<&Matrix>, dst: Vec<&mut [f64]>, combine: Combine<'_>) {
+/// destination row, with `src` the rows `combine` names. Pool jobs own
+/// fixed column bands of every destination row; a 1 × 1 update runs
+/// [`update_one`] instead.
+fn fused_update(coef: &Matrix, mut dst: Vec<&mut [f64]>, combine: Combine<'_>) {
+    if let ([a], [d]) = (coef.as_slice(), dst.as_mut_slice()) {
+        update_one(*a, d, combine);
+        return;
+    }
     let n = dst.first().map_or(0, |row| row.len());
     let band = (UPDATE_BAND_WORK / (coef.rows() * coef.cols()).max(1))
         .max(UPDATE_TILE)
@@ -331,18 +339,45 @@ fn fused_update(coef: &Matrix, src: Option<&Matrix>, dst: Vec<&mut [f64]>, combi
         .enumerate()
         .map(|(b, dst)| {
             Box::new(move || {
-                run_widest(&mut UpdateBand { coef, src, dst, col0: b * band, combine });
+                run_widest(&mut UpdateBand { coef, dst, col0: b * band, combine });
             }) as Job<'_>
         })
         .collect();
     parallel::run_scope(jobs);
 }
 
+/// The 1 × 1 fused update `d = combine(d, a · s)` as one elementwise pass
+/// per [`VEC_CHUNK`] chunk. Each element rounds as the tiled pass rounds
+/// it, the product term formed from `+0.0` first: `d ± (0.0 + a·s)` and
+/// `z + (0.0 + a·p)`. That differs from [`axpy`]'s `d + a·s` only in the
+/// sign of a zero.
+fn update_one(a: f64, d: &mut [f64], combine: Combine<'_>) {
+    parallel::par_chunks_mut(d, VEC_CHUNK, |ci, dc| {
+        let off = ci * VEC_CHUNK;
+        match combine {
+            Combine::Add(src) => {
+                for (dv, &sv) in dc.iter_mut().zip(&src.as_slice()[off..]) {
+                    *dv += 0.0 + a * sv;
+                }
+            }
+            Combine::Sub(src) => {
+                for (dv, &sv) in dc.iter_mut().zip(&src.as_slice()[off..]) {
+                    *dv -= 0.0 + a * sv;
+                }
+            }
+            Combine::Onto(z) => {
+                for (dv, &zv) in dc.iter_mut().zip(&z.as_slice()[off..]) {
+                    *dv = zv + (0.0 + a * *dv);
+                }
+            }
+        }
+    });
+}
+
 /// One column band of a fused block update: `dst` holds the band's piece
 /// of every destination row, starting at column `col0`.
 struct UpdateBand<'a, 'b> {
     coef: &'a Matrix,
-    src: Option<&'a Matrix>,
     dst: Vec<&'b mut [f64]>,
     col0: usize,
     combine: Combine<'a>,
@@ -361,9 +396,9 @@ impl Multiversion for UpdateBand<'_, '_> {
             let tw = UPDATE_TILE.min(width - t0);
             let col = self.col0 + t0;
             for (j, lanes) in tile.iter_mut().enumerate() {
-                *lanes = tile_lanes(match self.src {
-                    Some(src) => &src.row(j)[col..col + tw],
-                    None => &self.dst[j][t0..t0 + tw],
+                *lanes = tile_lanes(match self.combine {
+                    Combine::Add(src) | Combine::Sub(src) => &src.row(j)[col..col + tw],
+                    Combine::Onto(_) => &self.dst[j][t0..t0 + tw],
                 });
             }
             for (s, d) in self.dst.iter_mut().enumerate() {
@@ -375,12 +410,12 @@ impl Multiversion for UpdateBand<'_, '_> {
                 }
                 let d = &mut d[t0..t0 + tw];
                 match self.combine {
-                    Combine::Add => {
+                    Combine::Add(_) => {
                         for (dv, &av) in d.iter_mut().zip(&acc) {
                             *dv += av;
                         }
                     }
-                    Combine::Sub => {
+                    Combine::Sub(_) => {
                         for (dv, &av) in d.iter_mut().zip(&acc) {
                             *dv -= av;
                         }

@@ -1,9 +1,11 @@
 //! Property tests pinning [`deepoheat_linalg::block_cg`] to its contracts:
 //!
-//! * a one-row block is **bitwise** identical to the scalar
-//!   [`conjugate_gradient_attempt`] — same iterate bits, same iteration
-//!   count, same residuals — across preconditioners, warm starts,
-//!   iteration budgets and breakdown inputs;
+//! * a one-row block is **bitwise** the textbook preconditioned CG loop
+//!   ([`textbook_pcg`], kept here as the reference and nowhere else) —
+//!   same iterate bits, same iteration count, same residual history —
+//!   across preconditioners, warm starts, iteration budgets and breakdown
+//!   inputs, on 1-D operators and on the 3-D grid operators of
+//!   `ssor_fixtures`, whose SSOR sweeps take the wavefront schedule;
 //! * per-column convergence flags are truthful against the true residual;
 //! * recycled-subspace warm starts across batches sharing `A` stay correct
 //!   and never slow convergence down;
@@ -14,11 +16,13 @@
 //! interpreted suite stays fast; the shapes exercised stay the same.
 
 use deepoheat_linalg::{
-    block_cg, conjugate_gradient_attempt, norm2, BlockCgOptions, BlockCgOutcome, CgOptions,
-    CooMatrix, CsrMatrix, IdentityPreconditioner, JacobiPreconditioner, Matrix, RecycleSpace,
+    axpy, block_cg, dot, norm2, BlockCgOptions, BlockCgOutcome, CooMatrix, CsrMatrix,
+    IdentityPreconditioner, JacobiPreconditioner, Matrix, Preconditioner, RecycleSpace,
     SsorPreconditioner,
 };
 use proptest::prelude::*;
+
+mod ssor_fixtures;
 
 #[cfg(miri)]
 const CASES: u32 = 3;
@@ -71,45 +75,161 @@ fn true_residual(a: &CsrMatrix, b: &Matrix, x: &Matrix, i: usize) -> f64 {
     norm2(&r) / norm2(b.row(i))
 }
 
-fn assert_scalar_parity(outcome: &BlockCgOutcome, scalar: &deepoheat_linalg::CgAttempt) {
+/// Where [`textbook_pcg`] stopped, and the relative residual it saw at the
+/// top of every iteration, ending with the one it stopped at.
+#[derive(Debug)]
+struct Textbook {
+    solution: Vec<f64>,
+    iterations: usize,
+    residuals: Vec<f64>,
+    converged: bool,
+    breakdown: bool,
+}
+
+/// Textbook preconditioned CG for one right-hand side, from `x0` or zero:
+/// the reference a one-row block solve must match bit for bit. A zero `b`
+/// short-circuits to the zero solution; a `pᵀAp ≤ 0` direction stops the
+/// loop with the iterate it reached.
+fn textbook_pcg(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    pre: &impl Preconditioner,
+    options: BlockCgOptions,
+) -> Textbook {
+    let n = a.rows();
+    let b_norm = norm2(b);
+    if b_norm == 0.0 {
+        let solution = vec![0.0; n];
+        return Textbook {
+            solution,
+            iterations: 0,
+            residuals: vec![0.0],
+            converged: true,
+            breakdown: false,
+        };
+    }
+    let mut x = x0.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
+    let mut r = a.spmv(&x).expect("invariant: square operator");
+    for (ri, &bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
+    }
+    let mut z = vec![0.0; n];
+    pre.apply(&r, &mut z);
+    let mut p = z.clone();
+    let mut rz = dot(&r, &z);
+    let mut ap = vec![0.0; n];
+    let mut residuals = Vec::new();
+    for iterations in 0..options.max_iterations {
+        let res = norm2(&r) / b_norm;
+        residuals.push(res);
+        if res <= options.tolerance {
+            return Textbook {
+                solution: x,
+                iterations,
+                residuals,
+                converged: true,
+                breakdown: false,
+            };
+        }
+        a.spmv_into(&p, &mut ap).expect("invariant: square operator");
+        let pap = dot(&p, &ap);
+        if pap <= 0.0 || !pap.is_finite() {
+            return Textbook {
+                solution: x,
+                iterations,
+                residuals,
+                converged: false,
+                breakdown: true,
+            };
+        }
+        let alpha = rz / pap;
+        axpy(alpha, &p, &mut x);
+        axpy(-alpha, &ap, &mut r);
+        pre.apply(&r, &mut z);
+        let rz_new = dot(&r, &z);
+        let beta = rz_new / rz;
+        rz = rz_new;
+        for (pi, &zi) in p.iter_mut().zip(&z) {
+            *pi = zi + beta * *pi;
+        }
+    }
+    let res = norm2(&r) / b_norm;
+    residuals.push(res);
+    let converged = res <= options.tolerance;
+    Textbook {
+        solution: x,
+        iterations: options.max_iterations,
+        residuals,
+        converged,
+        breakdown: false,
+    }
+}
+
+/// Solves `b` (one row) from `x0` both ways, traced, and asserts the
+/// one-row block solve is the textbook loop bit for bit. Returns the block
+/// outcome, so callers can resume from it.
+fn assert_textbook_parity(
+    a: &CsrMatrix,
+    b: &Matrix,
+    x0: Option<&Matrix>,
+    pre: &impl Preconditioner,
+    options: BlockCgOptions,
+    what: &str,
+) -> BlockCgOutcome {
+    let traced = BlockCgOptions { record_trace: true, ..options };
+    let block = block_cg(a, b, x0, pre, traced).expect("valid one-row system");
+    let want = textbook_pcg(a, b.row(0), x0.map(|x| x.row(0)), pre, options);
     assert_eq!(
-        bits(&outcome.solution),
-        scalar.solution.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "one-row block iterate must be bitwise equal to scalar CG"
+        bits(&block.solution),
+        want.solution.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "{what}: one-row block iterate must be bitwise the textbook loop's"
     );
-    assert_eq!(outcome.columns[0].iterations, scalar.iterations);
-    assert_eq!(outcome.columns[0].relative_residual.to_bits(), scalar.relative_residual.to_bits());
-    assert_eq!(outcome.columns[0].converged, scalar.converged);
-    assert_eq!(outcome.columns[0].breakdown, scalar.breakdown);
+    let column = block.columns[0];
+    assert_eq!(block.iterations, want.iterations, "{what}");
+    assert_eq!(column.iterations, want.iterations, "{what}");
+    assert_eq!(column.converged, want.converged, "{what}");
+    assert_eq!(column.breakdown, want.breakdown, "{what}");
+    let history = &block.trace.as_ref().expect("record_trace was set").max_residual;
+    let history_bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(history_bits(history), history_bits(&want.residuals), "{what}: residual history");
+    assert_eq!(history.last(), Some(&column.relative_residual), "{what}");
+    block
+}
+
+/// The `ssor_fixtures` grid operators whose SSOR plans a wavefront of two
+/// or more blocks. The 1-D fixtures have bandwidth 1, so their sweeps
+/// never take the wavefront; a one-row `apply_rows` runs it only on these.
+fn wavefront_grids() -> Vec<ssor_fixtures::Fixture> {
+    ssor_fixtures::fixtures()
+        .into_iter()
+        .filter(|f| f.block.is_some_and(|block| block < f.matrix.rows()))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// A one-row block is the scalar solver, bit for bit, under every
-    /// bundled preconditioner.
+    /// A one-row block is the textbook loop, bit for bit, under every
+    /// bundled preconditioner; SSOR also on a 3-D grid operator, where its
+    /// one-vector sweep takes the wavefront schedule.
     #[test]
-    fn one_row_block_is_bitwise_scalar_cg(n in size(), seed in 0u64..1 << 48) {
+    fn one_row_block_is_bitwise_textbook_pcg(n in size(), seed in 0u64..1 << 48) {
         let a = spd_fixture(n, seed);
         let b = seeded_block(1, n, seed);
         let opts = BlockCgOptions::default();
-        let scalar_opts = CgOptions::default();
 
-        let id = IdentityPreconditioner;
         let jacobi = JacobiPreconditioner::new(&a).expect("invariant: fixture is SPD");
         let ssor = SsorPreconditioner::new(&a, 1.5).expect("invariant: fixture is SPD");
+        assert_textbook_parity(&a, &b, None, &IdentityPreconditioner, opts, "identity");
+        assert_textbook_parity(&a, &b, None, &jacobi, opts, "jacobi");
+        assert_textbook_parity(&a, &b, None, &ssor, opts, "ssor");
 
-        let block = block_cg(&a, &b, None, &id, opts).unwrap();
-        let scalar = conjugate_gradient_attempt(&a, b.row(0), None, &id, scalar_opts).unwrap();
-        assert_scalar_parity(&block, &scalar);
-
-        let block = block_cg(&a, &b, None, &jacobi, opts).unwrap();
-        let scalar = conjugate_gradient_attempt(&a, b.row(0), None, &jacobi, scalar_opts).unwrap();
-        assert_scalar_parity(&block, &scalar);
-
-        let block = block_cg(&a, &b, None, &ssor, opts).unwrap();
-        let scalar = conjugate_gradient_attempt(&a, b.row(0), None, &ssor, scalar_opts).unwrap();
-        assert_scalar_parity(&block, &scalar);
+        let grids = wavefront_grids();
+        let grid = &grids[(seed % grids.len() as u64) as usize];
+        let ssor = SsorPreconditioner::new(&grid.matrix, 1.5).expect("invariant: fixture is SPD");
+        let b = seeded_block(1, grid.matrix.rows(), seed ^ 3);
+        assert_textbook_parity(&grid.matrix, &b, None, &ssor, opts, &grid.name);
     }
 
     /// Parity holds on the non-convergence path too: truncated budgets
@@ -122,27 +242,12 @@ proptest! {
         let a = spd_fixture(n, seed);
         let b = seeded_block(1, n, seed ^ 7);
         let opts = BlockCgOptions { max_iterations: budget, tolerance: 1e-12, record_trace: false };
-        let scalar_opts = CgOptions { max_iterations: budget, tolerance: 1e-12, record_trace: false };
-
-        let block = block_cg(&a, &b, None, &IdentityPreconditioner, opts).unwrap();
-        let scalar =
-            conjugate_gradient_attempt(&a, b.row(0), None, &IdentityPreconditioner, scalar_opts)
-                .unwrap();
-        assert_scalar_parity(&block, &scalar);
+        let id = IdentityPreconditioner;
+        let block = assert_textbook_parity(&a, &b, None, &id, opts, "truncated");
 
         // Resume both from their (identical) partial iterates.
         let full = BlockCgOptions::default();
-        let warm_block =
-            block_cg(&a, &b, Some(&block.solution), &IdentityPreconditioner, full).unwrap();
-        let warm_scalar = conjugate_gradient_attempt(
-            &a,
-            b.row(0),
-            Some(&scalar.solution),
-            &IdentityPreconditioner,
-            CgOptions::default(),
-        )
-        .unwrap();
-        assert_scalar_parity(&warm_block, &warm_scalar);
+        assert_textbook_parity(&a, &b, Some(&block.solution), &id, full, "resumed");
     }
 
     /// Per-column verdicts are truthful: a converged flag means the true

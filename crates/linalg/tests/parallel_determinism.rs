@@ -8,7 +8,7 @@
 //! reorder fails loudly.
 
 use deepoheat_linalg::{
-    conjugate_gradient, dot, norm2, CgOptions, CooMatrix, JacobiPreconditioner, Matrix,
+    block_cg, dot, norm2, BlockCgOptions, CooMatrix, JacobiPreconditioner, Matrix,
 };
 use deepoheat_parallel::ThreadPool;
 use proptest::prelude::*;
@@ -111,8 +111,10 @@ fn matmul_is_bitwise_stable_across_pools() {
 
 #[test]
 fn full_cg_solve_is_bitwise_stable_across_pools() {
-    // End-to-end: assembly-shaped SPD system, Jacobi-preconditioned CG.
-    // Iterates, iteration count and residual must all match bitwise.
+    // End-to-end: assembly-shaped SPD system, Jacobi-preconditioned CG on
+    // one right-hand side. Iterates, iteration count and residual must all
+    // match bitwise. The 1,728 unknowns fit in one `VEC_CHUNK`; the
+    // `sparse_kernels` oracles cover the multi-chunk one-vector updates.
     let n = 12usize;
     let size = n * n * n;
     let idx = |i: usize, j: usize, k: usize| (k * n + j) * n + i;
@@ -132,11 +134,13 @@ fn full_cg_solve_is_bitwise_stable_across_pools() {
         }
     }
     let a = coo.to_csr();
-    let b: Vec<f64> = (0..size).map(|i| ((i * 13) % 7) as f64 * 0.1 + 0.5).collect();
+    let b = Matrix::from_fn(1, size, |_, i| ((i * 13) % 7) as f64 * 0.1 + 0.5);
     let pc = JacobiPreconditioner::new(&a).expect("SPD diagonal");
-    let options = CgOptions { max_iterations: 5_000, tolerance: 1e-10, record_trace: false };
+    let options = BlockCgOptions { max_iterations: 5_000, tolerance: 1e-10, record_trace: false };
     assert_bitwise_stable(|| {
-        let out = conjugate_gradient(&a, &b, None, &pc, options).expect("converges");
-        (out.iterations, out.relative_residual.to_bits(), bits(&out.solution))
+        let out = block_cg(&a, &b, None, &pc, options).expect("valid system");
+        let column = out.columns[0];
+        assert!(column.converged, "{column:?}");
+        (column.iterations, column.relative_residual.to_bits(), bits(out.solution.as_slice()))
     });
 }

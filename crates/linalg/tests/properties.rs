@@ -1,7 +1,7 @@
 //! Property-based tests of the dense and sparse kernels.
 
 use deepoheat_linalg::{
-    conjugate_gradient, CgOptions, Cholesky, CooMatrix, JacobiPreconditioner, Matrix,
+    block_cg, BlockCgOptions, Cholesky, CooMatrix, JacobiPreconditioner, Matrix,
 };
 use proptest::prelude::*;
 
@@ -93,9 +93,10 @@ proptest! {
             }
         }
         let a = coo.to_csr();
-        let b = a.spmv(&x).unwrap();
+        let b = Matrix::from_vec(1, 8, a.spmv(&x).unwrap()).unwrap();
         let pre = JacobiPreconditioner::new(&a).unwrap();
-        let out = conjugate_gradient(&a, &b, None, &pre, CgOptions { max_iterations: 2000, tolerance: 1e-12, ..CgOptions::default() }).unwrap();
+        let out = block_cg(&a, &b, None, &pre, BlockCgOptions { max_iterations: 2000, tolerance: 1e-12, ..BlockCgOptions::default() }).unwrap();
+        prop_assert!(out.all_converged(), "{:?}", out.columns);
         for (s, t) in out.solution.iter().zip(&x) {
             prop_assert!((s - t).abs() < 1e-6, "{s} vs {t}");
         }

@@ -137,7 +137,7 @@ struct CacheEntry<V> {
 }
 
 /// A deterministic, budget-bounded LRU map from input content to values.
-/// See the [module docs](self) for the keying and eviction contract.
+/// The `cache` module docs give the keying and eviction contract.
 #[derive(Debug)]
 pub struct LruCache<V> {
     entries: Vec<CacheEntry<V>>,

@@ -41,7 +41,7 @@
 //! successful answer.
 //!
 //! Fault injection for all of the above is deterministic and replayable —
-//! see [`ServeFaultPlan`](crate::ServeFaultPlan).
+//! see [`crate::ServeFaultPlan`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -62,12 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(trace) = solution.cg_trace() {
         telemetry::event(
             "fdm.cg.trace",
-            &[
-                ("residuals", trace.residuals.as_slice().into()),
-                ("final_residual", solution.relative_residual().into()),
-                ("preconditioner_seconds", trace.preconditioner_seconds.into()),
-                ("spmv_seconds", trace.spmv_seconds.into()),
-            ],
+            &[("residuals", trace.into()), ("final_residual", solution.relative_residual().into())],
         );
     }
 

@@ -334,7 +334,7 @@ pub struct UnsafeSite {
 /// Finds every `unsafe` token in non-test code and pairs it with the
 /// contiguous comment block above it. A site is documented iff `SAFETY:`
 /// appears in that block, on the site's own line, or within
-/// [`SAFETY_COMMENT_WINDOW_LINES`] lines above it (the window covers
+/// `SAFETY_COMMENT_WINDOW_LINES` lines above it (the window covers
 /// comments separated from the site by attribute lines).
 pub fn unsafe_sites(file: &ScannedFile) -> Vec<UnsafeSite> {
     let raw_lines: Vec<&str> = file.raw.lines().collect();
