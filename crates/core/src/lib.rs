@@ -57,7 +57,6 @@ mod error;
 
 pub mod checkpoint;
 pub mod experiments;
-mod lowered;
 pub mod metrics;
 mod model;
 pub mod model_io;
@@ -65,10 +64,9 @@ pub mod physics;
 pub mod report;
 pub mod resilience;
 
-pub use basis::TrunkBasis;
+pub use basis::{Trunk, TrunkBasis};
 pub use checkpoint::{CheckpointError, TrainingSnapshot};
 pub use error::DeepOHeatError;
-pub use lowered::TrunkF32;
 pub use model::{
     BoundDeepOHeat, BranchEmbedding, DeepOHeat, DeepOHeatConfig, FourierConfig, TemperatureJet,
     DEFAULT_TRUNK_CHUNK,

@@ -5,7 +5,7 @@ use deepoheat_nn::{
 };
 use rand::Rng;
 
-use crate::basis::{self, TrunkBasis};
+use crate::basis::{Trunk, TrunkBasis};
 use crate::physics::ResidualKind;
 use crate::DeepOHeatError;
 
@@ -171,10 +171,7 @@ impl DeepOHeatConfig {
 #[derive(Debug, Clone)]
 pub struct DeepOHeat {
     branches: Vec<Mlp>,
-    fourier: Option<FourierFeatures>,
-    trunk: Mlp,
-    output_offset: f64,
-    output_scale: f64,
+    trunk: Trunk<f64>,
 }
 
 impl DeepOHeat {
@@ -230,14 +227,10 @@ impl DeepOHeat {
             config.latent_dim,
             config.trunk_activation,
         );
-        let trunk = Mlp::new(&trunk_cfg, rng)?;
-        Ok(DeepOHeat {
-            branches,
-            fourier,
-            trunk,
-            output_offset: config.output_offset,
-            output_scale: config.output_scale,
-        })
+        let mlp = Mlp::new(&trunk_cfg, rng)?;
+        let trunk =
+            Trunk { fourier, mlp, offset: config.output_offset, scale: config.output_scale };
+        Ok(DeepOHeat { branches, trunk })
     }
 
     /// Number of branch nets (the `k` of the multi-input DeepONet).
@@ -256,12 +249,12 @@ impl DeepOHeat {
 
     /// Latent feature width `q`.
     pub fn latent_dim(&self) -> usize {
-        self.trunk.output_dim()
+        self.trunk.latent_dim()
     }
 
     /// The affine output transform `(offset, scale)`.
     pub fn output_transform(&self) -> (f64, f64) {
-        (self.output_offset, self.output_scale)
+        (self.trunk.offset, self.trunk.scale)
     }
 
     /// Validates a batch of branch inputs, returning the shared batch size.
@@ -293,16 +286,6 @@ impl DeepOHeat {
             }
         }
         Ok(n_funcs)
-    }
-
-    /// Validates a query-coordinate batch.
-    fn check_coords(&self, coords: &Matrix) -> Result<(), DeepOHeatError> {
-        if coords.cols() != 3 {
-            return Err(DeepOHeatError::InputMismatch {
-                what: format!("coordinates must be points x 3, got {:?}", coords.shape()),
-            });
-        }
-        Ok(())
     }
 
     /// Runs every branch net exactly once on its input batch and combines
@@ -337,24 +320,6 @@ impl DeepOHeat {
         Ok(BranchEmbedding { features })
     }
 
-    /// Graph-free trunk features `Φ` (`n_points × q`) for a batch of
-    /// normalized coordinates: the Fourier layer (when configured)
-    /// followed by the trunk MLP, dispatched in fixed row chunks on the
-    /// worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepOHeatError::InputMismatch`] unless `coords` is
-    /// `points × 3`.
-    pub fn trunk_features_inference(&self, coords: &Matrix) -> Result<Matrix, DeepOHeatError> {
-        self.check_coords(coords)?;
-        let trunk_in = match &self.fourier {
-            Some(ff) => ff.forward_inference(coords)?,
-            None => coords.clone(),
-        };
-        Ok(self.trunk.forward_inference_chunked(&trunk_in, DEFAULT_TRUNK_CHUNK)?)
-    }
-
     /// The trunk basis of a query mesh: `Φ` for every row of `coords`,
     /// computed in fixed `chunk_rows`-row chunks on the `deepoheat-parallel`
     /// pool (the Fourier layer, when configured, then the trunk MLP) and
@@ -382,24 +347,24 @@ impl DeepOHeat {
         chunk_rows: usize,
         stop: &(dyn Fn() -> bool + Sync),
     ) -> Result<TrunkBasis, DeepOHeatError> {
-        let _span = deepoheat_telemetry::span("model.trunk_basis");
-        self.check_coords(coords)?;
-        let n_points = coords.rows();
-        let chunk = if chunk_rows == 0 { n_points.max(1) } else { chunk_rows };
-        let packed = Matrix::pack_row_chunks(n_points, self.latent_dim(), chunk, |rows| {
-            let sub = basis::chunk_coords(coords, rows, stop)?;
-            let trunk_in = match &self.fourier {
-                Some(ff) => ff.forward_inference(&sub)?,
-                None => sub,
-            };
-            Ok::<Matrix, DeepOHeatError>(self.trunk.forward_inference(&trunk_in)?)
-        })?;
-        Ok(TrunkBasis::f64(packed, self.output_offset, self.output_scale))
+        let (offset, scale) = self.output_transform();
+        Ok(TrunkBasis::f64(self.trunk.pack(coords, chunk_rows, stop)?, offset, scale))
+    }
+
+    /// The trunk side — the Fourier layer, the trunk MLP and the output
+    /// transform — narrowed to `f32` once, for single-precision serving
+    /// through [`Trunk::trunk_basis`]. Branch nets are not lowered: branch
+    /// encoding runs once per design and is cached, so the trunk dominates
+    /// the serving hot path.
+    pub fn lower_trunk(&self) -> Trunk<f32> {
+        self.trunk.cast()
     }
 
     /// Fast graph-free prediction: the temperature (Kelvin, after the
     /// output transform) of every configuration in the batch at every
-    /// coordinate, as an `n_configs × n_points` matrix.
+    /// coordinate, as an `n_configs × n_points` matrix. The branches are
+    /// encoded once and combined with the mesh's [`TrunkBasis`] (built in
+    /// [`DEFAULT_TRUNK_CHUNK`]-row chunks), exactly as serving does.
     ///
     /// This is the "0.1 s on a CPU" path of the paper's §V.A.7 speedup
     /// comparison.
@@ -414,8 +379,8 @@ impl DeepOHeat {
         coords: &Matrix,
     ) -> Result<Matrix, DeepOHeatError> {
         let _span = deepoheat_telemetry::span("model.predict");
-        let theta = self.predict_theta(branch_inputs, coords)?;
-        Ok(theta.map(|v| self.output_offset + self.output_scale * v))
+        let (offset, scale) = self.output_transform();
+        self.predict_affine(branch_inputs, coords, offset, scale)
     }
 
     /// Like [`DeepOHeat::predict`] but returning the raw nondimensional
@@ -430,9 +395,22 @@ impl DeepOHeat {
         branch_inputs: &[&Matrix],
         coords: &Matrix,
     ) -> Result<Matrix, DeepOHeatError> {
+        // `0 + 1 · θ` is `θ` bit for bit: the kernel's sums start at +0.0,
+        // so under round-to-nearest they are never -0.0.
+        self.predict_affine(branch_inputs, coords, 0.0, 1.0)
+    }
+
+    /// `offset + scale · θ` through the trunk basis.
+    fn predict_affine(
+        &self,
+        branch_inputs: &[&Matrix],
+        coords: &Matrix,
+        offset: f64,
+        scale: f64,
+    ) -> Result<Matrix, DeepOHeatError> {
         let embedding = self.encode_branches(branch_inputs)?;
-        let phi = self.trunk_features_inference(coords)?;
-        Ok(embedding.features().matmul_transposed(&phi)?)
+        let packed = self.trunk.pack(coords, DEFAULT_TRUNK_CHUNK, &|| false)?;
+        TrunkBasis::f64(packed, offset, scale).combine(&embedding)
     }
 
     /// Reassembles a model from its parts (used by [`crate::model_io`]).
@@ -487,7 +465,8 @@ impl DeepOHeat {
                 what: format!("output scale must be positive, got {output_scale}"),
             });
         }
-        Ok(DeepOHeat { branches, fourier, trunk, output_offset, output_scale })
+        let trunk = Trunk { fourier, mlp: trunk, offset: output_offset, scale: output_scale };
+        Ok(DeepOHeat { branches, trunk })
     }
 
     /// The branch nets, in input order.
@@ -497,12 +476,12 @@ impl DeepOHeat {
 
     /// The trunk net (behind the optional Fourier layer).
     pub fn trunk(&self) -> &Mlp {
-        &self.trunk
+        &self.trunk.mlp
     }
 
     /// The Fourier-features layer, if configured.
     pub fn fourier(&self) -> Option<&FourierFeatures> {
-        self.fourier.as_ref()
+        self.trunk.fourier.as_ref()
     }
 
     /// Inserts all trainable parameters into `graph`, returning the bound
@@ -510,8 +489,8 @@ impl DeepOHeat {
     pub fn bind(&self, graph: &mut Graph) -> BoundDeepOHeat {
         BoundDeepOHeat {
             branches: self.branches.iter().map(|b| b.bind(graph)).collect(),
-            trunk: self.trunk.bind(graph),
-            fourier: self.fourier.clone(),
+            trunk: self.trunk.mlp.bind(graph),
+            fourier: self.trunk.fourier.clone(),
         }
     }
 }
@@ -522,13 +501,13 @@ impl Parameterized for DeepOHeat {
         for b in &mut self.branches {
             params.extend(b.parameters_mut());
         }
-        params.extend(self.trunk.parameters_mut());
+        params.extend(self.trunk.mlp.parameters_mut());
         params
     }
 
     fn parameter_count(&self) -> usize {
         self.branches.iter().map(|b| b.parameter_count()).sum::<usize>()
-            + self.trunk.parameter_count()
+            + self.trunk.mlp.parameter_count()
     }
 }
 
@@ -700,6 +679,19 @@ mod tests {
         DeepOHeatConfig::single_branch(4, &[8], &[8], 6).with_fourier(4, 1.0)
     }
 
+    /// `offset + scale · B Φᵀ` without a trunk basis: the Fourier layer and
+    /// the trunk over every point at once, then the unpacked fused combine.
+    fn unpacked_reference(model: &DeepOHeat, inputs: &[&Matrix], y: &Matrix) -> Matrix {
+        let embedding = model.encode_branches(inputs).unwrap();
+        let h = match model.fourier() {
+            Some(ff) => ff.forward_inference(y).unwrap(),
+            None => y.clone(),
+        };
+        let phi = model.trunk().forward_inference(&h).unwrap();
+        let (offset, scale) = model.output_transform();
+        embedding.features().matmul_transposed_affine(&phi, offset, scale).unwrap()
+    }
+
     #[test]
     fn config_validation() {
         let mut r = rng();
@@ -740,7 +732,8 @@ mod tests {
         let model = DeepOHeat::new(&cfg, &mut r).unwrap();
         let u = Matrix::from_fn(3, 4, |i, j| 0.1 * (i + j) as f64 - 0.15);
         let y = Matrix::from_fn(41, 3, |i, j| 0.02 * (i * 3 + j) as f64);
-        let direct = model.predict(&[&u], &y).unwrap();
+        let direct = unpacked_reference(&model, &[&u], &y);
+        assert_eq!(bits(&direct), bits(&model.predict(&[&u], &y).unwrap()));
 
         let emb = model.encode_branches(&[&u]).unwrap();
         assert_eq!(emb.n_configs(), 3);
@@ -759,11 +752,12 @@ mod tests {
         let u = Matrix::from_fn(2, 4, |i, j| 0.3 * i as f64 - 0.05 * j as f64);
         let y = Matrix::from_fn(23, 3, |i, j| 0.04 * i as f64 + 0.1 * j as f64);
 
-        // Sequential reference: one full-network prediction per point.
+        // Sequential reference: one unpacked full-network evaluation per
+        // point.
         let mut sequential = Matrix::zeros(2, y.rows());
         for p in 0..y.rows() {
             let point = y.row_block(p..p + 1).unwrap();
-            let t = model.predict(&[&u], &point).unwrap();
+            let t = unpacked_reference(&model, &[&u], &point);
             for c in 0..2 {
                 sequential[(c, p)] = t[(c, 0)];
             }
@@ -789,7 +783,7 @@ mod tests {
         let basis = model.trunk_basis(&Matrix::zeros(5, 3), 4, &|| false).unwrap();
         assert!(basis.combine(&wrong_latent).is_err());
         assert!(model.trunk_basis(&Matrix::zeros(5, 2), 4, &|| false).is_err());
-        assert!(model.trunk_features_inference(&Matrix::zeros(5, 4)).is_err());
+        assert!(model.trunk_basis(&Matrix::zeros(5, 4), 4, &|| false).is_err());
     }
 
     #[test]

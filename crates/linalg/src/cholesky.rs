@@ -209,7 +209,8 @@ impl IncompleteCholesky {
         for i in 0..n {
             let mut row_i: Vec<(usize, f64)> = Vec::new();
             let mut a_ii = 0.0;
-            for (c, v) in a.row_entries(i) {
+            let (cols, values) = a.row_parts(i);
+            for (&c, &v) in cols.iter().zip(values) {
                 if c < i {
                     row_i.push((c, v));
                 } else if c == i {

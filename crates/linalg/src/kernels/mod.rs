@@ -37,6 +37,7 @@
 #[allow(unsafe_code)]
 mod simd;
 
+use std::fmt;
 use std::ops::Range;
 
 use deepoheat_parallel::{self as parallel, Job};
@@ -86,34 +87,62 @@ const MATMUL_CHUNK_WORK: usize = 1024 * 1024;
 /// packed B per handful of rows, turning the kernel memory-bound again.
 const MIN_BAND_ROWS: usize = 32;
 
-/// Scalar element the kernels are generic over (`f64`, and `f32` for the
-/// opt-in inference path). The trait is `pub(crate)`: it exists so the f64
-/// and f32 matrix types share one driver, not as a public extension point.
-pub(crate) trait Element: Copy + Send + Sync {
+/// A matrix element type: `f64`, the default everywhere, or `f32` for
+/// single-precision inference. Every dense kernel is generic over it, so
+/// both precisions run the same code. Sealed: the kernels' determinism
+/// contract is argued for these two types only.
+pub trait Element: sealed::Kernel + PartialEq + fmt::Debug + 'static {
+    /// The additive identity.
     const ZERO: Self;
-    fn mul(self, rhs: Self) -> Self;
-    fn add(self, rhs: Self) -> Self;
-    /// Runs one `mr × nr` output tile against a packed B strip, accumulating
-    /// in ascending-`k` order. `first` selects zero-initialised accumulators
-    /// (first slab) versus continuing from the partial sums already stored
-    /// in `c`. Implementations may use SIMD only if the result stays
-    /// bit-identical to [`scalar_tile`].
-    #[allow(clippy::too_many_arguments)] // one GEMM operand descriptor per slot
-    fn run_tile(
-        a: &[Self],
-        lda: usize,
-        bstrip: &[Self],
-        ks: usize,
-        c: &mut [Self],
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-        first: bool,
-    );
+
+    /// `v` rounded to nearest in this precision: the identity for `f64`,
+    /// and the one place an `f64` narrows to `f32`.
+    fn from_f64(v: f64) -> Self;
+
+    /// `self` widened to `f64`, exactly.
+    fn to_f64(self) -> f64;
+}
+
+mod sealed {
+    /// The kernel hooks of [`Element`](super::Element). Outside the crate
+    /// this trait cannot be named, so no other type can be an element.
+    pub trait Kernel: Copy + Send + Sync {
+        fn mul(self, rhs: Self) -> Self;
+        fn add(self, rhs: Self) -> Self;
+        /// Runs one `mr × nr` output tile against a packed B strip,
+        /// accumulating in ascending-`k` order. `first` selects
+        /// zero-initialised accumulators (first slab) versus continuing
+        /// from the partial sums already stored in `c`. Implementations may
+        /// use SIMD only if the result stays bit-identical to
+        /// `scalar_tile`.
+        #[allow(clippy::too_many_arguments)] // one GEMM operand descriptor per slot
+        fn run_tile(
+            a: &[Self],
+            lda: usize,
+            bstrip: &[Self],
+            ks: usize,
+            c: &mut [Self],
+            ldc: usize,
+            mr: usize,
+            nr: usize,
+            first: bool,
+        );
+    }
 }
 
 impl Element for f64 {
     const ZERO: f64 = 0.0;
+    #[inline(always)]
+    fn from_f64(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+impl sealed::Kernel for f64 {
     #[inline(always)]
     fn mul(self, rhs: f64) -> f64 {
         self * rhs
@@ -145,6 +174,17 @@ impl Element for f64 {
 
 impl Element for f32 {
     const ZERO: f32 = 0.0;
+    #[inline(always)]
+    fn from_f64(v: f64) -> f32 {
+        v as f32
+    }
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+impl sealed::Kernel for f32 {
     #[inline(always)]
     fn mul(self, rhs: f32) -> f32 {
         self * rhs
@@ -287,8 +327,7 @@ impl<T: Element> Epilogue<'_, T> {
 
 /// The right-hand operand of a product, packed once into the kernel's
 /// `KC × NR` panel layout so it can be reused by any number of products
-/// (build one with [`Matrix::pack_row_chunks`](crate::Matrix::pack_row_chunks)
-/// or its [`Matrix32`](crate::Matrix32) counterpart).
+/// (build one with [`Matrix::pack_row_chunks`](crate::Matrix::pack_row_chunks)).
 ///
 /// Layout: `NR`-wide column strips are concatenated; each strip holds its
 /// `k` reduction rows in ascending order with the `NR` values of one row

@@ -5,8 +5,10 @@
 //! This crate is deliberately self-contained (no BLAS/LAPACK bindings) so the
 //! whole reproduction builds offline from source. It provides:
 //!
-//! * [`Matrix`] — a dense, row-major, `f64` matrix with cache-friendly and
-//!   (for large operands) multi-threaded multiplication,
+//! * [`Matrix`] — a dense, row-major matrix with cache-friendly and
+//!   (for large operands) multi-threaded multiplication; `f64` unless
+//!   named otherwise, with its inference operations generic over the
+//!   [`Element`] type so `f32` runs the same code,
 //! * [`Cholesky`] — an LLᵀ factorisation for symmetric positive-definite
 //!   systems (used for Gaussian-random-field sampling),
 //! * [`CsrMatrix`] — compressed sparse row storage for the finite-volume
@@ -34,7 +36,6 @@ mod cholesky;
 mod error;
 mod kernels;
 mod matrix;
-mod matrix32;
 mod sparse;
 mod vector;
 
@@ -44,9 +45,8 @@ pub use block_cg::{
 pub use cg::{IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner};
 pub use cholesky::{Cholesky, IncompleteCholesky};
 pub use error::LinalgError;
-pub use kernels::PackedRhs;
+pub use kernels::{Element, PackedRhs};
 pub use matrix::Matrix;
-pub use matrix32::Matrix32;
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use vector::{
     add_product, axpy, direction_update, dot, gram, norm2, row_norms, scale_in_place, sub_product,

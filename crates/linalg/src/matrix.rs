@@ -4,7 +4,7 @@ use std::ops::{Add, Mul, Sub};
 use deepoheat_parallel as parallel;
 
 use crate::kernels::{self, Epilogue, PackedRhs};
-use crate::LinalgError;
+use crate::{Element, LinalgError};
 
 /// Fixed chunk length (in elements) for pooled elementwise kernels.
 const ELEMENTWISE_CHUNK: usize = 64 * 1024;
@@ -13,13 +13,20 @@ const ELEMENTWISE_CHUNK: usize = 64 * 1024;
 /// 64-byte cache line of the output.
 const TRANSPOSE_PANEL: usize = 8;
 
-/// A dense, row-major matrix of `f64` values.
+/// A dense, row-major matrix of [`Element`] values, `f64` unless named
+/// otherwise.
 ///
 /// `Matrix` is the workhorse value type of the whole reproduction: the
 /// autodiff tape, the neural-network layers, the Gaussian-random-field
 /// sampler and the experiment harnesses all operate on it. Storage is a
-/// single contiguous `Vec<f64>` in row-major order, which keeps the hot
+/// single contiguous `Vec` in row-major order, which keeps the hot
 /// multiplication kernels cache friendly.
+///
+/// The constructors and the arithmetic that training and the solvers use
+/// are `f64`'s. The shape accessors, [`Matrix::cast`], the products and
+/// the few maps inference needs are generic, so single-precision inference
+/// (`Matrix<f32>`) runs the same code; its results are bitwise independent
+/// of thread count within that precision, as `f64`'s are.
 ///
 /// # Examples
 ///
@@ -34,13 +41,13 @@ const TRANSPOSE_PANEL: usize = 8;
 /// # Ok::<(), deepoheat_linalg::LinalgError>(())
 /// ```
 #[derive(Clone, PartialEq, Default)]
-pub struct Matrix {
+pub struct Matrix<T = f64> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl fmt::Debug for Matrix {
+impl<T: fmt::Debug> fmt::Debug for Matrix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         let max_rows = 6.min(self.rows);
@@ -51,7 +58,7 @@ impl fmt::Debug for Matrix {
                 if c > 0 {
                     write!(f, ", ")?;
                 }
-                write!(f, "{:.4}", self[(r, c)])?;
+                write!(f, "{:.4?}", self.data[r * self.cols + c])?;
             }
             if self.cols > max_cols {
                 write!(f, ", …")?;
@@ -77,7 +84,7 @@ impl Matrix {
     /// assert!(z.iter().all(|&v| v == 0.0));
     /// ```
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
+        Matrix::zeroed(rows, cols)
     }
 
     /// Creates a `rows × cols` matrix with every element equal to `value`.
@@ -188,6 +195,14 @@ impl Matrix {
         }
         Matrix { rows, cols, data }
     }
+}
+
+impl<T: Element> Matrix<T> {
+    /// A `rows × cols` matrix of zeros in any precision; [`Matrix::zeros`]
+    /// is `f64`'s.
+    fn zeroed(rows: usize, cols: usize) -> Self {
+        Matrix { rows, cols, data: vec![T::ZERO; rows * cols] }
+    }
 
     /// Returns the number of rows.
     pub fn rows(&self) -> usize {
@@ -215,17 +230,17 @@ impl Matrix {
     }
 
     /// Returns the underlying row-major data as a slice.
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Returns the underlying row-major data as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     /// Consumes the matrix, returning the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub fn into_vec(self) -> Vec<T> {
         self.data
     }
 
@@ -237,7 +252,7 @@ impl Matrix {
     /// `0..rows()`, so the bound is checked with `debug_assert!` only; an
     /// out-of-range index still stops at the slice bounds check rather
     /// than reading out of bounds.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub fn row(&self, r: usize) -> &[T] {
         debug_assert!(r < self.rows, "row index {r} out of bounds for {} rows", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -247,7 +262,7 @@ impl Matrix {
     /// # Contract
     ///
     /// `r` must be a valid row index; see [`Matrix::row`].
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         debug_assert!(r < self.rows, "row index {r} out of bounds for {} rows", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -255,7 +270,7 @@ impl Matrix {
     /// Appends `row` as a new last row. `row.len()` must equal `cols()`;
     /// the in-crate callers size it from the matrix they append to, so the
     /// length is checked with `debug_assert!` only.
-    pub(crate) fn push_row(&mut self, row: &[f64]) {
+    pub(crate) fn push_row(&mut self, row: &[T]) {
         debug_assert_eq!(row.len(), self.cols, "push_row: row length mismatch");
         self.data.extend_from_slice(row);
         self.rows += 1;
@@ -289,7 +304,7 @@ impl Matrix {
     /// assert_eq!(block.as_slice(), &[3.0, 4.0, 5.0, 6.0]);
     /// # Ok::<(), deepoheat_linalg::LinalgError>(())
     /// ```
-    pub fn row_block(&self, range: std::ops::Range<usize>) -> Result<Matrix, LinalgError> {
+    pub fn row_block(&self, range: std::ops::Range<usize>) -> Result<Self, LinalgError> {
         if range.start > range.end || range.end > self.rows {
             return Err(LinalgError::InvalidDimension {
                 op: "row_block",
@@ -304,12 +319,12 @@ impl Matrix {
     }
 
     /// Returns an iterator over all elements in row-major order.
-    pub fn iter(&self) -> std::slice::Iter<'_, f64> {
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.data.iter()
     }
 
     /// Returns a mutable iterator over all elements in row-major order.
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, f64> {
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
         self.data.iter_mut()
     }
 
@@ -318,9 +333,9 @@ impl Matrix {
     /// Copies panels of `TRANSPOSE_PANEL` source rows column by column,
     /// so each column writes one contiguous run of the output — a whole
     /// cache line — instead of one element at a stride of `rows`.
-    pub fn transpose(&self) -> Matrix {
+    pub fn transpose(&self) -> Self {
         let (rows, cols) = (self.rows, self.cols);
-        let mut data = vec![0.0; rows * cols];
+        let mut data = vec![T::ZERO; rows * cols];
         for r0 in (0..rows).step_by(TRANSPOSE_PANEL) {
             let height = TRANSPOSE_PANEL.min(rows - r0);
             let panel = &self.data[r0 * cols..(r0 + height) * cols];
@@ -359,7 +374,7 @@ impl Matrix {
     /// assert_eq!(c.as_slice(), &[17.0, 39.0]);
     /// # Ok::<(), deepoheat_linalg::LinalgError>(())
     /// ```
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+    pub fn matmul(&self, rhs: &Self) -> Result<Self, LinalgError> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul",
@@ -367,7 +382,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::zeroed(self.rows, rhs.cols);
         kernels::gemm(
             &self.data,
             &rhs.data,
@@ -390,7 +405,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+    pub fn matmul_naive(&self, rhs: &Self) -> Result<Self, LinalgError> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_naive",
@@ -398,7 +413,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::zeroed(self.rows, rhs.cols);
         kernels::gemm_naive(
             &self.data,
             &rhs.data,
@@ -422,7 +437,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`
     /// or `bias.len() != rhs.cols()`.
-    pub fn matmul_bias(&self, rhs: &Matrix, bias: &[f64]) -> Result<Matrix, LinalgError> {
+    pub fn matmul_bias(&self, rhs: &Self, bias: &[T]) -> Result<Self, LinalgError> {
         if self.cols != rhs.rows || bias.len() != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_bias",
@@ -430,7 +445,7 @@ impl Matrix {
                 rhs: (rhs.rows, rhs.cols),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::zeroed(self.rows, rhs.cols);
         kernels::gemm(
             &self.data,
             &rhs.data,
@@ -453,14 +468,9 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`
     /// or `bias.len() != rhs.cols()`.
-    pub fn matmul_bias_map<F>(
-        &self,
-        rhs: &Matrix,
-        bias: &[f64],
-        f: F,
-    ) -> Result<Matrix, LinalgError>
+    pub fn matmul_bias_map<F>(&self, rhs: &Self, bias: &[T], f: F) -> Result<Self, LinalgError>
     where
-        F: Fn(f64) -> f64 + Sync,
+        F: Fn(T) -> T + Sync,
     {
         if self.cols != rhs.rows || bias.len() != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -469,7 +479,7 @@ impl Matrix {
                 rhs: (rhs.rows, rhs.cols),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::zeroed(self.rows, rhs.cols);
         kernels::gemm(
             &self.data,
             &rhs.data,
@@ -493,7 +503,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
-    pub fn matmul_transposed(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+    pub fn matmul_transposed(&self, rhs: &Self) -> Result<Self, LinalgError> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_transposed",
@@ -501,7 +511,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let mut out = Matrix::zeroed(self.rows, rhs.rows);
         kernels::gemm(
             &self.data,
             &rhs.data,
@@ -528,10 +538,10 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_transposed_affine(
         &self,
-        rhs: &Matrix,
-        offset: f64,
-        scale: f64,
-    ) -> Result<Matrix, LinalgError> {
+        rhs: &Self,
+        offset: T,
+        scale: T,
+    ) -> Result<Self, LinalgError> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_transposed_affine",
@@ -539,7 +549,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let mut out = Matrix::zeroed(self.rows, rhs.rows);
         kernels::gemm(
             &self.data,
             &rhs.data,
@@ -573,10 +583,10 @@ impl Matrix {
         cols: usize,
         chunk_rows: usize,
         produce: F,
-    ) -> Result<PackedRhs<f64>, E>
+    ) -> Result<PackedRhs<T>, E>
     where
         E: Send + From<LinalgError>,
-        F: Fn(std::ops::Range<usize>) -> Result<Matrix, E> + Sync,
+        F: Fn(std::ops::Range<usize>) -> Result<Self, E> + Sync,
     {
         kernels::pack_rows_chunked(rows, cols, chunk_rows, produce, Matrix::as_slice)
     }
@@ -592,10 +602,10 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_packed_affine(
         &self,
-        rhs: &PackedRhs<f64>,
-        offset: f64,
-        scale: f64,
-    ) -> Result<Matrix, LinalgError> {
+        rhs: &PackedRhs<T>,
+        offset: T,
+        scale: T,
+    ) -> Result<Self, LinalgError> {
         if self.cols != rhs.cols() {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_packed_affine",
@@ -603,7 +613,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.rows());
+        let mut out = Matrix::zeroed(self.rows, rhs.rows());
         kernels::gemm_packed(
             &self.data,
             rhs,
@@ -614,6 +624,42 @@ impl Matrix {
         Ok(out)
     }
 
+    /// Applies `f` to every element, returning a new matrix.
+    pub fn map<F: Fn(T) -> T>(&self, f: F) -> Self {
+        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
+    }
+
+    /// Horizontally concatenates `self` and `rhs` (`[self | rhs]`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
+    pub fn hcat(&self, rhs: &Self) -> Result<Self, LinalgError> {
+        if self.rows != rhs.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "hcat",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix::zeroed(self.rows, self.cols + rhs.cols);
+        for r in 0..self.rows {
+            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
+            out.row_mut(r)[self.cols..].copy_from_slice(rhs.row(r));
+        }
+        Ok(out)
+    }
+
+    /// This matrix in precision `U`, each element rounded to nearest
+    /// through [`Element::from_f64`]: exact when `U` is at least as wide as
+    /// `T`, and a copy when it is `T`.
+    pub fn cast<U: Element>(&self) -> Matrix<U> {
+        let data = self.data.iter().map(|&v| U::from_f64(v.to_f64())).collect();
+        Matrix { rows: self.rows, cols: self.cols, data }
+    }
+}
+
+impl Matrix {
     /// Elementwise (Hadamard) product.
     ///
     /// # Errors
@@ -698,11 +744,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every element, returning a new matrix.
-    pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
-    }
-
     /// Like [`Matrix::map`], but evaluates chunks of elements on the worker
     /// pool. Elementwise, so the result is bit-identical to `map` at any
     /// thread count; requires `f: Sync` (transcendental activations in the
@@ -770,27 +811,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Horizontally concatenates `self` and `rhs` (`[self | rhs]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hcat(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hcat",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(rhs.row(r));
-        }
-        Ok(out)
     }
 
     /// Vertically concatenates `self` on top of `rhs`.
@@ -948,6 +968,22 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
         let c = a.matmul(&b).unwrap();
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+
+        // Small integers are exact in f32 too, so both precisions agree.
+        let a = Matrix::from_fn(5, 7, |r, c| ((r * 7 + c) % 9) as f64 - 4.0);
+        let b = Matrix::from_fn(7, 6, |r, c| ((r * 3 + c) % 5) as f64 - 2.0);
+        let narrow = a.cast::<f32>().matmul(&b.cast()).unwrap();
+        assert_eq!(narrow.cast::<f64>(), a.matmul(&b).unwrap());
+    }
+
+    #[test]
+    fn cast_round_trips_values_both_precisions_hold() {
+        // Halves are exact in both precisions.
+        let m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64 * 0.5);
+        let m32 = m.cast::<f32>();
+        assert_eq!(m32.shape(), (3, 4));
+        assert_eq!(m32.cast::<f64>(), m);
+        assert_eq!(m.cast::<f64>(), m);
     }
 
     #[test]
@@ -955,6 +991,7 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
+        assert!(a.cast::<f32>().matmul(&b.cast()).is_err());
     }
 
     #[test]
@@ -1003,6 +1040,16 @@ mod tests {
         let fused = a.matmul_transposed_affine(&t, 1.5, -0.25).unwrap();
         let two_pass = a.matmul_transposed(&t).unwrap().map(|v| 1.5 + -0.25 * v);
         assert_eq!(fused, two_pass);
+
+        // The same kernels in f32, against their f32 two-pass forms.
+        let (a, b, t) = (a.cast::<f32>(), b.cast::<f32>(), t.cast::<f32>());
+        let bias: Vec<f32> = bias.iter().map(|&v| v as f32).collect();
+        let act = |v: f32| v * (1.0 / (1.0 + (-v).exp()));
+        let fused = a.matmul_bias_map(&b, &bias, act).unwrap();
+        assert_eq!(fused, a.matmul_bias(&b, &bias).unwrap().map(act));
+        let fused = a.matmul_transposed_affine(&t, 2.0, 0.5).unwrap();
+        let prod = a.matmul(&t.cast::<f64>().transpose().cast()).unwrap();
+        assert_eq!(fused, prod.map(|v| 2.0 + 0.5 * v));
     }
 
     #[test]
@@ -1011,6 +1058,7 @@ mod tests {
         let b = Matrix::zeros(3, 4);
         assert!(a.matmul_bias(&b, &[0.0; 3]).is_err());
         assert!(a.matmul_bias_map(&b, &[0.0; 5], |v| v).is_err());
+        assert!(a.cast::<f32>().matmul_bias(&b.cast(), &[0.0; 3]).is_err());
     }
 
     #[test]
@@ -1061,6 +1109,8 @@ mod tests {
         let v = a.vcat(&b).unwrap();
         assert_eq!(v.shape(), (4, 1));
         assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a.cast::<f32>().hcat(&b.cast()).unwrap().as_slice(), &[1.0, 3.0, 2.0, 4.0]);
+        assert!(a.cast::<f32>().hcat(&Matrix::zeros(3, 1).cast()).is_err());
     }
 
     #[test]

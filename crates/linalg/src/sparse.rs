@@ -300,10 +300,14 @@ impl CsrMatrix {
     /// Panics if `row` or `col` is out of bounds.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.rows && col < self.cols, "csr get ({row}, {col}) out of bounds");
-        let start = self.row_ptr[row];
-        let end = self.row_ptr[row + 1];
-        match self.col_idx[start..end].binary_search(&col) {
-            Ok(pos) => self.values[start + pos],
+        self.stored(row, col)
+    }
+
+    /// [`CsrMatrix::get`] without its bounds check; `row` must be in range.
+    fn stored(&self, row: usize, col: usize) -> f64 {
+        let (cols, values) = self.row_parts(row);
+        match cols.binary_search(&col) {
+            Ok(pos) => values[pos],
             Err(_) => 0.0,
         }
     }
@@ -315,9 +319,16 @@ impl CsrMatrix {
     /// Panics if `r >= self.rows()`.
     pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         assert!(r < self.rows, "csr row {r} out of bounds");
-        let start = self.row_ptr[r];
-        let end = self.row_ptr[r + 1];
-        self.col_idx[start..end].iter().copied().zip(self.values[start..end].iter().copied())
+        let (cols, values) = self.row_parts(r);
+        cols.iter().copied().zip(values.iter().copied())
+    }
+
+    /// Row `r`'s stored columns and values, in column order, without
+    /// [`CsrMatrix::row_entries`]' bounds check: in-crate callers walk
+    /// `0..rows()`.
+    pub(crate) fn row_parts(&self, r: usize) -> (&[usize], &[f64]) {
+        let span = self.row_ptr[r]..self.row_ptr[r + 1];
+        (&self.col_idx[span.clone()], &self.values[span])
     }
 
     /// Row `i`'s columns left and right of the diagonal, in column order.
@@ -541,7 +552,7 @@ impl CsrMatrix {
 
     /// Extracts the main diagonal (missing entries are `0.0`).
     pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols)).map(|i| self.get(i, i)).collect()
+        (0..self.rows.min(self.cols)).map(|i| self.stored(i, i)).collect()
     }
 
     /// Checks structural + numerical symmetry within `tol` (absolute).
@@ -553,8 +564,9 @@ impl CsrMatrix {
             return false;
         }
         for r in 0..self.rows {
-            for (c, v) in self.row_entries(r) {
-                if (v - self.get(c, r)).abs() > tol {
+            let (cols, values) = self.row_parts(r);
+            for (&c, &v) in cols.iter().zip(values) {
+                if (v - self.stored(c, r)).abs() > tol {
                     return false;
                 }
             }

@@ -17,7 +17,7 @@
 //! reduced to keep the interpreted suite fast; the shapes exercised stay
 //! the same.
 
-use deepoheat_linalg::{LinalgError, Matrix, Matrix32};
+use deepoheat_linalg::{LinalgError, Matrix};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +55,7 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.iter().map(|v| v.to_bits()).collect()
 }
 
-fn bits32(m: &Matrix32) -> Vec<u32> {
+fn bits32(m: &Matrix<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -73,16 +73,16 @@ fn assert_packed_affine_matches(a: &Matrix, t: &Matrix, chunk: usize, offset: f6
     assert_eq!(bits(&whole), bits(&reference), "whole pack, {:?} x {:?}", a.shape(), t.shape());
     assert_eq!(bits(&from_chunks), bits(&reference), "chunk {chunk}");
 
-    let (a32, t32) = (Matrix32::from_f64(a), Matrix32::from_f64(t));
+    let (a32, t32) = (a.cast::<f32>(), t.cast::<f32>());
     let (offset32, scale32) = (offset as f32, scale as f32);
     let reference32 = a32.matmul_transposed_affine(&t32, offset32, scale32).unwrap();
-    let packed_whole32 = Matrix32::pack_row_chunks(n, k, n, |rows| {
-        Ok::<_, LinalgError>(Matrix32::from_f64(&t.row_block(rows)?))
+    let packed_whole32 = Matrix::pack_row_chunks(n, k, n, |rows| {
+        Ok::<_, LinalgError>(t.row_block(rows)?.cast::<f32>())
     })
     .unwrap();
     let whole32 = a32.matmul_packed_affine(&packed_whole32, offset32, scale32).unwrap();
-    let chunked32 = Matrix32::pack_row_chunks(n, k, chunk, |rows| {
-        Ok::<_, LinalgError>(Matrix32::from_f64(&t.row_block(rows)?))
+    let chunked32 = Matrix::pack_row_chunks(n, k, chunk, |rows| {
+        Ok::<_, LinalgError>(t.row_block(rows)?.cast::<f32>())
     })
     .unwrap();
     let from_chunks32 = a32.matmul_packed_affine(&chunked32, offset32, scale32).unwrap();

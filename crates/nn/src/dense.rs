@@ -1,14 +1,17 @@
 use deepoheat_autodiff::{Graph, Var};
-use deepoheat_linalg::Matrix;
+use deepoheat_linalg::{Element, Matrix};
 use rand::Rng;
 
 use crate::{glorot_uniform, Jet3, NnError};
 
-/// A fully connected layer `z = x W + b`.
+/// A fully connected layer `z = x W + b`, with `f64` parameters unless
+/// named otherwise.
 ///
 /// The layer owns its parameter matrices; [`Dense::bind`] inserts them into
 /// a fresh autodiff graph each training iteration, returning a
-/// [`BoundDense`] whose handles drive the forward pass.
+/// [`BoundDense`] whose handles drive the forward pass. Training is
+/// `f64`'s; the graph-free inference passes are generic over the
+/// [`Element`] type, and [`Dense::cast`] narrows a trained layer for them.
 ///
 /// # Examples
 ///
@@ -28,9 +31,9 @@ use crate::{glorot_uniform, Jet3, NnError};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Dense {
-    weight: Matrix,
-    bias: Matrix,
+pub struct Dense<T = f64> {
+    weight: Matrix<T>,
+    bias: Matrix<T>,
 }
 
 impl Dense {
@@ -62,26 +65,6 @@ impl Dense {
         Ok(Dense { weight, bias })
     }
 
-    /// Input dimension (rows of the weight matrix).
-    pub fn input_dim(&self) -> usize {
-        self.weight.rows()
-    }
-
-    /// Output dimension (columns of the weight matrix).
-    pub fn output_dim(&self) -> usize {
-        self.weight.cols()
-    }
-
-    /// Returns the weight matrix.
-    pub fn weight(&self) -> &Matrix {
-        &self.weight
-    }
-
-    /// Returns the bias row vector.
-    pub fn bias(&self) -> &Matrix {
-        &self.bias
-    }
-
     /// Mutable access to the parameters, in `[weight, bias]` order.
     pub fn parameters_mut(&mut self) -> [&mut Matrix; 2] {
         [&mut self.weight, &mut self.bias]
@@ -95,6 +78,34 @@ impl Dense {
             bias: graph.leaf(self.bias.clone(), true),
         }
     }
+}
+
+impl<T: Element> Dense<T> {
+    /// Input dimension (rows of the weight matrix).
+    pub fn input_dim(&self) -> usize {
+        self.weight.rows()
+    }
+
+    /// Output dimension (columns of the weight matrix).
+    pub fn output_dim(&self) -> usize {
+        self.weight.cols()
+    }
+
+    /// Returns the weight matrix.
+    pub fn weight(&self) -> &Matrix<T> {
+        &self.weight
+    }
+
+    /// Returns the bias row vector.
+    pub fn bias(&self) -> &Matrix<T> {
+        &self.bias
+    }
+
+    /// This layer with its parameters in precision `U` (see
+    /// [`Matrix::cast`]).
+    pub fn cast<U: Element>(&self) -> Dense<U> {
+        Dense { weight: self.weight.cast(), bias: self.bias.cast() }
+    }
 
     /// Graph-free forward pass for fast inference: `x W + b`, with the
     /// bias add fused into the matmul epilogue (no intermediate product
@@ -103,7 +114,7 @@ impl Dense {
     /// # Errors
     ///
     /// Returns an error if `x.cols() != self.input_dim()`.
-    pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, NnError> {
+    pub fn forward_inference(&self, x: &Matrix<T>) -> Result<Matrix<T>, NnError> {
         Ok(x.matmul_bias(&self.weight, self.bias.as_slice())?)
     }
 
@@ -116,9 +127,9 @@ impl Dense {
     /// # Errors
     ///
     /// Returns an error if `x.cols() != self.input_dim()`.
-    pub fn forward_inference_fused<F>(&self, x: &Matrix, f: F) -> Result<Matrix, NnError>
+    pub fn forward_inference_fused<F>(&self, x: &Matrix<T>, f: F) -> Result<Matrix<T>, NnError>
     where
-        F: Fn(f64) -> f64 + Sync,
+        F: Fn(T) -> T + Sync,
     {
         Ok(x.matmul_bias_map(&self.weight, self.bias.as_slice(), f)?)
     }
@@ -221,5 +232,13 @@ mod tests {
         assert_eq!(layer.output_dim(), 11);
         assert_eq!(layer.weight().shape(), (7, 11));
         assert_eq!(layer.bias().shape(), (1, 11));
+    }
+
+    #[test]
+    fn inference_shape_errors_propagate_in_both_precisions() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let layer = Dense::new(4, 2, &mut rng);
+        assert!(layer.forward_inference(&Matrix::zeros(3, 5)).is_err());
+        assert!(layer.cast::<f32>().forward_inference(&Matrix::zeros(3, 5).cast()).is_err());
     }
 }

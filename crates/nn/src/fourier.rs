@@ -1,5 +1,5 @@
 use deepoheat_autodiff::{Activation, Graph, Var};
-use deepoheat_linalg::Matrix;
+use deepoheat_linalg::{Element, Matrix};
 use rand::Rng;
 
 use crate::{normal_matrix, Jet3, NnError};
@@ -11,7 +11,8 @@ use crate::{normal_matrix, Jet3, NnError};
 /// can represent the high-frequency content of temperature fields; the
 /// paper samples the frequency matrix `B` from `N(0, (2π)²)` in the
 /// power-map experiment and `N(0, π²)` in the HTC experiment. `B` is
-/// **not trainable**.
+/// **not trainable**. It is `f64` unless named otherwise; the inference
+/// pass is generic over the [`Element`] type.
 ///
 /// # Examples
 ///
@@ -31,8 +32,8 @@ use crate::{normal_matrix, Jet3, NnError};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct FourierFeatures {
-    frequencies: Matrix,
+pub struct FourierFeatures<T = f64> {
+    frequencies: Matrix<T>,
 }
 
 impl FourierFeatures {
@@ -51,21 +52,6 @@ impl FourierFeatures {
     /// input dimension, columns = frequencies).
     pub fn from_frequencies(frequencies: Matrix) -> Self {
         FourierFeatures { frequencies }
-    }
-
-    /// Input dimension accepted by the mapping.
-    pub fn input_dim(&self) -> usize {
-        self.frequencies.rows()
-    }
-
-    /// Output dimension produced by the mapping (`2 × n_frequencies`).
-    pub fn output_dim(&self) -> usize {
-        2 * self.frequencies.cols()
-    }
-
-    /// Returns the fixed frequency matrix `B`.
-    pub fn frequencies(&self) -> &Matrix {
-        &self.frequencies
     }
 
     /// Graph forward pass: `[sin(x B) | cos(x B)]`.
@@ -126,16 +112,42 @@ impl FourierFeatures {
         }
         Jet3::new(value, d1, d2)
     }
+}
 
-    /// Graph-free forward pass for fast inference.
+impl<T: Element> FourierFeatures<T> {
+    /// Input dimension accepted by the mapping.
+    pub fn input_dim(&self) -> usize {
+        self.frequencies.rows()
+    }
+
+    /// Output dimension produced by the mapping (`2 × n_frequencies`).
+    pub fn output_dim(&self) -> usize {
+        2 * self.frequencies.cols()
+    }
+
+    /// Returns the fixed frequency matrix `B`.
+    pub fn frequencies(&self) -> &Matrix<T> {
+        &self.frequencies
+    }
+
+    /// This mapping with `B` in precision `U` (see [`Matrix::cast`]).
+    pub fn cast<U: Element>(&self) -> FourierFeatures<U> {
+        FourierFeatures { frequencies: self.frequencies.cast() }
+    }
+
+    /// Graph-free forward pass for fast inference. sin and cos run in
+    /// `f64` in either precision: an `f32` argument is widened and the
+    /// result rounded to nearest back (the `f32` libm kernels need not
+    /// round correctly; widening keeps this path deterministic across
+    /// platforms).
     ///
     /// # Errors
     ///
     /// Returns an error if `x.cols() != self.input_dim()`.
-    pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, NnError> {
+    pub fn forward_inference(&self, x: &Matrix<T>) -> Result<Matrix<T>, NnError> {
         let z = x.matmul(&self.frequencies)?;
-        let s = z.map(f64::sin);
-        let c = z.map(f64::cos);
+        let s = z.map(|v| T::from_f64(v.to_f64().sin()));
+        let c = z.map(|v| T::from_f64(v.to_f64().cos()));
         Ok(s.hcat(&c)?)
     }
 }
@@ -214,5 +226,22 @@ mod tests {
         assert!((out.as_slice()[1] - 1.0f64.sin()).abs() < 1e-15);
         assert!((out.as_slice()[2] - 0.5f64.cos()).abs() < 1e-15);
         assert!((out.as_slice()[3] - 1.0f64.cos()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn f32_inference_tracks_f64_mapping() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let ff = FourierFeatures::new(3, 8, 1.5, &mut rng);
+        let narrow_ff = ff.cast::<f32>();
+        assert_eq!(narrow_ff.input_dim(), 3);
+        assert_eq!(narrow_ff.output_dim(), 16);
+
+        let x = Matrix::from_fn(6, 3, |i, j| 0.21 * i as f64 + 0.05 * j as f64 - 0.4);
+        let full = ff.forward_inference(&x).unwrap();
+        let narrow = narrow_ff.forward_inference(&x.cast()).unwrap().cast::<f64>();
+        // sin/cos outputs are in [-1, 1]; the argument narrowing dominates.
+        for (a, b) in full.iter().zip(narrow.iter()) {
+            assert!((a - b).abs() <= 1e-4, "{a} vs {b}");
+        }
     }
 }

@@ -45,7 +45,6 @@ mod error;
 mod fourier;
 mod init;
 mod jet;
-mod lowered;
 mod mlp;
 mod schedule;
 
@@ -55,7 +54,6 @@ pub use error::NnError;
 pub use fourier::FourierFeatures;
 pub use init::{glorot_uniform, normal_matrix};
 pub use jet::{activation_jet, Jet3, JetChannels};
-pub use lowered::{LoweredDense, LoweredFourier, LoweredMlp};
 pub use mlp::{BoundMlp, Mlp, MlpConfig};
 pub use schedule::LrSchedule;
 

@@ -1,5 +1,5 @@
 use deepoheat_autodiff::{Activation, Graph, Var};
-use deepoheat_linalg::Matrix;
+use deepoheat_linalg::{Element, Matrix};
 use rand::Rng;
 
 use crate::{activation_jet, BoundDense, BoundParameters, Dense, Jet3, NnError, Parameterized};
@@ -54,10 +54,12 @@ impl MlpConfig {
 ///
 /// Serves as both the branch nets and (behind a Fourier-features mapping)
 /// the trunk net of DeepOHeat. See the
-/// [crate-level example](crate) for a training loop.
+/// [crate-level example](crate) for a training loop. Parameters are `f64`
+/// unless named otherwise; like [`Dense`], only the inference pass is
+/// generic over the [`Element`] type.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mlp {
-    layers: Vec<Dense>,
+pub struct Mlp<T = f64> {
+    layers: Vec<Dense<T>>,
     activation: Activation,
 }
 
@@ -104,6 +106,16 @@ impl Mlp {
         Ok(Mlp { layers, activation })
     }
 
+    /// Inserts all parameters into `graph` as trainable leaves.
+    pub fn bind(&self, graph: &mut Graph) -> BoundMlp {
+        BoundMlp {
+            layers: self.layers.iter().map(|l| l.bind(graph)).collect(),
+            activation: self.activation,
+        }
+    }
+}
+
+impl<T: Element> Mlp<T> {
     /// Input feature dimension.
     pub fn input_dim(&self) -> usize {
         self.layers[0].input_dim()
@@ -120,16 +132,8 @@ impl Mlp {
     }
 
     /// The layers, input side first.
-    pub fn layers(&self) -> &[Dense] {
+    pub fn layers(&self) -> &[Dense<T>] {
         &self.layers
-    }
-
-    /// Inserts all parameters into `graph` as trainable leaves.
-    pub fn bind(&self, graph: &mut Graph) -> BoundMlp {
-        BoundMlp {
-            layers: self.layers.iter().map(|l| l.bind(graph)).collect(),
-            activation: self.activation,
-        }
     }
 
     /// Graph-free forward pass for fast inference.
@@ -138,16 +142,19 @@ impl Mlp {
     /// ([`Dense::forward_inference_fused`]): bias add and activation happen
     /// in the matmul store epilogue, so no intermediate pre-activation
     /// matrix is materialised. Bit-identical to the unfused
-    /// matmul → broadcast → elementwise-map sequence it replaces.
+    /// matmul → broadcast → elementwise-map sequence it replaces. The
+    /// activation runs in `f64` in either precision: an `f32` element is
+    /// widened, and the result rounded back.
     ///
     /// # Errors
     ///
     /// Returns an error if `x.cols() != self.input_dim()`.
-    pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        let act = |v: f64| self.activation.eval(0, v);
+    pub fn forward_inference(&self, x: &Matrix<T>) -> Result<Matrix<T>, NnError> {
+        let activation = self.activation;
+        let act = move |v: T| T::from_f64(activation.eval(0, v.to_f64()));
         let (last, hidden) =
             self.layers.split_last().expect("invariant: from_layers rejects empty layer lists");
-        let mut h: Option<Matrix> = None;
+        let mut h: Option<Matrix<T>> = None;
         for layer in hidden {
             let input = h.as_ref().unwrap_or(x);
             h = Some(layer.forward_inference_fused(input, act)?);
@@ -155,38 +162,10 @@ impl Mlp {
         last.forward_inference(h.as_ref().unwrap_or(x))
     }
 
-    /// Graph-free forward pass dispatched in fixed row chunks on the
-    /// `deepoheat-parallel` pool.
-    ///
-    /// Every layer of [`Mlp::forward_inference`] is row-independent
-    /// (each output row is a function of the matching input row alone), so
-    /// forwarding `chunk_rows`-sized blocks and stitching them back in
-    /// chunk-index order is **bit-identical** to the unchunked pass at any
-    /// thread count — chunk boundaries depend only on `x.rows()` and
-    /// `chunk_rows`, never on the pool width. A batch that fits in one
-    /// chunk (or `chunk_rows == 0`) falls through to the plain pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.cols() != self.input_dim()`.
-    pub fn forward_inference_chunked(
-        &self,
-        x: &Matrix,
-        chunk_rows: usize,
-    ) -> Result<Matrix, NnError> {
-        let n = x.rows();
-        if chunk_rows == 0 || n <= chunk_rows {
-            return self.forward_inference(x);
-        }
-        let blocks = deepoheat_parallel::par_try_map_chunks(n, chunk_rows, |range| {
-            let block = x.row_block(range)?;
-            self.forward_inference(&block).map(Matrix::into_vec)
-        })?;
-        let mut data = Vec::with_capacity(n * self.output_dim());
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Ok(Matrix::from_vec(n, self.output_dim(), data)?)
+    /// This network with its parameters in precision `U` (see
+    /// [`Matrix::cast`]); the activation is shared.
+    pub fn cast<U: Element>(&self) -> Mlp<U> {
+        Mlp { layers: self.layers.iter().map(Dense::cast).collect(), activation: self.activation }
     }
 }
 
@@ -341,20 +320,37 @@ mod tests {
     }
 
     #[test]
-    fn chunked_inference_is_bit_identical_to_plain() {
-        let mut r = rng();
+    fn f32_inference_tracks_f64_network() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(77);
         let mlp = Mlp::new(&MlpConfig::new(3, &[16, 16], 4, Activation::Swish), &mut r).unwrap();
-        let x = Matrix::from_fn(37, 3, |i, j| 0.05 * (i as f64) - 0.3 * (j as f64) + 0.1);
-        let plain = mlp.forward_inference(&x).unwrap();
-        for chunk in [1, 5, 16, 37, 1000, 0] {
-            let chunked = mlp.forward_inference_chunked(&x, chunk).unwrap();
-            assert_eq!(plain, chunked, "chunk_rows = {chunk}");
+        let narrow_mlp = mlp.cast::<f32>();
+        assert_eq!(narrow_mlp.input_dim(), 3);
+        assert_eq!(narrow_mlp.output_dim(), 4);
+
+        let x = Matrix::from_fn(11, 3, |i, j| 0.07 * i as f64 - 0.13 * j as f64);
+        let full = mlp.forward_inference(&x).unwrap();
+        let narrow = narrow_mlp.forward_inference(&x.cast()).unwrap().cast::<f64>();
+        let scale = full.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        for (a, b) in full.iter().zip(narrow.iter()) {
+            assert!((a - b).abs() <= 1e-4 * scale, "{a} vs {b} (scale {scale})");
         }
-        // ... and across pool widths.
-        for threads in [1, 3] {
+    }
+
+    #[test]
+    fn inference_is_deterministic_across_pool_widths_in_both_precisions() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(77);
+        let mlp = Mlp::new(&MlpConfig::new(3, &[32], 8, Activation::Swish), &mut r).unwrap();
+        let narrow_mlp = mlp.cast::<f32>();
+        let x = Matrix::from_fn(200, 3, |i, j| 0.01 * i as f64 + 0.2 * j as f64);
+        let x32 = x.cast::<f32>();
+        let base = mlp.forward_inference(&x).unwrap();
+        let base32 = narrow_mlp.forward_inference(&x32).unwrap();
+        for threads in [1, 2, 4] {
             let pool = deepoheat_parallel::ThreadPool::new(threads);
-            let under = pool.install(|| mlp.forward_inference_chunked(&x, 8)).unwrap();
-            assert_eq!(plain, under, "threads = {threads}");
+            let under = pool.install(|| mlp.forward_inference(&x)).unwrap();
+            assert_eq!(base, under, "f64, threads = {threads}");
+            let under = pool.install(|| narrow_mlp.forward_inference(&x32)).unwrap();
+            assert_eq!(base32, under, "f32, threads = {threads}");
         }
     }
 

@@ -466,28 +466,6 @@ where
     slots.into_iter().map(|slot| slot.expect("every chunk job ran")).collect()
 }
 
-/// Fallible variant of [`par_map_chunks`]: every chunk still runs (the
-/// scope has no early-exit), but the returned error is always the one from
-/// the **lowest-indexed** failing chunk, so which error a caller observes
-/// is independent of worker scheduling. This is the batch-dispatch
-/// primitive behind chunked NN inference ([`deepoheat-serve`]'s trunk
-/// batching): each chunk forwards independently and the results are
-/// stitched back together in chunk-index order.
-///
-/// [`deepoheat-serve`]: https://docs.rs/deepoheat-serve
-///
-/// # Errors
-///
-/// Returns the error of the first failing chunk in chunk-index order.
-pub fn par_try_map_chunks<T, E, F>(n: usize, chunk: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<T, E> + Sync,
-{
-    par_map_chunks(n, chunk, f).into_iter().collect()
-}
-
 /// Sum-reduction with the deterministic contract: `f` produces one partial
 /// per fixed chunk and the partials are added **left to right in chunk
 /// order**, so the rounding sequence — and therefore the bits of the

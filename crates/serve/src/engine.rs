@@ -4,7 +4,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use deepoheat::{
-    BranchEmbedding, DeepOHeat, DeepOHeatError, TrunkBasis, TrunkF32, DEFAULT_TRUNK_CHUNK,
+    BranchEmbedding, DeepOHeat, DeepOHeatError, Trunk, TrunkBasis, DEFAULT_TRUNK_CHUNK,
 };
 use deepoheat_linalg::Matrix;
 use deepoheat_telemetry as telemetry;
@@ -123,7 +123,7 @@ impl SharedBases {
 #[derive(Debug, Clone)]
 pub(crate) struct SharedParts {
     model: Arc<DeepOHeat>,
-    lowered: Option<Arc<TrunkF32>>,
+    lowered: Option<Arc<Trunk<f32>>>,
     pub(crate) bases: SharedBases,
 }
 

@@ -1,16 +1,18 @@
 //! Cache-correctness contract of the serving engine:
 //!
 //! * a warm (cached) evaluation is bit-identical to the cold evaluation
-//!   that populated the cache, and to the model's unbatched path;
+//!   that populated the cache, and to the model's unpacked path (the
+//!   Fourier layer and trunk over the whole mesh, then an unpacked fused
+//!   combine);
 //! * the LRU eviction sequence is a pure function of the request
 //!   sequence — replaying the requests reproduces hits, misses, and
 //!   evictions exactly;
 //! * batched serving is bit-identical across worker-pool widths and
 //!   trunk-chunk sizes;
-//! * trunk-basis hits and misses equal `DeepOHeat::predict` bit for bit
-//!   (and the parent `f32` algorithm for `Precision::F32`), basis keys
-//!   never alias on a forged hash, byte-budget eviction replays exactly,
-//!   and an over-budget basis is served without being cached;
+//! * trunk-basis hits and misses equal that unpacked path bit for bit in
+//!   either precision, basis keys never alias on a forged hash, byte-budget
+//!   eviction replays exactly, and an over-budget basis is served without
+//!   being cached;
 //! * front-end shards share one model and one basis cache.
 
 #![deny(unsafe_code)]
@@ -18,9 +20,8 @@
 use std::sync::Arc;
 
 use deepoheat::{DeepOHeat, DeepOHeatConfig};
-use deepoheat_linalg::{Matrix, Matrix32};
-use deepoheat_nn::{LoweredFourier, LoweredMlp};
-use deepoheat_parallel::{chunk_ranges, ThreadPool};
+use deepoheat_linalg::{Element, Matrix};
+use deepoheat_parallel::ThreadPool;
 use deepoheat_serve::{
     BasisCache, CacheKey, EmbeddingCache, FrontendOptions, InferenceEngine, Precision,
     ServeFrontend, ServeOptions, BASIS_CACHE_BYTES,
@@ -53,7 +54,7 @@ fn warm_hit_is_bit_identical_to_cold_eval() {
     let m = model();
     let input = design(&mut StdRng::seed_from_u64(1));
     let coords = queries(257);
-    let reference = m.predict(&[&input], &coords).expect("unbatched reference");
+    let reference = unpacked_reference::<f64>(&m, &input, &coords);
 
     let mut engine = InferenceEngine::new(
         m,
@@ -136,10 +137,7 @@ fn raw_cache_replay_reproduces_recency_order() {
 fn serving_is_bit_identical_across_pool_widths_and_chunk_sizes() {
     let input = design(&mut StdRng::seed_from_u64(3));
     let coords = queries(301);
-    let reference = {
-        let m = model();
-        m.predict(&[&input], &coords).expect("reference")
-    };
+    let reference = unpacked_reference::<f64>(&model(), &input, &coords);
 
     for threads in [1usize, 2, 4, 8] {
         for chunk in [1usize, 13, 64, 1024] {
@@ -174,32 +172,21 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The `f32` answer computed without a trunk basis, chunk by chunk: per
-/// `chunk` rows, the narrowed Fourier layer and trunk, then the unpacked
-/// fused combine against the narrowed embedding, widened and stitched.
-fn chunked_f32_reference(m: &DeepOHeat, input: &Matrix, coords: &Matrix, chunk: usize) -> Matrix {
+/// The answer in precision `T` computed without a trunk basis: the
+/// Fourier layer and trunk (narrowed to `T`) over the whole mesh, then the
+/// unpacked fused combine against the narrowed embedding, widened back.
+fn unpacked_reference<T: Element>(m: &DeepOHeat, input: &Matrix, coords: &Matrix) -> Matrix {
     let embedding = m.encode_branches(&[input]).expect("encode");
-    let b32 = Matrix32::from_f64(embedding.features());
-    let fourier = m.fourier().map(LoweredFourier::from_fourier);
-    let trunk = LoweredMlp::from_mlp(m.trunk());
+    let coords = coords.cast::<T>();
+    let h = match m.fourier() {
+        Some(ff) => ff.cast::<T>().forward_inference(&coords).expect("fourier"),
+        None => coords,
+    };
+    let phi = m.trunk().cast::<T>().forward_inference(&h).expect("trunk");
     let (offset, scale) = m.output_transform();
-    let mut out = Matrix::zeros(embedding.n_configs(), coords.rows());
-    for rows in chunk_ranges(coords.rows(), chunk) {
-        let sub = Matrix32::from_f64(&coords.row_block(rows.clone()).expect("rows in range"));
-        let h = match &fourier {
-            Some(ff) => ff.forward(&sub).expect("fourier"),
-            None => sub,
-        };
-        let phi = trunk.forward(&h).expect("trunk");
-        let block = b32
-            .matmul_transposed_affine(&phi, offset as f32, scale as f32)
-            .expect("combine")
-            .to_f64();
-        for r in 0..out.rows() {
-            out.row_mut(r)[rows.clone()].copy_from_slice(block.row(r));
-        }
-    }
-    out
+    let (offset, scale) = (T::from_f64(offset), T::from_f64(scale));
+    let b = embedding.features().cast::<T>();
+    b.matmul_transposed_affine(&phi, offset, scale).expect("combine").cast()
 }
 
 #[test]
@@ -208,8 +195,8 @@ fn basis_hits_and_misses_equal_predict_across_pool_widths_and_chunks() {
     let mut rng = StdRng::seed_from_u64(5);
     let (a, b) = (design(&mut rng), design(&mut rng));
     let mesh = queries(301);
-    let expect_a = m.predict(&[&a], &mesh).expect("reference a");
-    let expect_b = m.predict(&[&b], &mesh).expect("reference b");
+    let expect_a = unpacked_reference::<f64>(&m, &a, &mesh);
+    let expect_b = unpacked_reference::<f64>(&m, &b, &mesh);
 
     for threads in [1usize, 2, 4] {
         for chunk in [1usize, 7, 64, 256, 1024] {
@@ -234,11 +221,11 @@ fn basis_hits_and_misses_equal_predict_across_pool_widths_and_chunks() {
 }
 
 #[test]
-fn f32_basis_equals_the_chunked_f32_answers() {
+fn f32_basis_equals_the_unpacked_f32_answers() {
     let m = model();
     let input = design(&mut StdRng::seed_from_u64(6));
     let mesh = queries(203);
-    let reference = chunked_f32_reference(&m, &input, &mesh, 256);
+    let reference = unpacked_reference::<f32>(&m, &input, &mesh);
     for threads in [1usize, 2, 4] {
         for chunk in [1usize, 13, 256] {
             let pool = ThreadPool::new(threads);
@@ -276,8 +263,7 @@ fn forged_hash_basis_keys_do_not_alias() {
     assert_eq!(cache.len(), 2, "colliding keys coexist as separate entries");
     for (key, mesh) in [(&real, &mesh_a), (&forged, &mesh_b)] {
         let served = cache.get(key).expect("resident").combine(&embedding).expect("combine");
-        let expected = m.predict(&[&input], mesh).expect("reference");
-        assert_eq!(bits(&served), bits(&expected));
+        assert_eq!(bits(&served), bits(&unpacked_reference::<f64>(&m, &input, mesh)));
     }
 }
 
@@ -340,7 +326,7 @@ fn over_budget_basis_is_served_but_not_cached() {
     let m = DeepOHeat::new(&cfg, &mut StdRng::seed_from_u64(12)).expect("config is valid");
     let input = design(&mut StdRng::seed_from_u64(8));
     let mesh = queries(10_000);
-    let expected = m.predict(&[&input], &mesh).expect("reference");
+    let expected = unpacked_reference::<f64>(&m, &input, &mesh);
 
     let mut engine = InferenceEngine::new(m, ServeOptions::default()).expect("valid options");
     for _ in 0..2 {
@@ -376,8 +362,8 @@ fn frontend_shards_share_one_model_and_one_basis() {
     let stats = frontend.basis_stats();
     assert_eq!((stats.misses, stats.hits), (1, 1), "the second shard's first request hits");
     assert_eq!(frontend.basis_len(), 1);
-    assert_eq!(bits(&a.values), bits(&m.predict(&[&first], &mesh).expect("reference")));
-    assert_eq!(bits(&b.values), bits(&m.predict(&[&second], &mesh).expect("reference")));
+    assert_eq!(bits(&a.values), bits(&unpacked_reference::<f64>(&m, &first, &mesh)));
+    assert_eq!(bits(&b.values), bits(&unpacked_reference::<f64>(&m, &second, &mesh)));
 
     drop(frontend);
     assert_eq!(Arc::strong_count(&m), 1, "shutdown releases every shard's handle");
