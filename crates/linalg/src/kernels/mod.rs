@@ -37,7 +37,6 @@
 #[allow(unsafe_code)]
 mod simd;
 
-use std::fmt;
 use std::ops::Range;
 
 use deepoheat_parallel::{self as parallel, Job};
@@ -91,7 +90,7 @@ const MIN_BAND_ROWS: usize = 32;
 /// single-precision inference. Every dense kernel is generic over it, so
 /// both precisions run the same code. Sealed: the kernels' determinism
 /// contract is argued for these two types only.
-pub trait Element: sealed::Kernel + PartialEq + fmt::Debug + 'static {
+pub trait Element: sealed::Kernel {
     /// The additive identity.
     const ZERO: Self;
 

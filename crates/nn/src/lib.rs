@@ -8,6 +8,11 @@
 //! carries the network value together with its first and second derivatives
 //! with respect to the three spatial coordinates through every layer.
 //!
+//! Parameters are `f64` and training runs in `f64`. The graph-free
+//! inference passes of [`Dense`], [`Mlp`] and [`FourierFeatures`] are
+//! generic over the [`deepoheat_linalg::Element`] type, and `cast` narrows a
+//! trained network to `f32` for them.
+//!
 //! # Examples
 //!
 //! Train a tiny MLP to fit `y = x²` on a few points:
