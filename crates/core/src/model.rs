@@ -379,8 +379,8 @@ impl DeepOHeat {
         coords: &Matrix,
     ) -> Result<Matrix, DeepOHeatError> {
         let _span = deepoheat_telemetry::span("model.predict");
-        let (offset, scale) = self.output_transform();
-        self.predict_affine(branch_inputs, coords, offset, scale)
+        let embedding = self.encode_branches(branch_inputs)?;
+        self.trunk_basis(coords, DEFAULT_TRUNK_CHUNK, &|| false)?.combine(&embedding)
     }
 
     /// Like [`DeepOHeat::predict`] but returning the raw nondimensional
@@ -395,22 +395,11 @@ impl DeepOHeat {
         branch_inputs: &[&Matrix],
         coords: &Matrix,
     ) -> Result<Matrix, DeepOHeatError> {
-        // `0 + 1 · θ` is `θ` bit for bit: the kernel's sums start at +0.0,
-        // so under round-to-nearest they are never -0.0.
-        self.predict_affine(branch_inputs, coords, 0.0, 1.0)
-    }
-
-    /// `offset + scale · θ` through the trunk basis.
-    fn predict_affine(
-        &self,
-        branch_inputs: &[&Matrix],
-        coords: &Matrix,
-        offset: f64,
-        scale: f64,
-    ) -> Result<Matrix, DeepOHeatError> {
         let embedding = self.encode_branches(branch_inputs)?;
         let packed = self.trunk.pack(coords, DEFAULT_TRUNK_CHUNK, &|| false)?;
-        TrunkBasis::f64(packed, offset, scale).combine(&embedding)
+        // `0 + 1 · θ` is `θ` bit for bit: the kernel's sums start at +0.0,
+        // so under round-to-nearest they are never -0.0.
+        TrunkBasis::f64(packed, 0.0, 1.0).combine(&embedding)
     }
 
     /// Reassembles a model from its parts (used by [`crate::model_io`]).
