@@ -205,9 +205,9 @@ impl sealed::Kernel for f32 {
         nr: usize,
         first: bool,
     ) {
-        // The scalar tile over f32 autovectorizes to 8-lane mul/add on any
-        // SSE2+ target; an intrinsics path buys nothing extra here.
-        scalar_tile(a, lda, bstrip, ks, c, ldc, mr, nr, first);
+        // Baseline x86-64 (SSE2) has no 8-lane f32 arithmetic, so the
+        // portable tile runs built for the widest vectors the host offers.
+        run_widest(&mut Tile { a, lda, bstrip, ks, c, ldc, mr, nr, first });
     }
 }
 
@@ -218,9 +218,10 @@ impl sealed::Kernel for f32 {
 /// and add round identically at any vector width, and Rust never contracts
 /// them into FMA — so the choice cannot change a bit of the result.
 ///
-/// Two kernels use it, both with lanes contiguous in memory: the SpMM lane
+/// Four kernels use it, all with lanes contiguous in memory: the SpMM lane
 /// groups and the fused block-update tiles (PERFORMANCE.md, "Block-CG
-/// kernels", has the measurements). The lane paths of the reductions read
+/// kernels", has the measurements), the `f32` GEMM tile and the one-row
+/// packed product ("Warm requests"). The lane paths of the reductions read
 /// one element of each of several rows per step; built with AVX2 they ran
 /// slower, so they are built once.
 pub(crate) trait Multiversion {
@@ -497,8 +498,9 @@ where
 /// Portable microkernel: an `mr × nr` tile accumulated over one packed
 /// strip in ascending-`k` order. The accumulator array is sized `MR × NR`
 /// with fixed bounds so LLVM unrolls and vectorizes the lane loop; partial
-/// tiles simply compute (and discard) the padded lanes.
-#[inline]
+/// tiles simply compute (and discard) the padded lanes. Always inlined, so
+/// that [`Tile`]'s AVX2 build vectorizes it with 256-bit registers.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // full GEMM problem descriptor
 fn scalar_tile<T: Element>(
     a: &[T],
@@ -514,13 +516,31 @@ fn scalar_tile<T: Element>(
     let mut acc = [[T::ZERO; NR]; MR];
     if !first {
         for (r, row) in acc.iter_mut().enumerate().take(mr) {
-            for (j, v) in row.iter_mut().enumerate().take(nr) {
-                *v = c[r * ldc + j];
-            }
+            row[..nr].copy_from_slice(&c[r * ldc..r * ldc + nr]);
         }
     }
-    for kk in 0..ks {
-        let brow = &bstrip[kk * NR..kk * NR + NR];
+    let acc = tile_sums(acc, a, lda, bstrip, ks, mr);
+    for (r, row) in acc.iter().enumerate().take(mr) {
+        c[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
+    }
+}
+
+/// The `k` loop of [`scalar_tile`], taking and returning the accumulators
+/// by value and reading each `NR`-lane row of the strip as an array. With
+/// the tile's loads and stores outside it, LLVM keeps the accumulators in
+/// vector registers; in one body with them it kept them on the stack, and
+/// the `f32` tile ran about 5× slower (a 4,851 × 128 by 128 × 128 product
+/// on one thread: 42.6–45.7 ms against 8.6–9.3 ms, 2-vCPU Xeon).
+#[inline(always)]
+fn tile_sums<T: Element>(
+    mut acc: [[T; NR]; MR],
+    a: &[T],
+    lda: usize,
+    bstrip: &[T],
+    ks: usize,
+    mr: usize,
+) -> [[T; NR]; MR] {
+    for (kk, brow) in bstrip[..ks * NR].as_chunks::<NR>().0.iter().enumerate() {
         for (r, row) in acc.iter_mut().enumerate().take(mr) {
             let av = a[r * lda + kk];
             for (v, &b) in row.iter_mut().zip(brow) {
@@ -528,10 +548,27 @@ fn scalar_tile<T: Element>(
             }
         }
     }
-    for (r, row) in acc.iter().enumerate().take(mr) {
-        for (j, &v) in row.iter().enumerate().take(nr) {
-            c[r * ldc + j] = v;
-        }
+    acc
+}
+
+/// One [`scalar_tile`] call, run through [`run_widest`]: the `f32` tile.
+struct Tile<'a, T> {
+    a: &'a [T],
+    lda: usize,
+    bstrip: &'a [T],
+    ks: usize,
+    c: &'a mut [T],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    first: bool,
+}
+
+impl<T: Element> Multiversion for Tile<'_, T> {
+    #[inline(always)]
+    fn run(&mut self) {
+        let Tile { a, lda, bstrip, ks, ldc, mr, nr, first, .. } = *self;
+        scalar_tile(a, lda, bstrip, ks, self.c, ldc, mr, nr, first);
     }
 }
 
@@ -671,10 +708,10 @@ pub(crate) fn gemm<T: Element>(
 
 /// `out = lhs · packed` with `epi` fused into the final store, against an
 /// operand packed ahead of time (`m × k` times the packed `k × n`). `out`
-/// must be the zeroed `m × n` destination. Always the blocked path: it is
-/// bit-identical to the naive loop [`gemm`] takes for tiny products, so a
-/// packed operand gives the same bits as the unpacked product it stands
-/// for.
+/// must be the zeroed `m × n` destination. Always a blocked path — one row
+/// runs [`OneRow`], more run [`gemm_band`] — and both are bit-identical to
+/// the naive loop [`gemm`] takes for tiny products, so a packed operand
+/// gives the same bits as the unpacked product it stands for.
 ///
 /// Runs on the calling thread. A pre-packed operand is reused against few
 /// rows — one design's embedding against a whole mesh — and below
@@ -688,7 +725,46 @@ pub(crate) fn gemm_packed<T: Element>(
     m: usize,
     epi: &Epilogue<'_, T>,
 ) {
-    gemm_band(lhs, packed, out, m, epi);
+    if m == 1 {
+        run_widest(&mut OneRow { a: lhs, packed, out, epi });
+    } else {
+        gemm_band(lhs, packed, out, m, epi);
+    }
+}
+
+/// The one-row product `out = epi(a · packed)`: one design's embedding
+/// against a whole mesh's basis. Each strip is read once, front to back
+/// (its slabs are contiguous), into an `NR`-lane accumulator that carries
+/// the partial sums from slab to slab, and `epi` is applied to the
+/// finished sums as they are stored. Every element sees the operations of
+/// the tile path in the same order — a zero start, then `acc + a·b` in
+/// ascending `k` with separate multiply and add, then the epilogue — so
+/// the bits are the same.
+struct OneRow<'a, 'e, T> {
+    a: &'a [T],
+    packed: &'a PackedRhs<T>,
+    out: &'a mut [T],
+    epi: &'a Epilogue<'e, T>,
+}
+
+impl<T: Element> Multiversion for OneRow<'_, '_, T> {
+    #[inline(always)]
+    fn run(&mut self) {
+        let k = self.packed.k;
+        let a = &self.a[..k];
+        for (strip, out) in self.out.chunks_mut(NR).enumerate() {
+            let bstrip = &self.packed.buf[strip * k * NR..(strip + 1) * k * NR];
+            let mut acc = [T::ZERO; NR];
+            for (&av, brow) in a.iter().zip(bstrip.chunks_exact(NR)) {
+                for (v, &b) in acc.iter_mut().zip(brow) {
+                    *v = v.add(av.mul(b));
+                }
+            }
+            for (j, (o, &v)) in out.iter_mut().zip(&acc).enumerate() {
+                *o = self.epi.apply(v, strip * NR + j);
+            }
+        }
+    }
 }
 
 /// The single pool-integration point for the multiplication kernels:

@@ -9,10 +9,11 @@
 //!   `k` loop stays sequential per element, and products are combined
 //!   with separate multiply and add (never FMA);
 //! * [`run_avx2`], which runs a portable [`Multiversion`] kernel body (the
-//!   SpMM lane groups and the fused block-update tiles) compiled with AVX2
-//!   enabled. It is the same Rust source, so it performs the same IEEE
-//!   operations in the same order; only the vector width LLVM picks for
-//!   the independent lanes changes.
+//!   SpMM lane groups, the fused block-update tiles, the `f32` GEMM tile
+//!   and the one-row packed product) compiled with AVX2 enabled. It is the
+//!   same Rust source, so it performs the same IEEE operations in the same
+//!   order; only the vector width LLVM picks for the independent lanes
+//!   changes.
 //!
 //! Enabling or disabling either path can never change a result — it is a
 //! pure throughput switch. Set `DEEPOHEAT_SCALAR_KERNELS=1` to force the

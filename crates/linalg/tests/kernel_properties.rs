@@ -11,7 +11,8 @@
 //! The pre-packed combine (`matmul_packed_affine` against an operand packed
 //! whole or chunk by chunk) must reproduce `matmul_transposed_affine` to
 //! the bit, in both precisions, at any pool width, and with the AVX2 tile
-//! forced off.
+//! forced off — the one-row product (one design against a mesh) included,
+//! which runs a kernel of its own.
 //!
 //! Under Miri (which runs only the portable scalar path) the case count is
 //! reduced to keep the interpreted suite fast; the shapes exercised stay
@@ -112,6 +113,11 @@ proptest! {
         let blocked = a.matmul(&b).unwrap();
         let naive = a.matmul_naive(&b).unwrap();
         prop_assert_eq!(blocked, naive);
+
+        let (a32, b32) = (a.cast::<f32>(), b.cast::<f32>());
+        let blocked32 = a32.matmul(&b32).unwrap();
+        let naive32 = a32.matmul_naive(&b32).unwrap();
+        prop_assert_eq!(bits32(&blocked32), bits32(&naive32));
     }
 
     #[test]
@@ -205,6 +211,23 @@ fn packed_affine_spans_several_reduction_slabs() {
     }
 }
 
+/// One row against a packed operand runs the one-row kernel; the unpacked
+/// reference runs the tile path or, for tiny products, the naive loop.
+/// Widths straddle the 8-lane strip (a lone column, a partial strip, one,
+/// one plus a column, several plus a column), and the reduction lengths
+/// include none, a partial slab and two `KC = 256` slabs.
+#[test]
+fn packed_affine_one_row_is_bitwise_equal_to_unpacked() {
+    for n in [1, 7, 8, 9, 33] {
+        for k in [0, 1, 13, 128, 300] {
+            let a = matrix(1, k, 31 + k as u64);
+            let t = matrix(n, k, 37 + n as u64);
+            assert_packed_affine_matches(&a, &t, 8, 298.15, 10.0);
+            assert_packed_affine_matches(&a, &t, 3, -1.5, 0.25);
+        }
+    }
+}
+
 /// The pre-packed combine and the chunked pack are bit-identical across
 /// pool widths: chunk boundaries derive from the shapes alone. The shapes
 /// include one design against a whole mesh and a multi-slab reduction.
@@ -229,9 +252,11 @@ fn packed_affine_is_bit_identical_across_pool_widths() {
     }
 }
 
-/// Re-runs this binary's packed-operand tests with the AVX2 tile switched
-/// off (`DEEPOHEAT_SCALAR_KERNELS=1` is read once per process), so both
-/// microkernels are held to the unpacked reference.
+/// Re-runs this binary's packed-operand tests and the blocked-against-naive
+/// property with the AVX2 builds switched off (`DEEPOHEAT_SCALAR_KERNELS=1`
+/// is read once per process), so the portable and the AVX2 builds of every
+/// kernel — the f64 tile, the f32 tile and the one-row product — are held
+/// to the same references.
 #[test]
 #[cfg_attr(miri, ignore = "the interpreter runs only the scalar tile and cannot spawn processes")]
 fn packed_affine_holds_with_the_scalar_tile_forced() {
@@ -240,13 +265,13 @@ fn packed_affine_holds_with_the_scalar_tile_forced() {
     }
     let exe = std::env::current_exe().expect("test binary path");
     let run = std::process::Command::new(exe)
-        .args(["packed_affine", "--test-threads=1"])
+        .args(["packed_affine", "blocked_matmul", "--test-threads=1"])
         .env("DEEPOHEAT_SCALAR_KERNELS", "1")
         .output()
         .expect("re-run the test binary");
     let stdout = String::from_utf8_lossy(&run.stdout);
     assert!(
-        run.status.success() && stdout.contains("test result: ok. 4 passed"),
+        run.status.success() && stdout.contains("test result: ok. 6 passed"),
         "packed-operand tests with the scalar tile forced:\n{stdout}{}",
         String::from_utf8_lossy(&run.stderr)
     );

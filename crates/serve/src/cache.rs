@@ -8,9 +8,18 @@
 //! Caches are keyed by the **content** of their input (shapes plus the
 //! exact `f64` bit patterns of sensor values or query coordinates), so two
 //! requests for the same design or mesh hit the same entry no matter how
-//! the caller produced the matrices. A 64-bit FNV-1a hash narrows the
-//! candidate set, but every probe compares the full payload, so hash
-//! collisions between distinct inputs can never alias two entries.
+//! the caller produced the matrices. A 64-bit hash narrows the candidate
+//! set, but every probe compares the full payload, so hash collisions
+//! between distinct inputs can never alias two entries.
+//!
+//! The hash reads the payload's 64-bit words in four independent
+//! xor–multiply–rotate lanes and folds them through murmur3's `fmix64`
+//! finalizer, so a full-mesh key (4,851 × 3 coordinates) hashes in about
+//! 8 µs. The hash is a fixed function of the payload words, so it is the
+//! same on every platform and in every run. A front-end routes a design
+//! to shard `hash % shards`, so any change to the hash moves designs
+//! between shards, as the switch to it from a byte-at-a-time FNV-1a
+//! (about 0.19 ms per full-mesh key) did.
 //!
 //! Recency is a logical tick counter (no wall clock — the serving layer
 //! lives under the workspace determinism lints), and eviction removes the
@@ -25,10 +34,49 @@ use std::sync::Arc;
 use deepoheat::{BranchEmbedding, TrunkBasis};
 use deepoheat_linalg::Matrix;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd 64-bit multiplier of the lane rounds (xxHash64's first prime).
+const LANE_PRIME: u64 = 0x9e37_79b1_85eb_ca87;
+
+/// Starting states of the four hash lanes.
+const LANE_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// Folds one word into a lane: xor, multiply, rotate. Each step is a
+/// bijection of the lane and of the word, so two payloads that differ in
+/// one word never collide. A multiply carries bits only upwards; the
+/// rotation brings the high ones (a sign, say) down before the next
+/// multiply, so two sign flips in one lane do not cancel. One multiply
+/// per word keeps the four chains at the multiplier's throughput.
+#[inline(always)]
+fn round(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(LANE_PRIME).rotate_left(31)
+}
+
+/// murmur3's 64-bit finalizer: every input bit reaches every output bit.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The content hash of a key payload: word `i` goes to lane `i % 4`, so
+/// the four lanes' multiply chains run side by side, then the word count
+/// and the lanes fold into one value.
+fn content_hash(words: &[u64]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut quads = words.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &word) in lanes.iter_mut().zip(quad) {
+            *lane = round(*lane, word);
+        }
+    }
+    for (lane, &word) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = round(*lane, word);
+    }
+    fmix64(lanes.iter().fold(words.len() as u64, |hash, &lane| round(hash, lane)))
+}
 
 /// Content-addressed identity of one set of input matrices (the branch
 /// inputs of a design, or the coordinates of a query mesh): a fast 64-bit
@@ -53,14 +101,7 @@ impl CacheKey {
             payload.push(m.cols() as u64);
             payload.extend(m.iter().map(|v| v.to_bits()));
         }
-        let mut hash = FNV_OFFSET;
-        for word in &payload {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        CacheKey { hash, payload }
+        CacheKey { hash: content_hash(&payload), payload }
     }
 
     /// The 64-bit content hash (exposed for telemetry/debugging; equality
@@ -282,6 +323,34 @@ mod tests {
         // Same data, different shape.
         let d = Matrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]).unwrap();
         assert_ne!(CacheKey::of(&[&a]), CacheKey::of(&[&d]));
+    }
+
+    /// Payloads of 0–9 words leave every remainder of the four lanes,
+    /// with 0–3 tail words folded outside the main loop. In each, a change
+    /// to one word (its lowest or its sign bit) changes the hash, and
+    /// payloads of different lengths hash apart.
+    #[test]
+    fn every_word_reaches_the_hash_at_every_lane_remainder() {
+        let mut seen = std::collections::BTreeSet::new();
+        for len in 0..=9u64 {
+            let words: Vec<u64> = (0..len).map(|i| i.wrapping_mul(0x0123_4567_89ab_cdef)).collect();
+            let hash = content_hash(&words);
+            assert_eq!(hash, content_hash(&words.clone()), "deterministic");
+            assert!(seen.insert(hash), "{len} words hash like a shorter payload");
+            for i in 0..words.len() {
+                for bit in [0, 63] {
+                    let mut changed = words.clone();
+                    changed[i] ^= 1 << bit;
+                    assert_ne!(content_hash(&changed), hash, "word {i}, bit {bit}, {len} words");
+                }
+            }
+        }
+        // Two sign flips in one lane (words 0 and 4) must not cancel.
+        let zeros = [0u64; 8];
+        let mut flipped = zeros;
+        flipped[0] ^= 1 << 63;
+        flipped[4] ^= 1 << 63;
+        assert_ne!(content_hash(&flipped), content_hash(&zeros));
     }
 
     #[test]

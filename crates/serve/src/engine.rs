@@ -137,9 +137,9 @@ impl SharedParts {
     }
 }
 
-/// A basis-cache lookup: the cached basis, or the key to build it under.
-enum BasisLookup {
-    Hit(Arc<TrunkBasis>),
+/// A cache lookup: the cached value, or the key to compute it under.
+enum Lookup<V> {
+    Hit(V),
     Miss(CacheKey),
 }
 
@@ -243,12 +243,34 @@ impl InferenceEngine {
         &mut self,
         branch_inputs: &[&Matrix],
     ) -> Result<Arc<BranchEmbedding>, ServeError> {
-        let key = CacheKey::of(branch_inputs);
-        if let Some(cached) = self.cache.get(&key) {
-            telemetry::counter("serve.cache.hits", 1);
-            return Ok(cached);
+        match self.lookup_embedding(branch_inputs) {
+            Lookup::Hit(embedding) => Ok(embedding),
+            Lookup::Miss(key) => self.encode(key, branch_inputs),
         }
-        telemetry::counter("serve.cache.misses", 1);
+    }
+
+    /// Probes the embedding cache for `branch_inputs`. Emits
+    /// `serve.cache.hits` / `serve.cache.misses`.
+    fn lookup_embedding(&mut self, branch_inputs: &[&Matrix]) -> Lookup<Arc<BranchEmbedding>> {
+        let key = CacheKey::of(branch_inputs);
+        match self.cache.get(&key) {
+            Some(embedding) => {
+                telemetry::counter("serve.cache.hits", 1);
+                Lookup::Hit(embedding)
+            }
+            None => {
+                telemetry::counter("serve.cache.misses", 1);
+                Lookup::Miss(key)
+            }
+        }
+    }
+
+    /// Checks and encodes an embedding-cache miss and caches the result.
+    fn encode(
+        &mut self,
+        key: CacheKey,
+        branch_inputs: &[&Matrix],
+    ) -> Result<Arc<BranchEmbedding>, ServeError> {
         for input in branch_inputs {
             check_finite("sensor", input)?;
         }
@@ -285,8 +307,9 @@ impl InferenceEngine {
     /// cache-aware trunk evaluation. The whole call is wrapped in a
     /// `serve.request` span — one trace per request — feeding the
     /// `serve.request.seconds` latency histogram with child spans for the
-    /// encode (`serve.encode`, embedding-cache misses only) and trunk
-    /// (`serve.trunk`, with `serve.basis` on basis-cache misses) phases.
+    /// cache lookups (`serve.lookup`), the encode (`serve.encode`,
+    /// embedding-cache misses only) and trunk (`serve.trunk`, with
+    /// `serve.basis` on basis-cache misses) phases.
     /// Both inputs are validated before either cache is filled, so a
     /// rejected request leaves both caches as they were.
     ///
@@ -304,11 +327,13 @@ impl InferenceEngine {
     }
 
     /// The request path [`predict`](Self::predict) and the front-end's
-    /// shards share. The basis lookup (and, on a miss, the coordinate
-    /// check) runs before the branch encode, so invalid coordinates never
-    /// leave an embedding behind. `before_trunk` runs between the encode
-    /// and the trunk phase. `expired` is the deadline: checked between
-    /// basis chunks on a miss, once before the combine on a hit.
+    /// shards share. Both cache lookups — key builds and probes — run
+    /// first, under one `serve.lookup` span. The basis lookup (and, on a
+    /// miss, the coordinate check) runs before the branch encode, so
+    /// invalid coordinates never leave an embedding behind. `before_trunk`
+    /// runs between the encode and the trunk phase. `expired` is the
+    /// deadline: checked between basis chunks on a miss, once before the
+    /// combine on a hit.
     pub(crate) fn serve<E: From<ServeError>>(
         &mut self,
         branch_inputs: &[&Matrix],
@@ -316,25 +341,31 @@ impl InferenceEngine {
         expired: &(dyn Fn() -> bool + Sync),
         before_trunk: impl FnOnce() -> Result<(), E>,
     ) -> Result<Matrix, E> {
-        let lookup = self.lookup_basis(coords)?;
-        let embedding = self.encode_branches(branch_inputs)?;
+        let (basis, design) = {
+            let _span = telemetry::span("serve.lookup");
+            (self.lookup_basis(coords)?, self.lookup_embedding(branch_inputs))
+        };
+        let embedding = match design {
+            Lookup::Hit(embedding) => embedding,
+            Lookup::Miss(key) => self.encode(key, branch_inputs)?,
+        };
         before_trunk()?;
-        Ok(self.finish(&embedding, coords, lookup, expired)?)
+        Ok(self.finish(&embedding, coords, basis, expired)?)
     }
 
     /// Probes the basis cache for `coords`, checking the coordinates on a
     /// miss. Emits `serve.basis.hits` / `serve.basis.misses`.
-    fn lookup_basis(&self, coords: &Matrix) -> Result<BasisLookup, ServeError> {
+    fn lookup_basis(&self, coords: &Matrix) -> Result<Lookup<Arc<TrunkBasis>>, ServeError> {
         let key = CacheKey::of(&[coords]);
         match self.parts.bases.get(&key) {
             Some(basis) => {
                 telemetry::counter("serve.basis.hits", 1);
-                Ok(BasisLookup::Hit(basis))
+                Ok(Lookup::Hit(basis))
             }
             None => {
                 telemetry::counter("serve.basis.misses", 1);
                 check_finite("coordinate", coords)?;
-                Ok(BasisLookup::Miss(key))
+                Ok(Lookup::Miss(key))
             }
         }
     }
@@ -346,18 +377,18 @@ impl InferenceEngine {
         &self,
         embedding: &BranchEmbedding,
         coords: &Matrix,
-        lookup: BasisLookup,
+        lookup: Lookup<Arc<TrunkBasis>>,
         expired: &(dyn Fn() -> bool + Sync),
     ) -> Result<Matrix, ServeError> {
         let _span = telemetry::span("serve.trunk");
         let basis = match lookup {
-            BasisLookup::Hit(basis) => {
+            Lookup::Hit(basis) => {
                 if expired() {
                     return Err(ServeError::DeadlineExceeded { stage: "trunk" });
                 }
                 basis
             }
-            BasisLookup::Miss(key) => self.build_basis(key, coords, expired)?,
+            Lookup::Miss(key) => self.build_basis(key, coords, expired)?,
         };
         let out = basis.combine(embedding)?;
         telemetry::counter("serve.queries", coords.rows() as u64);

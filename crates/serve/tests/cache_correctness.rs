@@ -13,7 +13,10 @@
 //!   either precision, basis keys never alias on a forged hash, byte-budget
 //!   eviction replays exactly, and an over-budget basis is served without
 //!   being cached;
-//! * front-end shards share one model and one basis cache.
+//! * front-end shards share one model and one basis cache;
+//! * keys tell apart inputs that compare equal numerically or hold the
+//!   same values in another shape, key hashes are pinned, and seeded
+//!   designs route to every shard.
 
 #![deny(unsafe_code)]
 
@@ -367,4 +370,81 @@ fn frontend_shards_share_one_model_and_one_basis() {
 
     drop(frontend);
     assert_eq!(Arc::strong_count(&m), 1, "shutdown releases every shard's handle");
+}
+
+/// Pairs of inputs that numeric equality, or a flat read of the values,
+/// would conflate: `-0.0` and `0.0`, two NaN payloads, a 1 × 3 and a
+/// 3 × 1 matrix, and one matrix against two holding the same values. Each
+/// pair gets two keys with two hashes and two cache entries, while the
+/// same content built again gets the same key.
+#[test]
+fn keys_tell_apart_what_numeric_equality_conflates() {
+    let row = |values: &[f64]| Matrix::from_vec(1, values.len(), values.to_vec()).expect("1 × n");
+    let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+    let pairs = [
+        (vec![row(&[0.0, 1.0, 2.0])], vec![row(&[-0.0, 1.0, 2.0])]),
+        (vec![row(&[nan(1), 1.0])], vec![row(&[nan(2), 1.0])]),
+        (
+            vec![row(&[0.0, 1.0, 2.0])],
+            vec![Matrix::from_vec(3, 1, vec![0.0, 1.0, 2.0]).expect("3 × 1")],
+        ),
+        (
+            vec![row(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0])],
+            vec![row(&[0.0, 1.0, 2.0]), row(&[3.0, 4.0, 5.0])],
+        ),
+    ];
+    let key = |inputs: &[Matrix]| CacheKey::of(&inputs.iter().collect::<Vec<_>>());
+    let input = design(&mut StdRng::seed_from_u64(5));
+    let embedding = Arc::new(model().encode_branches(&[&input]).expect("encode"));
+    for (a, b) in &pairs {
+        let (ka, kb) = (key(a), key(b));
+        assert_ne!(ka, kb, "{a:?} against {b:?}");
+        assert_ne!(ka.hash(), kb.hash(), "{a:?} against {b:?}");
+        let rebuilt: Vec<Matrix> =
+            a.iter().map(|m| Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)])).collect();
+        assert_eq!(key(&rebuilt), ka);
+        assert_eq!(key(&rebuilt).hash(), ka.hash());
+
+        let mut cache = EmbeddingCache::new(4);
+        cache.insert(ka.clone(), Arc::clone(&embedding));
+        assert!(cache.get(&kb).is_none(), "{b:?} must miss");
+        cache.insert(kb, Arc::clone(&embedding));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&key(&rebuilt)).is_some(), "the same content hits");
+    }
+}
+
+/// The key hash is a fixed function of the payload words, so these pins
+/// hold on every platform; a change to the hash, which moves designs
+/// between front-end shards, shows up here as a diff.
+#[test]
+fn key_hashes_are_pinned() {
+    let design = Matrix::from_vec(1, 5, vec![0.25, -0.0, 1.5, 3.0, 1e-300]).expect("1 × 5");
+    let mesh = Matrix::from_fn(7, 3, |i, j| (i * 3 + j) as f64 / 20.0);
+    let branches = [Matrix::filled(2, 3, 0.5), Matrix::filled(2, 1, -2.5)];
+    let pins = [
+        (CacheKey::of(&[&design]), 0xfe3b_5d34_dc97_4aa8_u64),
+        (CacheKey::of(&[&mesh]), 0x8f04_5260_6fb4_139a),
+        (CacheKey::of(&[&branches[0], &branches[1]]), 0x304e_42b9_9038_acb1),
+    ];
+    for (i, (key, pin)) in pins.iter().enumerate() {
+        assert_eq!(key.hash(), *pin, "input {i}: {:#018x}", key.hash());
+    }
+}
+
+/// 64 seeded designs reach both shards of a two-shard front-end, each at
+/// the shard its key's hash names.
+#[test]
+fn seeded_designs_reach_both_shards() {
+    let opts = FrontendOptions { shards: 2, ..FrontendOptions::default() };
+    let frontend = ServeFrontend::new(model(), opts).expect("valid options");
+    let mut rng = StdRng::seed_from_u64(64);
+    let mut routed = [0usize; 2];
+    for _ in 0..64 {
+        let d = design(&mut rng);
+        let home = frontend.home_shard(&[&d]);
+        assert_eq!(home as u64, CacheKey::of(&[&d]).hash() % 2);
+        routed[home] += 1;
+    }
+    assert!(routed.iter().all(|&n| n >= 16), "designs per shard: {routed:?}");
 }
