@@ -15,10 +15,12 @@
 //! jitter doesn't drown the sub-microsecond cost being measured) wrapped
 //! in the instrumentation a served request pays: one span, one histogram
 //! observation, one counter. The workload is timed bare and instrumented
-//! back to back within each repeat, and the overhead fraction is the
-//! median of the per-repeat `(instrumented − bare)/bare` samples. The
-//! enabled phase runs *inside* the already-installed bench recorder, so
-//! its cost includes the real sink fan-out.
+//! back to back within each repeat, in an order that alternates from one
+//! repeat to the next, and the overhead fraction is the median of the
+//! per-repeat `(instrumented − bare)/bare` samples over 31 repeats (the
+//! default in `--quick` too). The enabled phase runs *inside* the
+//! already-installed bench recorder, so its cost includes the real sink
+//! fan-out.
 
 use std::time::Instant;
 
@@ -96,8 +98,11 @@ fn time_loop(
 /// close enough in time to see the same clock conditions — and yields one
 /// `(instrumented − bare)/bare` sample; the reported fraction is the
 /// median of those samples, which discards the repeats a preemption
-/// landed in. An untimed warmup loop runs first so the first sample
-/// doesn't pay allocator and cache-warming costs.
+/// landed in. The side that runs first alternates from repeat to repeat,
+/// so a host that speeds up or slows down across a pair (a frequency
+/// ramp, a neighbour's load arriving) biases half the samples each way
+/// instead of all of them one way. An untimed warmup loop runs first so
+/// the first sample doesn't pay allocator and cache-warming costs.
 fn measure_overhead(
     repeats: usize,
     iterations: usize,
@@ -107,9 +112,14 @@ fn measure_overhead(
     let mut bare = Vec::with_capacity(repeats);
     let mut instr = Vec::with_capacity(repeats);
     let mut fractions = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let bare_secs = time_loop(iterations, || workload(p))?;
-        let instr_secs = time_loop(iterations, || instrumented(p))?;
+    for repeat in 0..repeats {
+        let (bare_secs, instr_secs) = if repeat % 2 == 0 {
+            let bare_secs = time_loop(iterations, || workload(p))?;
+            (bare_secs, time_loop(iterations, || instrumented(p))?)
+        } else {
+            let instr_secs = time_loop(iterations, || instrumented(p))?;
+            (time_loop(iterations, || workload(p))?, instr_secs)
+        };
         bare.push(bare_secs);
         instr.push(instr_secs);
         fractions.push(if bare_secs > 0.0 { (instr_secs - bare_secs) / bare_secs } else { 0.0 });
@@ -121,7 +131,7 @@ fn run() -> Result<(), BenchError> {
     let args = Args::from_env();
     let quick = args.flag("quick");
     let iterations = args.get_usize("iterations", if quick { 100 } else { 200 })?;
-    let repeats = args.get_usize("repeats", if quick { 11 } else { 31 })?;
+    let repeats = args.get_usize("repeats", 31)?;
 
     let n = 64;
     let mut probe = Probe::new(n);

@@ -14,13 +14,15 @@ use crate::DeepOHeatError;
 /// `n_configs × n_points` graph node.
 pub type TemperatureJet = Jet3;
 
-/// Default row-chunk size for [`DeepOHeat::trunk_basis`]: large
-/// enough that per-chunk dispatch cost is negligible against the trunk
-/// matmuls, small enough that a full-mesh query (4851 points in §V.A)
-/// still splits across workers. Chunk boundaries derive from this
-/// constant and the query count only — never the thread count — which is
-/// what keeps batched evaluation bit-identical at any pool width.
-pub const DEFAULT_TRUNK_CHUNK: usize = 256;
+/// Default row-chunk size for [`DeepOHeat::trunk_basis`]. Chunks are the
+/// basis build's unit of parallelism and their products stay on the
+/// thread that runs them, so this is the row band the products' own pool
+/// dispatch picks for a 128-wide trunk layer (~1M multiply-adds): a
+/// full-mesh query (4851 points in §V.A) splits into 76 chunks that
+/// balance across the workers. Chunk boundaries derive from this constant
+/// and the query count only — never the thread count — which is what
+/// keeps batched evaluation bit-identical at any pool width.
+pub const DEFAULT_TRUNK_CHUNK: usize = 64;
 
 /// The reusable branch-side encoding of one set of input functions: the
 /// Hadamard product of all branch-net outputs, an `n_configs × q` matrix.
@@ -322,9 +324,10 @@ impl DeepOHeat {
 
     /// The trunk basis of a query mesh: `Φ` for every row of `coords`,
     /// computed in fixed `chunk_rows`-row chunks on the `deepoheat-parallel`
-    /// pool (the Fourier layer, when configured, then the trunk MLP) and
-    /// packed chunk by chunk into the combine kernel's panel layout. Pair
-    /// it with any number of embeddings through [`TrunkBasis::combine`].
+    /// pool (the Fourier layer, when configured, then the trunk MLP against
+    /// weights packed once per call, each chunk on one thread) and packed
+    /// chunk by chunk into the combine kernel's panel layout. Pair it with
+    /// any number of embeddings through [`TrunkBasis::combine`].
     ///
     /// `stop` is checked before each chunk; once it returns `true` the
     /// remaining chunks do no work and the call fails with

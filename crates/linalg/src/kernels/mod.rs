@@ -3,10 +3,12 @@
 //! Every dense product in the crate funnels through [`gemm`]: the right-hand
 //! side is packed once into cache-friendly `NR`-wide column panels, then the
 //! output is produced tile by tile with an `MR × NR` register-blocked
-//! microkernel. The same driver serves four call shapes — plain `A·B`,
-//! `A·Bᵀ` (the DeepONet combine step), and either of those with a fused
-//! [`Epilogue`] (bias add, affine output transform, or bias + activation) —
-//! so the fused paths never materialise an intermediate matrix.
+//! microkernel. (A one-row product reads an untransposed right-hand side in
+//! place instead: it would use each packed element once.) The same driver
+//! serves four call shapes — plain `A·B`, `A·Bᵀ` (the DeepONet combine
+//! step), and either of those with a fused [`Epilogue`] (bias add, affine
+//! output transform, or bias + activation) — so the fused paths never
+//! materialise an intermediate matrix.
 //!
 //! # Determinism contract
 //!
@@ -218,10 +220,11 @@ impl sealed::Kernel for f32 {
 /// and add round identically at any vector width, and Rust never contracts
 /// them into FMA — so the choice cannot change a bit of the result.
 ///
-/// Four kernels use it, all with lanes contiguous in memory: the SpMM lane
+/// Five kernels use it, all with lanes contiguous in memory: the SpMM lane
 /// groups and the fused block-update tiles (PERFORMANCE.md, "Block-CG
-/// kernels", has the measurements), the `f32` GEMM tile and the one-row
-/// packed product ("Warm requests"). The lane paths of the reductions read
+/// kernels", has the measurements), the `f32` GEMM tile, the one-row
+/// packed product ("Warm requests") and the one-row product against an
+/// unpacked operand ("Cold requests"). The lane paths of the reductions read
 /// one element of each of several rows per step; built with AVX2 they ran
 /// slower, so they are built once.
 pub(crate) trait Multiversion {
@@ -461,7 +464,9 @@ where
     if n == 0 || k == 0 {
         return Ok(PackedRhs { buf, k, n });
     }
-    let rows_per_chunk = chunk_rows.max(1).next_multiple_of(NR);
+    // Clamped to the row count first: a chunk past it is one chunk either
+    // way, and rounding `usize::MAX` up would wrap to zero.
+    let rows_per_chunk = chunk_rows.clamp(1, n).next_multiple_of(NR);
     let region = rows_per_chunk * k;
     let mut failures: Vec<Option<E>> = (0..n.div_ceil(rows_per_chunk)).map(|_| None).collect();
     let jobs: Vec<Job<'_>> = buf
@@ -640,7 +645,9 @@ fn gemm_band<T: Element>(
 /// Naive reference path for tiny products: plain ascending-`k` loops with
 /// the epilogue applied after each row's sums are complete. Bit-identical
 /// to the blocked path by the determinism contract above; also reused as
-/// the property-test and benchmark reference via `Matrix::matmul_naive`.
+/// the property-test and benchmark reference via `Matrix::matmul_naive`,
+/// and, built through [`run_widest`], as the one-row product ([`OneRowInPlace`]).
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // full GEMM problem descriptor
 pub(crate) fn gemm_naive<T: Element>(
     lhs: &[T],
@@ -683,7 +690,8 @@ pub(crate) fn gemm_naive<T: Element>(
 /// `rhs` when `rhs_transposed`), with `epi` fused into the final store.
 /// `out` must be the zeroed `m × n` destination.
 ///
-/// Tiny products run the naive loop directly; everything else packs `rhs`
+/// Tiny products run the naive loop directly, and so does one row against
+/// an untransposed `rhs` ([`OneRowInPlace`]); everything else packs `rhs`
 /// once and row-band-dispatches to the worker pool via [`dispatch_rows`].
 #[allow(clippy::too_many_arguments)] // full GEMM problem descriptor
 pub(crate) fn gemm<T: Element>(
@@ -696,6 +704,10 @@ pub(crate) fn gemm<T: Element>(
     rhs_transposed: bool,
     epi: &Epilogue<'_, T>,
 ) {
+    if m == 1 && !rhs_transposed {
+        run_widest(&mut OneRowInPlace { a: lhs, rhs, out, k, n, epi });
+        return;
+    }
     if m * k * n <= TINY_GEMM_WORK {
         gemm_naive(lhs, rhs, out, m, k, n, rhs_transposed, epi);
         return;
@@ -704,6 +716,28 @@ pub(crate) fn gemm<T: Element>(
     dispatch_rows(lhs, out, m, k, n, |lhs_rows, out_band, nrows| {
         gemm_band(lhs_rows, &packed, out_band, nrows, epi);
     });
+}
+
+/// The one-row product `out = epi(a · rhs)` against a row-major `k × n`
+/// `rhs` read where it lies: one design's input against a layer's weights,
+/// each used once, so packing them would copy every weight for a single
+/// pass. It is [`gemm_naive`]'s row, whose lanes run along the row of
+/// `rhs` — the same operations in the same order as the tile path, so the
+/// bits are the same — built for the widest vectors the host offers.
+struct OneRowInPlace<'a, 'e, T> {
+    a: &'a [T],
+    rhs: &'a [T],
+    out: &'a mut [T],
+    k: usize,
+    n: usize,
+    epi: &'a Epilogue<'e, T>,
+}
+
+impl<T: Element> Multiversion for OneRowInPlace<'_, '_, T> {
+    #[inline(always)]
+    fn run(&mut self) {
+        gemm_naive(self.a, self.rhs, self.out, 1, self.k, self.n, false, self.epi);
+    }
 }
 
 /// `out = lhs · packed` with `epi` fused into the final store, against an

@@ -10,7 +10,7 @@
 //!   with separate multiply and add (never FMA);
 //! * [`run_avx2`], which runs a portable [`Multiversion`] kernel body (the
 //!   SpMM lane groups, the fused block-update tiles, the `f32` GEMM tile
-//!   and the one-row packed product) compiled with AVX2 enabled. It is the
+//!   and the two one-row products) compiled with AVX2 enabled. It is the
 //!   same Rust source, so it performs the same IEEE operations in the same
 //!   order; only the vector width LLVM picks for the independent lanes
 //!   changes.

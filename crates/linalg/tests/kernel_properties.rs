@@ -12,11 +12,14 @@
 //! whole or chunk by chunk) must reproduce `matmul_transposed_affine` to
 //! the bit, in both precisions, at any pool width, and with the AVX2 tile
 //! forced off — the one-row product (one design against a mesh) included,
-//! which runs a kernel of its own.
+//! which runs a kernel of its own. So must the one-row product against an
+//! unpacked operand (one design through a branch layer), and the dense
+//! layer against a weight packed once (`matmul_packed_bias(_map)`).
 //!
 //! Under Miri (which runs only the portable scalar path) the case count is
 //! reduced to keep the interpreted suite fast; the shapes exercised stay
-//! the same.
+//! the same, except that the one-row and packed-layer properties take
+//! smaller reductions and row counts.
 
 use deepoheat_linalg::{LinalgError, Matrix};
 use proptest::prelude::*;
@@ -26,6 +29,20 @@ use rand::{Rng, SeedableRng};
 const CASES: u32 = 4;
 #[cfg(not(miri))]
 const CASES: u32 = 96;
+
+/// Longest reduction of the one-row property: three `KC = 256` slabs, or a
+/// fraction of one under the interpreter.
+#[cfg(miri)]
+const ONE_ROW_MAX_K: usize = 40;
+#[cfg(not(miri))]
+const ONE_ROW_MAX_K: usize = 600;
+
+/// Row counts of the packed dense-layer check: one row, a partial
+/// register tile, one `MC = 64` cache chunk, one past it, and several.
+#[cfg(miri)]
+const PACKED_LAYER_ROWS: [usize; 3] = [1, 3, 9];
+#[cfg(not(miri))]
+const PACKED_LAYER_ROWS: [usize; 5] = [1, 3, 64, 65, 257];
 
 /// Dimensions that deliberately straddle the MR×NR = 4×8 register tile:
 /// empty, degenerate (1), tile-aligned, off-by-one and multi-tile.
@@ -170,6 +187,40 @@ proptest! {
     }
 
     #[test]
+    fn one_row_products_are_bitwise_equal_to_naive(
+        k in 1usize..=ONE_ROW_MAX_K, n in 1usize..=41, seed in 0u64..1 << 48
+    ) {
+        let a = matrix(1, k, seed);
+        let b = matrix(k, n, seed ^ 9);
+        let bias = matrix(1, n, seed ^ 10);
+        let f = |v: f64| v / (1.0 + (-v).exp());
+        let naive = a.matmul_naive(&b).unwrap();
+        prop_assert_eq!(bits(&a.matmul(&b).unwrap()), bits(&naive));
+        let biased = naive.add_row_broadcast(&bias).unwrap();
+        prop_assert_eq!(bits(&a.matmul_bias(&b, bias.as_slice()).unwrap()), bits(&biased));
+        let mapped = a.matmul_bias_map(&b, bias.as_slice(), f).unwrap();
+        prop_assert_eq!(bits(&mapped), bits(&biased.map(f)));
+        // The same row inside a taller product runs the tile path.
+        let tall = matrix(5, k, seed ^ 11);
+        let tall = Matrix::from_fn(5, k, |r, c| if r == 2 { a[(0, c)] } else { tall[(r, c)] });
+        let row_bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(row_bits(tall.matmul(&b).unwrap().row(2)), row_bits(naive.row(0)));
+
+        let (a32, b32, bias32) = (a.cast::<f32>(), b.cast::<f32>(), bias.cast::<f32>());
+        let f32map = |v: f32| v / (1.0 + (-v).exp());
+        let naive32 = a32.matmul_naive(&b32).unwrap();
+        prop_assert_eq!(bits32(&a32.matmul(&b32).unwrap()), bits32(&naive32));
+        let mut biased32 = naive32.clone();
+        for (v, &c) in biased32.as_mut_slice().iter_mut().zip(bias32.as_slice()) {
+            *v += c;
+        }
+        let fused32 = a32.matmul_bias(&b32, bias32.as_slice()).unwrap();
+        prop_assert_eq!(bits32(&fused32), bits32(&biased32));
+        let mapped32 = a32.matmul_bias_map(&b32, bias32.as_slice(), f32map).unwrap();
+        prop_assert_eq!(bits32(&mapped32), bits32(&biased32.map(f32map)));
+    }
+
+    #[test]
     fn zero_times_nonfinite_propagates_ieee(
         m in 1usize..=6, n in 1usize..=6
     ) {
@@ -252,11 +303,50 @@ fn packed_affine_is_bit_identical_across_pool_widths() {
     }
 }
 
-/// Re-runs this binary's packed-operand tests and the blocked-against-naive
-/// property with the AVX2 builds switched off (`DEEPOHEAT_SCALAR_KERNELS=1`
-/// is read once per process), so the portable and the AVX2 builds of every
-/// kernel — the f64 tile, the f32 tile and the one-row product — are held
-/// to the same references.
+/// A dense layer's product against its weight packed once equals the
+/// unpacked call bit for bit, with the bias and with the bias and a map,
+/// in both precisions: one row (the one-row packed kernel), a partial
+/// tile, a cache chunk and more, and reductions of one and of two slabs.
+#[test]
+fn packed_dense_product_is_bitwise_equal_to_unpacked() {
+    let f = |v: f64| v / (1.0 + (-v).exp());
+    let f32map = |v: f32| v / (1.0 + (-v).exp());
+    for (k, n) in [(37, 19), (300, 9)] {
+        let w = matrix(k, n, 41 + k as u64);
+        let bias = matrix(1, n, 43);
+        let (w32, bias32) = (w.cast::<f32>(), bias.cast::<f32>());
+        let (packed, packed32) = (w.pack_rhs(), w32.pack_rhs());
+        assert_eq!(packed.shape(), (n, k));
+        for m in PACKED_LAYER_ROWS {
+            let x = matrix(m, k, 47 + m as u64);
+            let (b, bm) = (bias.as_slice(), bias32.as_slice());
+            let expected = x.matmul_bias(&w, b).unwrap();
+            assert_eq!(bits(&x.matmul_packed_bias(&packed, b).unwrap()), bits(&expected), "m {m}");
+            let expected = x.matmul_bias_map(&w, b, f).unwrap();
+            let got = x.matmul_packed_bias_map(&packed, b, f).unwrap();
+            assert_eq!(bits(&got), bits(&expected), "m {m}, mapped");
+
+            let x32 = x.cast::<f32>();
+            let expected = x32.matmul_bias(&w32, bm).unwrap();
+            let got = x32.matmul_packed_bias(&packed32, bm).unwrap();
+            assert_eq!(bits32(&got), bits32(&expected), "f32, m {m}");
+            let expected = x32.matmul_bias_map(&w32, bm, f32map).unwrap();
+            let got = x32.matmul_packed_bias_map(&packed32, bm, f32map).unwrap();
+            assert_eq!(bits32(&got), bits32(&expected), "f32, m {m}, mapped");
+        }
+        // A bias that misses a column, or an input of the wrong width, is a
+        // shape error.
+        let x = matrix(2, k, 5);
+        assert!(x.matmul_packed_bias(&packed, &bias.as_slice()[1..]).is_err());
+        assert!(matrix(2, k + 1, 5).matmul_packed_bias_map(&packed, bias.as_slice(), f).is_err());
+    }
+}
+
+/// Re-runs this binary's packed-operand tests, the blocked-against-naive
+/// property and the one-row property with the AVX2 builds switched off
+/// (`DEEPOHEAT_SCALAR_KERNELS=1` is read once per process), so the
+/// portable and the AVX2 builds of every kernel — the f64 tile, the f32
+/// tile and both one-row products — are held to the same references.
 #[test]
 #[cfg_attr(miri, ignore = "the interpreter runs only the scalar tile and cannot spawn processes")]
 fn packed_affine_holds_with_the_scalar_tile_forced() {
@@ -265,13 +355,19 @@ fn packed_affine_holds_with_the_scalar_tile_forced() {
     }
     let exe = std::env::current_exe().expect("test binary path");
     let run = std::process::Command::new(exe)
-        .args(["packed_affine", "blocked_matmul", "--test-threads=1"])
+        .args([
+            "packed_affine",
+            "blocked_matmul",
+            "one_row_products",
+            "packed_dense",
+            "--test-threads=1",
+        ])
         .env("DEEPOHEAT_SCALAR_KERNELS", "1")
         .output()
         .expect("re-run the test binary");
     let stdout = String::from_utf8_lossy(&run.stdout);
     assert!(
-        run.status.success() && stdout.contains("test result: ok. 6 passed"),
+        run.status.success() && stdout.contains("test result: ok. 8 passed"),
         "packed-operand tests with the scalar tile forced:\n{stdout}{}",
         String::from_utf8_lossy(&run.stderr)
     );

@@ -141,14 +141,26 @@ impl<T: Element> FourierFeatures<T> {
     /// round correctly; widening keeps this path deterministic across
     /// platforms).
     ///
+    /// The product `x · [B | B]` lays every row's arguments `x B` out
+    /// twice, side by side and bit for bit (each column is its own sum);
+    /// the first copy turns into the sines and the second into the cosines
+    /// in place, so `[sin | cos]` is written straight into the product's
+    /// output.
+    ///
     /// # Errors
     ///
     /// Returns an error if `x.cols() != self.input_dim()`.
     pub fn forward_inference(&self, x: &Matrix<T>) -> Result<Matrix<T>, NnError> {
-        let z = x.matmul(&self.frequencies)?;
-        let s = z.map(|v| T::from_f64(v.to_f64().sin()));
-        let c = z.map(|v| T::from_f64(v.to_f64().cos()));
-        Ok(s.hcat(&c)?)
+        let b = &self.frequencies;
+        let mut out = x.matmul(&b.hcat(b)?)?;
+        for r in 0..out.rows() {
+            let (sin, cos) = out.row_mut(r).split_at_mut(b.cols());
+            for (s, c) in sin.iter_mut().zip(cos) {
+                *s = T::from_f64(s.to_f64().sin());
+                *c = T::from_f64(c.to_f64().cos());
+            }
+        }
+        Ok(out)
     }
 }
 

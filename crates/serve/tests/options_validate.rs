@@ -4,6 +4,7 @@
 //! contract instead of deferring failures to the request path.
 
 use deepoheat::{DeepOHeat, DeepOHeatConfig};
+use deepoheat_linalg::Matrix;
 use deepoheat_serve::{FrontendOptions, InferenceEngine, ServeError, ServeFrontend, ServeOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,12 +61,25 @@ fn serve_options_validate_table() {
             mentions: "trunk_chunk",
         },
     ];
+    // Every valid case also serves: 37 points are one chunk at the default
+    // size, one point per chunk at size 1 and one chunk at `usize::MAX`,
+    // and the answer's bits never depend on the chunking.
+    let inputs = Matrix::from_fn(2, 4, |i, j| 0.2 * i as f64 - 0.1 * j as f64);
+    let coords = Matrix::from_fn(37, 3, |i, j| 0.03 * i as f64 + 0.1 * j as f64);
+    let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut default_engine = InferenceEngine::new(model(), ServeOptions::default()).unwrap();
+    let expected = bits(&default_engine.predict(&[&inputs], &coords).unwrap());
     for case in cases {
         let result = case.options.validate();
         assert_eq!(result.is_ok(), case.ok, "{}: {result:?}", case.name);
         // Construction must enforce the identical contract.
         let engine = InferenceEngine::new(model(), case.options.clone());
         assert_eq!(engine.is_ok(), case.ok, "{}: construction disagrees", case.name);
+        if let Ok(mut engine) = engine {
+            let served = engine.predict(&[&inputs], &coords);
+            let served = served.unwrap_or_else(|err| panic!("{}: {err}", case.name));
+            assert_eq!(bits(&served), expected, "{}: bits differ from the default", case.name);
+        }
         if let Err(err) = result {
             assert!(
                 matches!(err, ServeError::InvalidOptions { .. }),

@@ -9,7 +9,7 @@
 //!   `predict`'s) and at `Precision::F32`, first on a trunk-basis miss and
 //!   then on a hit,
 //!
-//! at pool widths 1, 2 and 4 and trunk chunks of 1, 13 and 256 rows. A
+//! at pool widths 1, 2 and 4 and trunk chunks of 1, 13, 64 and 256 rows. A
 //! change to how either precision computes an answer moves a pin. The
 //! hashes were recorded on x86-64 Linux; sin, cos and the activations
 //! come from the platform's libm, so another platform may need its own.
@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const POOL_WIDTHS: [usize; 3] = [1, 2, 4];
-const TRUNK_CHUNKS: [usize; 3] = [1, 13, 256];
+const TRUNK_CHUNKS: [usize; 4] = [1, 13, 64, 256];
 
 /// Configurations encoded per request.
 const CONFIGS: usize = 2;
