@@ -55,15 +55,6 @@ impl<T: Element> Trunk<T> {
     /// `Φ` for every row of `coords`, computed in `chunk_rows`-row chunks
     /// on the pool and packed chunk by chunk; the contract is
     /// [`DeepOHeat::trunk_basis`](crate::DeepOHeat::trunk_basis)'s.
-    ///
-    /// A chunk is the unit of parallelism. When there are several, each
-    /// trunk weight is packed once per build, and every chunk runs its
-    /// Fourier features and its layer products on the thread that took it,
-    /// against those shared panels ([`PackedMlp`](deepoheat_nn::PackedMlp)),
-    /// so no chunk re-enters the pool's queue. A build of one chunk runs
-    /// the trunk's own products instead: it is alone on the pool, a large
-    /// product there still splits into bands, and one point reads the
-    /// weights in place with nothing to pack.
     pub(crate) fn pack(
         &self,
         coords: &Matrix,
@@ -78,7 +69,6 @@ impl<T: Element> Trunk<T> {
         }
         let n_points = coords.rows();
         let chunk = if chunk_rows == 0 { n_points.max(1) } else { chunk_rows };
-        let packed = (n_points > chunk).then(|| self.mlp.pack());
         Matrix::pack_row_chunks(n_points, self.latent_dim(), chunk, |rows| {
             if stop() {
                 return Err(DeepOHeatError::Stopped);
@@ -88,10 +78,7 @@ impl<T: Element> Trunk<T> {
                 Some(ff) => ff.forward_inference(&sub)?,
                 None => sub,
             };
-            Ok(match &packed {
-                Some(mlp) => mlp.forward_inference(&trunk_in)?,
-                None => self.mlp.forward_inference(&trunk_in)?,
-            })
+            Ok(self.mlp.forward_inference(&trunk_in)?)
         })
     }
 }

@@ -15,13 +15,14 @@ use crate::DeepOHeatError;
 pub type TemperatureJet = Jet3;
 
 /// Default row-chunk size for [`DeepOHeat::trunk_basis`]. Chunks are the
-/// basis build's unit of parallelism and their products stay on the
-/// thread that runs them, so this is the row band the products' own pool
-/// dispatch picks for a 128-wide trunk layer (~1M multiply-adds): a
-/// full-mesh query (4851 points in §V.A) splits into 76 chunks that
-/// balance across the workers. Chunk boundaries derive from this constant
-/// and the query count only — never the thread count — which is what
-/// keeps batched evaluation bit-identical at any pool width.
+/// basis build's unit of parallelism: this is the row band the products'
+/// own pool dispatch picks for a 128-wide trunk layer (~1M multiply-adds),
+/// so each chunk's products run whole on the thread that took the chunk
+/// and never go back to the pool's queue, and a full-mesh query (4851
+/// points in §V.A) splits into 76 chunks that balance across the workers.
+/// Chunk boundaries derive from this constant and the query count only —
+/// never the thread count — which is what keeps batched evaluation
+/// bit-identical at any pool width.
 pub const DEFAULT_TRUNK_CHUNK: usize = 64;
 
 /// The reusable branch-side encoding of one set of input functions: the
@@ -324,10 +325,9 @@ impl DeepOHeat {
 
     /// The trunk basis of a query mesh: `Φ` for every row of `coords`,
     /// computed in fixed `chunk_rows`-row chunks on the `deepoheat-parallel`
-    /// pool (the Fourier layer, when configured, then the trunk MLP against
-    /// weights packed once per call, each chunk on one thread) and packed
-    /// chunk by chunk into the combine kernel's panel layout. Pair it with
-    /// any number of embeddings through [`TrunkBasis::combine`].
+    /// pool (the Fourier layer, when configured, then the trunk MLP) and
+    /// packed chunk by chunk into the combine kernel's panel layout. Pair
+    /// it with any number of embeddings through [`TrunkBasis::combine`].
     ///
     /// `stop` is checked before each chunk; once it returns `true` the
     /// remaining chunks do no work and the call fails with

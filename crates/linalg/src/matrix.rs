@@ -606,68 +606,21 @@ impl<T: Element> Matrix<T> {
         offset: T,
         scale: T,
     ) -> Result<Self, LinalgError> {
-        self.matmul_packed("matmul_packed_affine", rhs, &Epilogue::Affine { offset, scale })
-    }
-
-    /// Packs this `k × n` matrix once as the right-hand operand of
-    /// `A · self` products ([`Matrix::matmul_packed_bias`],
-    /// [`Matrix::matmul_packed_bias_map`]): a layer's weight, shared by
-    /// every row block multiplied by it. The packed operand stands for
-    /// `selfᵀ`, as one from [`Matrix::pack_row_chunks`] stands for its
-    /// operand, so its [`PackedRhs::shape`] is `(n, k)`.
-    pub fn pack_rhs(&self) -> PackedRhs<T> {
-        kernels::pack_b(&self.data, self.rows, self.cols, false)
-    }
-
-    /// [`Matrix::matmul_bias`] against a weight packed by
-    /// [`Matrix::pack_rhs`]: `self * w + bias`. Bit-identical to the
-    /// unpacked call, and runs on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols()` is not the
-    /// weight's row count or `bias.len()` not its column count.
-    pub fn matmul_packed_bias(&self, rhs: &PackedRhs<T>, bias: &[T]) -> Result<Self, LinalgError> {
-        self.matmul_packed("matmul_packed_bias", rhs, &Epilogue::Bias(bias))
-    }
-
-    /// [`Matrix::matmul_bias_map`] against a weight packed by
-    /// [`Matrix::pack_rhs`]: `f(self * w + bias)`. Bit-identical to the
-    /// unpacked call, and runs on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols()` is not the
-    /// weight's row count or `bias.len()` not its column count.
-    pub fn matmul_packed_bias_map<F>(
-        &self,
-        rhs: &PackedRhs<T>,
-        bias: &[T],
-        f: F,
-    ) -> Result<Self, LinalgError>
-    where
-        F: Fn(T) -> T + Sync,
-    {
-        self.matmul_packed("matmul_packed_bias_map", rhs, &Epilogue::BiasMap { bias, f: &f })
-    }
-
-    /// `epi(self * rhsᵀ)` against a packed operand, on the calling thread,
-    /// after checking the shapes (a bias must cover every output column).
-    fn matmul_packed(
-        &self,
-        op: &'static str,
-        rhs: &PackedRhs<T>,
-        epi: &Epilogue<'_, T>,
-    ) -> Result<Self, LinalgError> {
-        let bias_len = match epi {
-            Epilogue::Bias(bias) | Epilogue::BiasMap { bias, .. } => bias.len(),
-            Epilogue::None | Epilogue::Affine { .. } => rhs.rows(),
-        };
-        if self.cols != rhs.cols() || bias_len != rhs.rows() {
-            return Err(LinalgError::ShapeMismatch { op, lhs: self.shape(), rhs: rhs.shape() });
+        if self.cols != rhs.cols() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_packed_affine",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
         }
         let mut out = Matrix::zeroed(self.rows, rhs.rows());
-        kernels::gemm_packed(&self.data, rhs, &mut out.data, self.rows, epi);
+        kernels::gemm_packed(
+            &self.data,
+            rhs,
+            &mut out.data,
+            self.rows,
+            &Epilogue::Affine { offset, scale },
+        );
         Ok(out)
     }
 

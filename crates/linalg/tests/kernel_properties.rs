@@ -13,12 +13,12 @@
 //! the bit, in both precisions, at any pool width, and with the AVX2 tile
 //! forced off — the one-row product (one design against a mesh) included,
 //! which runs a kernel of its own. So must the one-row product against an
-//! unpacked operand (one design through a branch layer), and the dense
-//! layer against a weight packed once (`matmul_packed_bias(_map)`).
+//! unpacked operand (one design through a branch layer), and a dense
+//! layer's product at the row counts a trunk chunk takes.
 //!
 //! Under Miri (which runs only the portable scalar path) the case count is
 //! reduced to keep the interpreted suite fast; the shapes exercised stay
-//! the same, except that the one-row and packed-layer properties take
+//! the same, except that the one-row and dense-layer properties take
 //! smaller reductions and row counts.
 
 use deepoheat_linalg::{LinalgError, Matrix};
@@ -37,12 +37,13 @@ const ONE_ROW_MAX_K: usize = 40;
 #[cfg(not(miri))]
 const ONE_ROW_MAX_K: usize = 600;
 
-/// Row counts of the packed dense-layer check: one row, a partial
-/// register tile, one `MC = 64` cache chunk, one past it, and several.
+/// Row counts of the dense-layer check: one row, a partial register
+/// tile, one `MC = 64` cache chunk (a default trunk chunk), one past it,
+/// and several.
 #[cfg(miri)]
-const PACKED_LAYER_ROWS: [usize; 3] = [1, 3, 9];
+const DENSE_LAYER_ROWS: [usize; 3] = [1, 3, 9];
 #[cfg(not(miri))]
-const PACKED_LAYER_ROWS: [usize; 5] = [1, 3, 64, 65, 257];
+const DENSE_LAYER_ROWS: [usize; 5] = [1, 3, 64, 65, 257];
 
 /// Dimensions that deliberately straddle the MR×NR = 4×8 register tile:
 /// empty, degenerate (1), tile-aligned, off-by-one and multi-tile.
@@ -75,6 +76,17 @@ fn bits(m: &Matrix) -> Vec<u64> {
 
 fn bits32(m: &Matrix<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `m` with `bias` added to every row: the second pass of the two-pass
+/// `f32` bias form.
+fn add_bias32(mut m: Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
+    for row in m.as_mut_slice().chunks_mut(bias.len()) {
+        for (v, &c) in row.iter_mut().zip(bias) {
+            *v += c;
+        }
+    }
+    m
 }
 
 /// Asserts that `a · tᵀ` under the affine epilogue gives the same bits
@@ -210,10 +222,7 @@ proptest! {
         let f32map = |v: f32| v / (1.0 + (-v).exp());
         let naive32 = a32.matmul_naive(&b32).unwrap();
         prop_assert_eq!(bits32(&a32.matmul(&b32).unwrap()), bits32(&naive32));
-        let mut biased32 = naive32.clone();
-        for (v, &c) in biased32.as_mut_slice().iter_mut().zip(bias32.as_slice()) {
-            *v += c;
-        }
+        let biased32 = add_bias32(naive32, bias32.as_slice());
         let fused32 = a32.matmul_bias(&b32, bias32.as_slice()).unwrap();
         prop_assert_eq!(bits32(&fused32), bits32(&biased32));
         let mapped32 = a32.matmul_bias_map(&b32, bias32.as_slice(), f32map).unwrap();
@@ -303,42 +312,34 @@ fn packed_affine_is_bit_identical_across_pool_widths() {
     }
 }
 
-/// A dense layer's product against its weight packed once equals the
-/// unpacked call bit for bit, with the bias and with the bias and a map,
-/// in both precisions: one row (the one-row packed kernel), a partial
-/// tile, a cache chunk and more, and reductions of one and of two slabs.
+/// A dense layer's product — its weight packed for the blocked tile above
+/// the tiny-product size, read in place for one row — equals the naive
+/// two-pass form bit for bit, with the bias and with the bias and a map,
+/// in both precisions, at every row count of [`DENSE_LAYER_ROWS`] and
+/// over reductions of one and of two `KC = 256` slabs.
 #[test]
-fn packed_dense_product_is_bitwise_equal_to_unpacked() {
+fn dense_layer_products_are_bitwise_equal_to_naive() {
     let f = |v: f64| v / (1.0 + (-v).exp());
     let f32map = |v: f32| v / (1.0 + (-v).exp());
     for (k, n) in [(37, 19), (300, 9)] {
         let w = matrix(k, n, 41 + k as u64);
         let bias = matrix(1, n, 43);
         let (w32, bias32) = (w.cast::<f32>(), bias.cast::<f32>());
-        let (packed, packed32) = (w.pack_rhs(), w32.pack_rhs());
-        assert_eq!(packed.shape(), (n, k));
-        for m in PACKED_LAYER_ROWS {
+        let (b, b32) = (bias.as_slice(), bias32.as_slice());
+        for m in DENSE_LAYER_ROWS {
             let x = matrix(m, k, 47 + m as u64);
-            let (b, bm) = (bias.as_slice(), bias32.as_slice());
-            let expected = x.matmul_bias(&w, b).unwrap();
-            assert_eq!(bits(&x.matmul_packed_bias(&packed, b).unwrap()), bits(&expected), "m {m}");
-            let expected = x.matmul_bias_map(&w, b, f).unwrap();
-            let got = x.matmul_packed_bias_map(&packed, b, f).unwrap();
-            assert_eq!(bits(&got), bits(&expected), "m {m}, mapped");
+            let biased = x.matmul_naive(&w).unwrap().add_row_broadcast(&bias).unwrap();
+            assert_eq!(bits(&x.matmul_bias(&w, b).unwrap()), bits(&biased), "m {m}");
+            let got = x.matmul_bias_map(&w, b, f).unwrap();
+            assert_eq!(bits(&got), bits(&biased.map(f)), "m {m}, mapped");
 
             let x32 = x.cast::<f32>();
-            let expected = x32.matmul_bias(&w32, bm).unwrap();
-            let got = x32.matmul_packed_bias(&packed32, bm).unwrap();
-            assert_eq!(bits32(&got), bits32(&expected), "f32, m {m}");
-            let expected = x32.matmul_bias_map(&w32, bm, f32map).unwrap();
-            let got = x32.matmul_packed_bias_map(&packed32, bm, f32map).unwrap();
-            assert_eq!(bits32(&got), bits32(&expected), "f32, m {m}, mapped");
+            let biased32 = add_bias32(x32.matmul_naive(&w32).unwrap(), b32);
+            let got = x32.matmul_bias(&w32, b32).unwrap();
+            assert_eq!(bits32(&got), bits32(&biased32), "f32, m {m}");
+            let got = x32.matmul_bias_map(&w32, b32, f32map).unwrap();
+            assert_eq!(bits32(&got), bits32(&biased32.map(f32map)), "f32, m {m}, mapped");
         }
-        // A bias that misses a column, or an input of the wrong width, is a
-        // shape error.
-        let x = matrix(2, k, 5);
-        assert!(x.matmul_packed_bias(&packed, &bias.as_slice()[1..]).is_err());
-        assert!(matrix(2, k + 1, 5).matmul_packed_bias_map(&packed, bias.as_slice(), f).is_err());
     }
 }
 
@@ -359,7 +360,7 @@ fn packed_affine_holds_with_the_scalar_tile_forced() {
             "packed_affine",
             "blocked_matmul",
             "one_row_products",
-            "packed_dense",
+            "dense_layer",
             "--test-threads=1",
         ])
         .env("DEEPOHEAT_SCALAR_KERNELS", "1")

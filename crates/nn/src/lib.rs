@@ -59,7 +59,7 @@ pub use error::NnError;
 pub use fourier::FourierFeatures;
 pub use init::{glorot_uniform, normal_matrix};
 pub use jet::{activation_jet, Jet3, JetChannels};
-pub use mlp::{BoundMlp, Mlp, MlpConfig, PackedMlp};
+pub use mlp::{BoundMlp, Mlp, MlpConfig};
 pub use schedule::LrSchedule;
 
 use deepoheat_autodiff::Var;

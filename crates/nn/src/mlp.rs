@@ -1,5 +1,5 @@
 use deepoheat_autodiff::{Activation, Graph, Var};
-use deepoheat_linalg::{Element, Matrix, PackedRhs};
+use deepoheat_linalg::{Element, Matrix};
 use rand::Rng;
 
 use crate::{activation_jet, BoundDense, BoundParameters, Dense, Jet3, NnError, Parameterized};
@@ -150,85 +150,22 @@ impl<T: Element> Mlp<T> {
     ///
     /// Returns an error if `x.cols() != self.input_dim()`.
     pub fn forward_inference(&self, x: &Matrix<T>) -> Result<Matrix<T>, NnError> {
-        let act = element_map(self.activation);
-        self.chain(x, |_, layer, input, hidden| {
-            if hidden {
-                layer.forward_inference_fused(input, act)
-            } else {
-                layer.forward_inference(input)
-            }
-        })
-    }
-
-    /// This network with every weight packed once, for many forward
-    /// passes against the same weights ([`PackedMlp::forward_inference`]).
-    pub fn pack(&self) -> PackedMlp<'_, T> {
-        PackedMlp {
-            mlp: self,
-            weights: self.layers.iter().map(|l| l.weight().pack_rhs()).collect(),
-        }
-    }
-
-    /// Runs `x` through the layers, input side first:
-    /// `layer(i, &layers[i], input, hidden)`, where `hidden` is false only
-    /// for the linear output layer.
-    fn chain(
-        &self,
-        x: &Matrix<T>,
-        mut layer: impl FnMut(usize, &Dense<T>, &Matrix<T>, bool) -> Result<Matrix<T>, NnError>,
-    ) -> Result<Matrix<T>, NnError> {
+        let activation = self.activation;
+        let act = move |v: T| T::from_f64(activation.eval(0, v.to_f64()));
         let (last, hidden) =
             self.layers.split_last().expect("invariant: from_layers rejects empty layer lists");
         let mut h: Option<Matrix<T>> = None;
-        for (i, dense) in hidden.iter().enumerate() {
-            h = Some(layer(i, dense, h.as_ref().unwrap_or(x), true)?);
+        for layer in hidden {
+            let input = h.as_ref().unwrap_or(x);
+            h = Some(layer.forward_inference_fused(input, act)?);
         }
-        layer(hidden.len(), last, h.as_ref().unwrap_or(x), false)
+        last.forward_inference(h.as_ref().unwrap_or(x))
     }
 
     /// This network with its parameters in precision `U` (see
     /// [`Matrix::cast`]); the activation is shared.
     pub fn cast<U: Element>(&self) -> Mlp<U> {
         Mlp { layers: self.layers.iter().map(Dense::cast).collect(), activation: self.activation }
-    }
-}
-
-/// The hidden-layer activation on one element, evaluated in `f64` in
-/// either precision: an `f32` element is widened, and the result rounded
-/// back.
-fn element_map<T: Element>(activation: Activation) -> impl Fn(T) -> T + Sync + Copy {
-    move |v: T| T::from_f64(activation.eval(0, v.to_f64()))
-}
-
-/// An [`Mlp`] with every weight packed once ([`Mlp::pack`]): a trunk-basis
-/// build runs all its row chunks against one set of packed weights
-/// instead of packing each weight again for every chunk.
-#[derive(Debug)]
-pub struct PackedMlp<'a, T> {
-    mlp: &'a Mlp<T>,
-    weights: Vec<PackedRhs<T>>,
-}
-
-impl<T: Element> PackedMlp<'_, T> {
-    /// [`Mlp::forward_inference`] against the packed weights, bit for bit,
-    /// on the calling thread: no product is split into bands for the pool,
-    /// so callers that run row blocks as pool jobs of their own never
-    /// queue behind them.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.cols()` is not the network's input
-    /// dimension.
-    pub fn forward_inference(&self, x: &Matrix<T>) -> Result<Matrix<T>, NnError> {
-        let act = element_map(self.mlp.activation);
-        self.mlp.chain(x, |i, layer, input, hidden| {
-            let (weight, bias) = (&self.weights[i], layer.bias().as_slice());
-            Ok(if hidden {
-                input.matmul_packed_bias_map(weight, bias, act)?
-            } else {
-                input.matmul_packed_bias(weight, bias)?
-            })
-        })
     }
 }
 
