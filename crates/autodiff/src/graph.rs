@@ -134,11 +134,6 @@ impl Graph {
         Graph { nodes: Vec::new() }
     }
 
-    /// Creates an empty graph with capacity reserved for `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        Graph { nodes: Vec::with_capacity(n) }
-    }
-
     /// Returns the number of nodes on the tape.
     pub fn len(&self) -> usize {
         self.nodes.len()

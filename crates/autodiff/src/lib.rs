@@ -14,6 +14,10 @@
 //! the parameter leaves. Parameter state itself lives outside the graph (see
 //! `deepoheat-nn`).
 //!
+//! [`check_gradients`] compares a graph's reverse-mode gradients with
+//! central finite differences; the autodiff and nn property tests run the
+//! ops and layers through it.
+//!
 //! # Examples
 //!
 //! ```

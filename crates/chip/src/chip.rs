@@ -22,8 +22,6 @@ pub struct Chip {
     grid: StructuredGrid,
     layers: Vec<Layer>,
     boundaries: [BoundaryCondition; 6],
-    /// Top power map in paper units per grid node (`nx × ny`), if set.
-    top_power_units: Option<Matrix>,
     /// Per-node volumetric power override (`W/m³`), replacing the
     /// layer-derived field when set.
     volumetric_override: Option<Vec<f64>>,
@@ -57,13 +55,7 @@ impl Chip {
         }
         let lz: f64 = layers.iter().map(|l| l.thickness()).sum();
         let grid = StructuredGrid::new(nx, ny, nz, lx, ly, lz)?;
-        Ok(Chip {
-            grid,
-            layers,
-            boundaries: Default::default(),
-            top_power_units: None,
-            volumetric_override: None,
-        })
+        Ok(Chip { grid, layers, boundaries: Default::default(), volumetric_override: None })
     }
 
     /// Convenience constructor for a homogeneous single-cuboid chip (the
@@ -94,35 +86,17 @@ impl Chip {
         &self.layers
     }
 
-    /// The boundary condition on `face`.
-    pub fn boundary(&self, face: Face) -> &BoundaryCondition {
-        &self.boundaries[face.index()]
-    }
-
-    /// The top power map in paper units per node, if one was set.
-    pub fn top_power_units(&self) -> Option<&Matrix> {
-        self.top_power_units.as_ref()
-    }
-
-    /// Sets the boundary condition on a face.
-    ///
-    /// Setting anything other than [`BoundaryCondition::HeatFlux`] on the
-    /// top face clears a previously configured power map.
+    /// Sets the boundary condition on a face. On the top face it replaces
+    /// a power map set by [`Chip::set_top_power_map_units`].
     ///
     /// # Errors
     ///
-    /// Returns [`ChipError::InvalidDesign`] when overwriting a configured
-    /// power map with a heat flux directly (use
-    /// [`Chip::set_top_power_map_units`] instead), and propagates
-    /// parameter validation from the solver layer.
+    /// Propagates parameter validation from the solver layer.
     pub fn set_boundary(
         &mut self,
         face: Face,
         bc: BoundaryCondition,
     ) -> Result<&mut Self, ChipError> {
-        if face == Face::ZMax && !matches!(bc, BoundaryCondition::HeatFlux { .. }) {
-            self.top_power_units = None;
-        }
         // Validate eagerly via a throw-away problem so errors surface here.
         let mut probe = HeatProblem::new(self.grid, 1.0);
         probe.set_boundary(face, bc.clone())?;
@@ -158,7 +132,6 @@ impl Chip {
         let flux = self.units_to_flux(units);
         self.boundaries[Face::ZMax.index()] =
             BoundaryCondition::HeatFlux { flux: FluxMap::Field(flux) };
-        self.top_power_units = Some(units.clone());
         Ok(self)
     }
 
@@ -257,13 +230,6 @@ impl Chip {
         UNIT_POWER_WATTS / (self.grid.dx() * self.grid.dy() * self.grid.dz())
     }
 
-    /// Clears a previously set volumetric override, reverting to the
-    /// layer-derived field.
-    pub fn clear_volumetric_power_override(&mut self) -> &mut Self {
-        self.volumetric_override = None;
-        self
-    }
-
     fn per_node<F: Fn(&Layer) -> f64>(&self, f: F) -> Vec<f64> {
         let g = &self.grid;
         let mut out = vec![0.0; g.node_count()];
@@ -338,7 +304,6 @@ mod tests {
         assert!((flux[(10, 10)] - 2500.0).abs() < 1e-9);
         assert!((flux[(0, 0)] - 2500.0).abs() < 1e-9);
         assert!((chip.unit_flux_density() - 2500.0).abs() < 1e-9);
-        assert!(chip.top_power_units().is_some());
     }
 
     #[test]
@@ -348,14 +313,6 @@ mod tests {
         let mut bad = Matrix::zeros(21, 21);
         bad[(0, 0)] = f64::INFINITY;
         assert!(chip.set_top_power_map_units(&bad).is_err());
-    }
-
-    #[test]
-    fn setting_other_top_bc_clears_power_map() {
-        let mut chip = paper_chip();
-        chip.set_top_power_map_units(&Matrix::filled(21, 21, 1.0)).unwrap();
-        chip.set_boundary(Face::ZMax, BoundaryCondition::Adiabatic).unwrap();
-        assert!(chip.top_power_units().is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! map, adiabatic, convection). This crate realises that model:
 //!
 //! * [`Layer`] — one cuboidal slab of the stack (thickness, conductivity,
-//!   uniform volumetric power),
+//!   uniform volumetric power, set by [`Layer::with_volumetric_power`]),
 //! * [`Chip`] — a stack of layers on a common footprint with per-face
 //!   boundary conditions and a unit-based top power map, convertible to a
 //!   [`deepoheat_fdm::HeatProblem`] for reference solves,

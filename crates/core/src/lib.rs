@@ -17,13 +17,29 @@
 //!
 //! * [`DeepOHeat`] / [`DeepOHeatConfig`] — the operator network itself,
 //!   with graph-bound training forward passes and a fast inference path.
+//!   A config takes more branch nets with [`DeepOHeatConfig::add_branch`];
+//!   a model reports [`DeepOHeat::branch_count`] and
+//!   [`DeepOHeat::latent_dim`], and [`DeepOHeat::predict_theta`] returns
+//!   the nondimensional output the physics losses constrain.
 //! * [`physics`] — residual builders for the heat PDE and all §III
-//!   boundary-condition families, in normalized coordinates.
+//!   boundary-condition families, in normalized coordinates; a
+//!   [`physics::dirichlet_residual`] takes its target temperature through
+//!   [`physics::PhysicsScales::to_theta`].
 //! * [`experiments`] — runnable reproductions of the paper's §V.A
 //!   (power-map) and §V.B (dual-HTC) experiments against the
 //!   finite-volume reference solver.
-//! * [`metrics`] — MAPE/PAPE and field-comparison utilities used by
-//!   Table I and Fig. 5.
+//!   [`experiments::PowerMapExperimentConfig::paper`] and
+//!   [`experiments::HtcExperimentConfig::paper`] hold the paper's
+//!   full-scale settings,
+//!   [`experiments::VolumetricExperimentConfig::physics_informed`] trains
+//!   the volumetric experiment on the physics loss, and
+//!   [`experiments::Experiment::save_checkpoint`] writes a checkpoint on
+//!   demand.
+//! * [`metrics`] — MAPE/PAPE, [`metrics::relative_l2`] and
+//!   field-comparison utilities used by Table I and Fig. 5.
+//! * [`model_io`] — the model file format, written to a path with
+//!   [`model_io::save_to_path`] and read back with
+//!   [`model_io::load_from_path`].
 //! * [`report`] — ASCII heat maps and CSV export used by the experiment
 //!   harness binaries.
 //! * [`checkpoint`] / [`resilience`] — crash-safe training checkpoints

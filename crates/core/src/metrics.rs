@@ -5,8 +5,6 @@
 //! temperature field and the reference solver's, element-wise over the
 //! full grid, with temperatures in Kelvin.
 
-use deepoheat_linalg::Matrix;
-
 use crate::DeepOHeatError;
 
 /// Element-wise accuracy summary of a predicted field against a
@@ -60,27 +58,6 @@ impl FieldErrors {
         }
         let n = predicted.len() as f64;
         Ok(FieldErrors { mape: sum_pct / n, pape: peak_pct, mean_abs: sum_abs / n, peak_abs })
-    }
-
-    /// Convenience wrapper for matrix-shaped fields.
-    ///
-    /// # Errors
-    ///
-    /// As [`FieldErrors::compare`], plus a shape check.
-    pub fn compare_matrices(
-        predicted: &Matrix,
-        reference: &Matrix,
-    ) -> Result<Self, DeepOHeatError> {
-        if predicted.shape() != reference.shape() {
-            return Err(DeepOHeatError::InputMismatch {
-                what: format!(
-                    "field shapes differ: {:?} vs {:?}",
-                    predicted.shape(),
-                    reference.shape()
-                ),
-            });
-        }
-        Self::compare(predicted.as_slice(), reference.as_slice())
     }
 }
 
@@ -157,9 +134,6 @@ mod tests {
         assert!(FieldErrors::compare(&[1.0], &[0.0]).is_err());
         assert!(relative_l2(&[1.0], &[]).is_err());
         assert!(relative_l2(&[1.0], &[0.0]).is_err());
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 3);
-        assert!(FieldErrors::compare_matrices(&a, &b).is_err());
     }
 
     #[test]
@@ -212,12 +186,5 @@ mod tests {
         assert!((e.mape - 1.0).abs() < 1e-12);
         assert!((e.pape - 1.0).abs() < 1e-12);
         assert_eq!(e.mape, e.pape, "mean equals peak for a single point");
-    }
-
-    #[test]
-    fn empty_matrices_are_rejected() {
-        let a = Matrix::zeros(0, 0);
-        let b = Matrix::zeros(0, 0);
-        assert!(FieldErrors::compare_matrices(&a, &b).is_err());
     }
 }

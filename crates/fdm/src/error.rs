@@ -45,18 +45,6 @@ pub enum FdmError {
         /// Final relative residual.
         residual: f64,
     },
-    /// A transient integration failed mid-trajectory. The step index pins
-    /// down *which* backward-Euler solve stalled; use
-    /// [`crate::HeatProblem::solve_transient_partial`] to also recover the
-    /// last good state.
-    TransientStepFailed {
-        /// Zero-based index of the step whose linear solve failed.
-        step: usize,
-        /// CG iterations performed in the failing step.
-        iterations: usize,
-        /// Relative residual the failing step stopped at.
-        residual: f64,
-    },
 }
 
 impl fmt::Display for FdmError {
@@ -75,12 +63,6 @@ impl fmt::Display for FdmError {
             FdmError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
             FdmError::SolveFailed { iterations, residual } => {
                 write!(f, "heat solve did not converge after {iterations} iterations (residual {residual:e})")
-            }
-            FdmError::TransientStepFailed { step, iterations, residual } => {
-                write!(
-                    f,
-                    "transient step {step} did not converge after {iterations} iterations (residual {residual:e})"
-                )
             }
         }
     }

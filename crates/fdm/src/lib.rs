@@ -19,6 +19,12 @@
 //! It provides the *reference temperatures* for every accuracy table in
 //! the paper and the *baseline timings* for every speedup claim.
 //!
+//! Its tests check it against closed forms: [`slab_conduction_profile`]
+//! for one slab and [`SlabAnalytic`] for a layered stack
+//! ([`SlabAnalytic::new`], [`SlabAnalytic::top_temperature`],
+//! [`SlabAnalytic::unit_resistance`]). [`StructuredGrid::control_volume`]
+//! is the volume a node's source term integrates over.
+//!
 //! # Examples
 //!
 //! A 1 mm × 1 mm × 0.5 mm chip heated from the top, cooled by convection
@@ -46,7 +52,6 @@ mod error;
 mod grid;
 mod problem;
 mod solution;
-mod transient;
 
 pub use analytic::{slab_conduction_profile, SlabAnalytic};
 pub use batch::{BatchOutcome, BatchReport, BatchSolveOptions};
@@ -55,4 +60,3 @@ pub use error::FdmError;
 pub use grid::StructuredGrid;
 pub use problem::{HeatProblem, SolveOptions};
 pub use solution::Solution;
-pub use transient::{TransientOptions, TransientOutcome, TransientSolution, TransientStepFailure};

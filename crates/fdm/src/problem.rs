@@ -30,7 +30,7 @@ pub(crate) fn scatter(nodes: &[Node], free: &[f64]) -> Vec<f64> {
 }
 
 /// The assembled steady operator over the free (non-Dirichlet) nodes,
-/// shared by the static, batch and transient solvers.
+/// shared by the static and batch solvers.
 pub(crate) struct Assembly {
     /// SPD conduction + convection operator.
     pub matrix: CsrMatrix,
@@ -364,8 +364,8 @@ impl HeatProblem {
     }
 
     /// Assembles the steady operator over the free (non-Dirichlet) nodes:
-    /// `A T = b` with `A` SPD. Reused by [`HeatProblem::solve`],
-    /// [`HeatProblem::solve_batch`] and the transient stepper.
+    /// `A T = b` with `A` SPD. Reused by [`HeatProblem::solve`] and
+    /// [`HeatProblem::solve_batch`].
     ///
     /// One serial pass over the nodes in flat (k, j, i) order writes each
     /// free row straight into CSR arrays. Row `r` holds its free −z, −y

@@ -89,11 +89,6 @@ impl Solution {
         self.temperatures.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Mean temperature over the whole domain.
-    pub fn mean_temperature(&self) -> f64 {
-        self.temperatures.iter().sum::<f64>() / self.temperatures.len() as f64
-    }
-
     /// The temperature field on one face, indexed by the face's in-plane
     /// axes (see [`Face`] for the convention). For `ZMax` this is the
     /// `nx × ny` top-surface field plotted throughout the paper's Fig. 3.
@@ -113,16 +108,6 @@ impl Solution {
                 Matrix::from_fn(g.nx(), g.ny(), |i, j| self.at(i, j, k))
             }
         }
-    }
-
-    /// A horizontal slice at vertex layer `k`, as an `nx × ny` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= nz`.
-    pub fn slice_z(&self, k: usize) -> Matrix {
-        assert!(k < self.grid.nz(), "z layer {k} out of bounds");
-        Matrix::from_fn(self.grid.nx(), self.grid.ny(), |i, j| self.at(i, j, k))
     }
 
     /// Trilinearly interpolates the temperature at an arbitrary physical
@@ -148,13 +133,6 @@ impl Solution {
         let c01 = lerp(self.at(i0, j0, k1), self.at(i1, j0, k1), tx);
         let c11 = lerp(self.at(i0, j1, k1), self.at(i1, j1, k1), tx);
         lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz)
-    }
-
-    /// Trilinearly samples the field at *normalized* coordinates (each
-    /// axis in `[0, 1]`), matching the coordinate convention the
-    /// surrogate trains in.
-    pub fn sample_normalized(&self, x: f64, y: f64, z: f64) -> f64 {
-        self.sample(x * self.grid.lx(), y * self.grid.ly(), z * self.grid.lz())
     }
 }
 
@@ -196,19 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_matches_face_at_extremes() {
-        let s = linear_solution();
-        assert_eq!(s.slice_z(2), s.face_temperatures(Face::ZMax));
-        assert_eq!(s.slice_z(0), s.face_temperatures(Face::ZMin));
-    }
-
-    #[test]
-    fn mean_of_linear_field_is_centre_value() {
-        let s = linear_solution();
-        assert!((s.mean_temperature() - s.at(1, 1, 1)).abs() < 1e-12);
-    }
-
-    #[test]
     fn trilinear_sampling_is_exact_on_linear_fields() {
         // The test field is affine, so trilinear interpolation reproduces
         // it exactly anywhere in the domain (grid spacing is 0.5).
@@ -239,11 +204,5 @@ mod tests {
         let s = linear_solution();
         assert_eq!(s.sample(-1.0, -1.0, -1.0), s.at(0, 0, 0));
         assert_eq!(s.sample(9.0, 9.0, 9.0), s.at(2, 2, 2));
-    }
-
-    #[test]
-    fn normalized_sampling_matches_physical() {
-        let s = linear_solution();
-        assert!((s.sample_normalized(0.5, 0.5, 0.5) - s.sample(0.5, 0.5, 0.5)).abs() < 1e-12);
     }
 }

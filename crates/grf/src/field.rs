@@ -112,11 +112,6 @@ impl GaussianRandomField {
         self.points.is_empty()
     }
 
-    /// The kernel length scale.
-    pub fn length_scale(&self) -> f64 {
-        self.length_scale
-    }
-
     /// The sample-point locations.
     pub fn points(&self) -> &[[f64; 2]] {
         &self.points

@@ -32,7 +32,6 @@ const COVARIANCE_JITTER: f64 = 1e-10;
 #[derive(Debug, Clone)]
 pub struct GaussianRandomField3 {
     dims: (usize, usize, usize),
-    length_scale: f64,
     factor: Cholesky,
 }
 
@@ -80,7 +79,7 @@ impl GaussianRandomField3 {
             cov[(i, i)] += COVARIANCE_JITTER;
         }
         let factor = Cholesky::new(&cov)?;
-        Ok(GaussianRandomField3 { dims: (nx, ny, nz), length_scale, factor })
+        Ok(GaussianRandomField3 { dims: (nx, ny, nz), factor })
     }
 
     /// The grid dimensions `(nx, ny, nz)`.
@@ -97,11 +96,6 @@ impl GaussianRandomField3 {
     /// constructed field).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The kernel length scale.
-    pub fn length_scale(&self) -> f64 {
-        self.length_scale
     }
 
     /// Draws one sample as a flat vector in x-fastest order.

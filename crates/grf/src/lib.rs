@@ -15,6 +15,12 @@
 //!   for the paper's proprietary Cadence test cases,
 //! * [`tiles_to_grid`] — the tile→grid bilinear interpolation.
 //!
+//! [`GaussianRandomField::new`] builds a field over arbitrary points, and
+//! [`GaussianRandomField::kernel`] gives the exact covariance the
+//! statistical tests check samples against. [`GaussianRandomField3`] is
+//! the 3-D field over a grid of [`GaussianRandomField3::dims`] points.
+//! [`TilePowerMap::peak_power`] is a map's hottest tile.
+//!
 //! # Examples
 //!
 //! ```

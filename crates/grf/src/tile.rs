@@ -32,11 +32,6 @@ impl TilePowerMap {
         TilePowerMap { tiles: Matrix::zeros(rows, cols) }
     }
 
-    /// Wraps an existing tile matrix.
-    pub fn from_tiles(tiles: Matrix) -> Self {
-        TilePowerMap { tiles }
-    }
-
     /// Number of tile rows.
     pub fn rows(&self) -> usize {
         self.tiles.rows()

@@ -148,11 +148,6 @@ impl BlockCgOutcome {
     pub fn all_converged(&self) -> bool {
         self.columns.iter().all(|c| c.converged)
     }
-
-    /// Indices of columns that did not converge.
-    pub fn unconverged(&self) -> Vec<usize> {
-        self.columns.iter().enumerate().filter(|(_, c)| !c.converged).map(|(i, _)| i).collect()
-    }
 }
 
 /// Bookkeeping for a column deflated out of the block because its residual
@@ -555,8 +550,8 @@ pub fn block_cg<P: Preconditioner>(
 /// start with a relative residual well below 1 and converge in a fraction
 /// of the cold iteration count.
 ///
-/// The space is tied to one operator: callers **must** [`RecycleSpace::clear`]
-/// it (or drop it) when `A` changes — the struct cannot detect that itself.
+/// The space is tied to one operator: callers **must** drop it (or start a
+/// new one) when `A` changes — the struct cannot detect that itself.
 #[derive(Debug, Clone)]
 pub struct RecycleSpace {
     max_dim: usize,
@@ -582,11 +577,6 @@ impl RecycleSpace {
     /// Whether the space holds no basis vectors yet.
     pub fn is_empty(&self) -> bool {
         self.w.rows() == 0
-    }
-
-    /// Forgets the basis. Call when the operator changes.
-    pub fn clear(&mut self) {
-        *self = RecycleSpace::new(self.max_dim);
     }
 
     /// Galerkin warm start for a new right-hand-side block (`k×n`, one RHS
@@ -800,7 +790,7 @@ mod tests {
         let opts = BlockCgOptions { max_iterations: 3, tolerance: 1e-14, record_trace: true };
         let out = block_cg(&a, &b, None, &IdentityPreconditioner, opts).unwrap();
         assert!(!out.all_converged());
-        assert_eq!(out.unconverged().len(), 4);
+        assert!(out.columns.iter().all(|c| !c.converged));
         assert!(out.columns.iter().all(|c| c.relative_residual.is_finite()));
         let trace = out.trace.expect("record_trace was set");
         assert_eq!(trace.active_columns.len(), trace.max_residual.len());
@@ -1075,13 +1065,11 @@ mod tests {
         let repeat = Matrix::from_vec(1, n, space.w.row(0).to_vec()).unwrap();
         space.absorb(&a, &repeat).unwrap();
         assert_eq!(space.dim(), dim_before);
-        space.clear();
-        assert!(space.is_empty());
-        assert!(space.warm_start(&Matrix::zeros(1, n)).unwrap().is_none());
         // A zero-capacity space keeps nothing.
         let mut none = RecycleSpace::new(0);
         none.absorb(&a, &repeat).unwrap();
         assert!(none.is_empty());
+        assert!(none.warm_start(&Matrix::zeros(1, n)).unwrap().is_none());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   row's own offset in the block below (lower triangle) or above (upper
 //!   triangle). A natural-order grid operator qualifies with one plane of
 //!   free rows per block, whichever faces are held at a fixed temperature;
-//!   so do layered conductivities and the transient stepping matrix. Any
-//!   other pattern keeps the natural order.
+//!   so do layered conductivities. Any other pattern keeps the natural
+//!   order.
 //! * **Schedule.** The forward sweep takes the blocks in groups of four.
 //!   At step `t` of a group, chain `s` runs offset `t - s` of the group's
 //!   block `s`, so each chain runs one row behind the one before it: row

@@ -74,11 +74,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the factorisation, returning the lower-triangular factor.
-    pub fn into_factor(self) -> Matrix {
-        self.l
-    }
-
     /// Computes `L z` for a vector `z`; this is how correlated Gaussian
     /// samples are generated from i.i.d. standard normals.
     ///
@@ -141,11 +136,6 @@ impl Cholesky {
             x[i] = acc / self.l[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Log-determinant of the factored matrix, `log det A = 2 Σ log Lᵢᵢ`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -347,12 +337,6 @@ mod tests {
         for (f, s) in fast.iter().zip(slow.iter()) {
             assert!((f - s).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let chol = Cholesky::new(&Matrix::identity(5)).unwrap();
-        assert!(chol.log_det().abs() < 1e-14);
     }
 
     #[test]

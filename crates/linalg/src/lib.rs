@@ -8,15 +8,22 @@
 //! * [`Matrix`] — a dense, row-major matrix with cache-friendly and
 //!   (for large operands) multi-threaded multiplication; `f64` unless
 //!   named otherwise, with its inference operations generic over the
-//!   [`Element`] type so `f32` runs the same code,
+//!   [`Element`] type so `f32` runs the same code; besides
+//!   [`Matrix::from_rows`] and [`Matrix::identity`] (the example below) it
+//!   builds a [`Matrix::column_vector`] and measures a
+//!   [`Matrix::frobenius_norm`],
 //! * [`Cholesky`] — an LLᵀ factorisation for symmetric positive-definite
-//!   systems (used for Gaussian-random-field sampling),
+//!   systems (used for Gaussian-random-field sampling), exposing its
+//!   factor as [`Cholesky::factor`],
 //! * [`CsrMatrix`] — compressed sparse row storage for the finite-volume
-//!   operator assembled by `deepoheat-fdm`,
+//!   operator assembled by `deepoheat-fdm`; [`CsrMatrix::row_entries`]
+//!   walks one row,
 //! * [`block_cg`] — preconditioned (block) conjugate gradients for one or
 //!   many right-hand sides, with [`Preconditioner`] implementations
-//!   (identity, Jacobi, SSOR, IC(0)); a one-row block is the
-//!   single-right-hand-side solver.
+//!   (identity, Jacobi, SSOR, IC(0), the last of dimension
+//!   [`IncompleteCholesky::dim`]); a one-row block is the
+//!   single-right-hand-side solver, and a [`RecycleSpace`] of
+//!   [`RecycleSpace::dim`] vectors warm-starts later blocks.
 //!
 //! # Examples
 //!

@@ -194,17 +194,6 @@ impl Jet3 {
         }
         Ok(Jet3 { vars })
     }
-
-    /// The Laplacian channel `Σᵢ ∂²/∂yᵢ²` as a new graph node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::AbsentJetChannel`] unless the jet carries every
-    /// second derivative, and propagates shape errors from the graph.
-    pub fn laplacian(&self, graph: &mut Graph) -> Result<Var, NnError> {
-        let s01 = graph.add(self.d2(0)?, self.d2(1)?)?;
-        Ok(graph.add(s01, self.d2(2)?)?)
-    }
 }
 
 /// Applies an elementwise activation to a jet using the Faà-di-Bruno rules
@@ -296,19 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn laplacian_sums_second_derivatives() {
-        let mut g = Graph::new();
-        let coords = Matrix::from_rows(&[&[0.5, -0.5, 0.25]]).unwrap();
-        let seed = Jet3::seed_coordinates(&mut g, coords, JetChannels::ALL).unwrap();
-        // Replace the d2 channels with known constants.
-        let d2 = [1.0, 2.0, 3.0].map(|v| Some(g.leaf(Matrix::filled(1, 3, v), false)));
-        let d1 = [0, 1, 2].map(|i| seed.d1(i).ok());
-        let jet = Jet3::new(seed.value(), d1, d2).unwrap();
-        let lap = jet.laplacian(&mut g).unwrap();
-        assert!(g.value(lap).iter().all(|&v| v == 6.0));
-    }
-
-    #[test]
     fn seed_requires_three_columns() {
         let mut g = Graph::new();
         let err =
@@ -349,7 +325,6 @@ mod tests {
         assert_eq!(jet.d1(0), Err(NnError::AbsentJetChannel { order: 1, axis: 0 }));
         assert_eq!(jet.d2(1), Err(NnError::AbsentJetChannel { order: 2, axis: 1 }));
         assert_eq!(jet.d1(3), Err(NnError::AbsentJetChannel { order: 1, axis: 3 }));
-        assert!(matches!(jet.laplacian(&mut g), Err(NnError::AbsentJetChannel { .. })));
 
         // Activations keep the set.
         let out = activation_jet(&mut g, Activation::Swish, &jet).unwrap();

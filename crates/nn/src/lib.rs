@@ -13,6 +13,9 @@
 //! generic over the [`deepoheat_linalg::Element`] type, and `cast` narrows a
 //! trained network to `f32` for them.
 //!
+//! [`Adam::steps_taken`] counts the steps Adam applied; a step it refuses
+//! (a non-finite gradient) leaves the count and the parameters unchanged.
+//!
 //! # Examples
 //!
 //! Train a tiny MLP to fit `y = x²` on a few points:

@@ -213,12 +213,6 @@ impl<V: Clone + CacheWeight> LruCache<V> {
         self.entries.is_empty()
     }
 
-    /// The weight budget (entries for an [`EmbeddingCache`], bytes for a
-    /// [`BasisCache`]).
-    pub fn capacity(&self) -> usize {
-        self.budget
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats

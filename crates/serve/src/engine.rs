@@ -203,11 +203,6 @@ impl InferenceEngine {
         &self.parts.model
     }
 
-    /// The options the engine was built with.
-    pub fn options(&self) -> &ServeOptions {
-        &self.options
-    }
-
     /// Snapshot of the embedding cache's hit/miss/eviction counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()

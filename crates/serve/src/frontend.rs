@@ -288,17 +288,10 @@ impl Completion {
 /// resolves — the front-end guarantees every admitted request does.
 #[derive(Debug)]
 pub struct Ticket {
-    id: u64,
     completion: Arc<Completion>,
 }
 
 impl Ticket {
-    /// The request id assigned at admission (the key fault plans use).
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Blocks until the request completes.
     ///
     /// # Errors
@@ -491,11 +484,6 @@ impl ServeFrontend {
         Ok(ServeFrontend { shared, workers, bases, shut_down: false })
     }
 
-    /// The options the front-end was built with.
-    pub fn options(&self) -> &FrontendOptions {
-        &self.shared.options
-    }
-
     /// The shard the content hash routes this design to (ignoring
     /// breaker state).
     #[must_use]
@@ -605,7 +593,7 @@ impl ServeFrontend {
             Ok(depth) => {
                 telemetry::counter("serve.queue.enqueued", 1);
                 telemetry::observe("serve.queue.depth", depth as f64);
-                Ok(Ticket { id, completion })
+                Ok(Ticket { completion })
             }
             Err(PushRefused::Full(_)) => {
                 shared.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);

@@ -45,6 +45,22 @@
 //! pipeline is chaos-testable through a deterministic, replayable
 //! [`ServeFaultPlan`]; see the [`frontend`] module docs for the contract.
 //!
+//! # Test and introspection hooks
+//!
+//! The chaos, cache and telemetry tests drive the layer through public
+//! hooks:
+//!
+//! * faults and time: [`ServeFaultPlan::from_seed`] scatters faults over
+//!   request ids; [`ServeFrontend::new_with_clock`], which
+//!   [`ServeFrontend::new`] calls with the wall clock, takes a
+//!   [`ManualClock::new`] that the test moves with
+//!   [`ManualClock::advance`]; and [`ServeFrontend::release_holds`] frees
+//!   the requests a plan parks;
+//! * state: [`ServeFrontend::queue_depths`], [`ServeFrontend::basis_len`],
+//!   [`InferenceEngine::basis_len`] and [`InferenceEngine::cache_len`];
+//! * cache order: [`LruCache::keys_by_recency`], and
+//!   [`CacheKey::with_hash`], which forges a hash collision.
+//!
 //! ```
 //! use deepoheat::{DeepOHeat, DeepOHeatConfig};
 //! use deepoheat_linalg::Matrix;

@@ -13,14 +13,23 @@
 //!   `linalg.cg.iterations`).
 //! * **Spans** — RAII timers ([`span`]) that record wall time into a
 //!   histogram and emit a `span` event on completion. Each span carries a
-//!   request-scoped trace ID and a parent link, so the JSONL stream can be
-//!   reconstructed into span trees ([`SpanRecord`]) and folded-stack
-//!   flamegraphs ([`fold_stacks`]).
+//!   request-scoped trace ID and a parent link, so the JSONL stream (or a
+//!   captured event, [`SpanRecord::from_event`]) can be reconstructed into
+//!   span trees ([`SpanRecord`]) and folded-stack flamegraphs
+//!   ([`fold_stacks`]). A span's [`Span::context`] handed to
+//!   [`span_with_parent`] parents a span on another thread under it.
 //! * **Events** — structured records ([`event`]) with typed fields, e.g.
 //!   one per training step carrying the per-loss-term breakdown.
-//! * **Sinks** — pluggable outputs: [`ConsoleSink`] for humans,
-//!   [`JsonlSink`] for append-only run logs plus a final
-//!   [`RunManifest`] JSON, [`MemorySink`] for tests.
+//! * **Sinks** — pluggable outputs: [`ConsoleSink`] for humans
+//!   ([`RecorderBuilder::console`]), [`JsonlSink`] for append-only run
+//!   logs plus a final [`RunManifest`] JSON at
+//!   [`JsonlSink::manifest_path`], and [`MemorySink`] for tests, which
+//!   read it back with [`MemorySink::events`] and
+//!   [`MemorySink::take_manifest`]; sink tests start from
+//!   [`RunManifest::empty_for_tests`].
+//!
+//! A histogram counts its non-finite observations apart
+//! ([`Histogram::nonfinite`]), so they never skew its quantiles.
 //!
 //! Telemetry is **opt-in and near-zero cost when off**: every recording
 //! function first checks one atomic; with no recorder installed the
@@ -108,12 +117,6 @@ impl Recorder {
     /// Starts building a recorder for a run called `name`.
     pub fn builder(name: impl Into<String>) -> RecorderBuilder {
         RecorderBuilder { name: name.into(), config: BTreeMap::new(), sinks: Vec::new() }
-    }
-
-    /// The metric registry backing [`counter`], [`gauge`], and
-    /// [`observe`].
-    pub fn registry(&self) -> &MetricRegistry {
-        &self.registry
     }
 
     fn emit(&self, kind: EventKind, name: &str, fields: Vec<(String, Value)>) {

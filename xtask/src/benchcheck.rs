@@ -97,16 +97,6 @@ impl Check {
     }
 }
 
-/// Parses the bench baseline document (errors cite
-/// [`BENCH_BASELINE_PATH`]).
-///
-/// # Errors
-///
-/// Returns a message for malformed JSON or missing/ill-typed fields.
-pub fn parse_baseline(text: &str) -> Result<Vec<Check>, String> {
-    parse_baseline_at(BENCH_BASELINE_PATH, text)
-}
-
 /// Parses a baseline document, citing `label` (normally the file's
 /// relative path) in every diagnostic.
 ///
@@ -207,11 +197,6 @@ pub fn run_checks(dir: &Path, checks: &[Check]) -> Vec<CheckResult> {
         .collect()
 }
 
-/// Renders the delta table with the `benchcheck` gate name.
-pub fn format_table(results: &[CheckResult]) -> String {
-    format_table_for("benchcheck", results)
-}
-
 /// Renders the delta table, labelling the summary line with `name`
 /// (`benchcheck` or `accuracycheck`).
 pub fn format_table_for(name: &str, results: &[CheckResult]) -> String {
@@ -263,18 +248,8 @@ pub fn format_table_for(name: &str, results: &[CheckResult]) -> String {
 }
 
 /// Re-emits the baseline document with values replaced by the fresh
-/// measurements (directions and tolerances preserved).
-///
-/// # Errors
-///
-/// Returns a message when any fresh value is unavailable — an updated
-/// baseline must cover every tracked gauge.
-pub fn render_updated_baseline(results: &[CheckResult]) -> Result<String, String> {
-    render_updated_baseline_with_comment(results, BENCH_BASELINE_COMMENT)
-}
-
-/// [`render_updated_baseline`] with an explicit header comment, for
-/// baselines other than the bench one.
+/// measurements (directions and tolerances preserved), under the header
+/// comment `comment`.
 ///
 /// # Errors
 ///
@@ -310,6 +285,18 @@ pub fn render_updated_baseline_with_comment(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_baseline(text: &str) -> Result<Vec<Check>, String> {
+        parse_baseline_at(BENCH_BASELINE_PATH, text)
+    }
+
+    fn format_table(results: &[CheckResult]) -> String {
+        format_table_for("benchcheck", results)
+    }
+
+    fn render_updated_baseline(results: &[CheckResult]) -> Result<String, String> {
+        render_updated_baseline_with_comment(results, BENCH_BASELINE_COMMENT)
+    }
 
     fn baseline_doc() -> &'static str {
         r#"{

@@ -8,7 +8,9 @@
 //!   `foo` in the same crate;
 //! * **path calls** `a::b::foo(` — every function whose qualified path
 //!   ends with the called segments (`deepoheat_x` prefixes normalize to
-//!   the short crate name, `crate`/`self`/`super` heads are dropped);
+//!   the short crate name, `crate`/`self`/`super` heads are dropped); a
+//!   path passed as an argument (`filter_map(Record::parse)`) counts as a
+//!   call;
 //! * **method calls** `recv.foo(` — if the receiver chain types to a
 //!   workspace struct, that type's `foo` methods; if it types to a
 //!   *known-external* type (e.g. `Condvar`), no edge; only a receiver we
@@ -18,14 +20,29 @@
 //!   always a std container/guard and the fallback would wire, say,
 //!   every `vec.push(x)` to `CooMatrix::push`.
 //!
-//! Test functions are excluded on both ends: tests may panic and lock
-//! freely.
+//! A receiver that types to a workspace enum, and a stoplisted call on an
+//! untyped receiver, link no edge: their candidates go to
+//! [`CallSite::loose`], which only the uncalled-function report reads.
+//! Linking enum receivers would tie `TrunkBasis::combine` to `Matrix::add`
+//! through `Epilogue::apply`'s untyped `offset.add(…)`, a path no run
+//! takes.
+//!
+//! A module-level `type` alias stands for its target's head type in paths
+//! and receiver types (`PowerMapExperiment::new` → `Experiment::new`).
+//!
+//! Only non-test library functions are call targets. Test functions and
+//! the functions of binaries, examples and tests are callers only: their
+//! call sites are resolved, for the report of public functions nothing
+//! outside tests calls ([`crate::uncalled`]), but nothing calls them and
+//! their structs type no receivers, so the panic-reach and lock-order
+//! passes, which read non-test library functions only, see the library
+//! graph alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::items::{self, FileItems, FnItem, StructItem, UseEntry, CALL_KEYWORDS};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::lints::FileClass;
+use crate::lints::{FileClass, FileKind};
 use crate::scanner::ScannedFile;
 
 /// Method names so common on std containers, guards, iterators, and
@@ -167,6 +184,11 @@ pub struct CallSite {
     pub kind: CallKind,
     /// Resolved candidate callees (indices into [`Workspace::fns`]).
     pub targets: Vec<usize>,
+    /// Callees the call may reach that `targets` leaves out: the methods of
+    /// an enum receiver, and the same-named methods behind a stoplisted
+    /// call on an untyped receiver. Only the report of uncalled functions
+    /// reads them, so it lists none the call might reach.
+    pub loose: Vec<usize>,
 }
 
 /// The fully-resolved workspace: files, symbols, and the call graph.
@@ -183,27 +205,43 @@ pub struct Workspace {
     fn_by_name: BTreeMap<String, Vec<usize>>,
     method_by_name: BTreeMap<String, Vec<usize>>,
     struct_by_name: BTreeMap<String, Vec<usize>>,
+    /// Names of library enums.
+    enums: BTreeSet<String>,
+    /// Library type aliases with one target across the workspace.
+    alias_target: BTreeMap<String, String>,
 }
 
 impl Workspace {
-    /// Builds the symbol table and call graph from already-scanned
-    /// library files. `classes` must be parallel to `files`.
+    /// Builds the symbol table and call graph from already-scanned files.
+    /// `classes` must be parallel to `files`. Only library files define
+    /// call targets and receiver types; the others are callers only.
     pub fn build(files: Vec<ScannedFile>, classes: Vec<FileClass>) -> Self {
         let mut fns = Vec::new();
         let mut structs = Vec::new();
         let mut uses = Vec::new();
+        let mut aliases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for (idx, (file, class)) in files.iter().zip(&classes).enumerate() {
-            let FileItems { fns: f, structs: s, uses: u } =
+            let FileItems { fns: f, structs: s, uses: u, aliases: a } =
                 items::extract(file, idx, &class.crate_name);
             fns.extend(f);
             structs.extend(s);
             uses.extend(u);
+            if class.kind == FileKind::Library {
+                for alias in a {
+                    aliases.entry(alias.name).or_default().insert(alias.target);
+                }
+            }
         }
+        let alias_target = aliases
+            .into_iter()
+            .filter(|(_, targets)| targets.len() == 1)
+            .filter_map(|(name, targets)| Some((name, targets.into_iter().next()?)))
+            .collect();
 
         let mut fn_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut method_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (id, f) in fns.iter().enumerate() {
-            if f.is_test {
+            if f.is_test || classes[f.file].kind != FileKind::Library {
                 continue;
             }
             fn_by_name.entry(f.name.clone()).or_default().push(id);
@@ -212,8 +250,16 @@ impl Workspace {
             }
         }
         let mut struct_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut enums = BTreeSet::new();
         for (id, s) in structs.iter().enumerate() {
-            struct_by_name.entry(s.name.clone()).or_default().push(id);
+            if classes[s.file].kind != FileKind::Library {
+                continue;
+            }
+            if s.is_enum {
+                enums.insert(s.name.clone());
+            } else {
+                struct_by_name.entry(s.name.clone()).or_default().push(id);
+            }
         }
 
         let mut ws = Workspace {
@@ -227,6 +273,8 @@ impl Workspace {
             fn_by_name,
             method_by_name,
             struct_by_name,
+            enums,
+            alias_target,
         };
         ws.calls = (0..ws.fns.len()).map(|id| ws.extract_calls(id)).collect();
         ws.edges = ws
@@ -237,9 +285,16 @@ impl Workspace {
         ws
     }
 
-    /// Total number of resolved call edges.
+    /// Whether function `id` is non-test library code: a call target, and
+    /// what the panic-reach and lock-order passes read.
+    pub fn is_library(&self, id: usize) -> bool {
+        let f = &self.fns[id];
+        !f.is_test && self.classes[f.file].kind == FileKind::Library
+    }
+
+    /// Number of resolved call edges out of non-test library functions.
     pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(BTreeSet::len).sum()
+        (0..self.fns.len()).filter(|&id| self.is_library(id)).map(|id| self.edges[id].len()).sum()
     }
 
     /// Function ids whose qualified id equals `qualified`.
@@ -306,9 +361,6 @@ impl Workspace {
 
     fn extract_calls(&self, fn_id: usize) -> Vec<CallSite> {
         let f = &self.fns[fn_id];
-        if f.is_test {
-            return Vec::new();
-        }
         let file = &self.files[f.file];
         let toks = lex(&file.masked[f.body.0..f.body.1]);
         let base = f.body.0;
@@ -321,35 +373,44 @@ impl Workspace {
             if CALL_KEYWORDS.contains(&name) {
                 continue;
             }
-            let followed_by_paren =
-                toks.get(i + 1).is_some_and(|t| tok_text(t, &file.masked, base) == "(");
-            if !followed_by_paren {
-                continue;
-            }
+            let next = toks.get(i + 1).map(|t| tok_text(t, &file.masked, base));
             let prev = i.checked_sub(1).map(|j| tok_text(&toks[j], &file.masked, base));
-            let kind = match prev {
-                Some(".") => CallKind::Method(receiver_chain(&toks, i, &file.masked, base)),
-                Some("::") => CallKind::Path(path_segments(&toks, i, &file.masked, base)),
-                _ => CallKind::Free,
+            let kind = match (prev, next) {
+                (Some("."), Some("(")) => {
+                    CallKind::Method(receiver_chain(&toks, i, &file.masked, base))
+                }
+                (Some("::"), Some("(")) => {
+                    CallKind::Path(path_segments(&toks, i, &file.masked, base))
+                }
+                // A function passed by path (`filter_map(Record::parse)`)
+                // is called wherever it is passed to.
+                (Some("::"), Some("," | ")" | ";"))
+                    if name.starts_with(|c: char| c.is_ascii_lowercase()) =>
+                {
+                    CallKind::Path(path_segments(&toks, i, &file.masked, base))
+                }
+                (_, Some("(")) => CallKind::Free,
+                _ => continue,
             };
             let name = name.to_string();
-            let targets = self.resolve(fn_id, &name, &kind);
-            sites.push(CallSite { offset: base + toks[i].start, name, kind, targets });
+            let (targets, loose) = self.resolve(fn_id, &name, &kind);
+            sites.push(CallSite { offset: base + toks[i].start, name, kind, targets, loose });
         }
         sites
     }
 
-    fn resolve(&self, fn_id: usize, name: &str, kind: &CallKind) -> Vec<usize> {
+    /// The call's targets and its loose candidates ([`CallSite::loose`]).
+    fn resolve(&self, fn_id: usize, name: &str, kind: &CallKind) -> (Vec<usize>, Vec<usize>) {
         let caller = &self.fns[fn_id];
-        let mut out = match kind {
-            CallKind::Free => self.resolve_free(caller, name),
-            CallKind::Path(segs) => self.resolve_path(segs, name),
+        let (mut out, loose) = match kind {
+            CallKind::Free => (self.resolve_free(caller, name), Vec::new()),
+            CallKind::Path(segs) => (self.resolve_path(segs, name), Vec::new()),
             CallKind::Method(chain) => self.resolve_method(fn_id, chain, name),
         };
-        out.retain(|&id| !self.fns[id].is_test && id != fn_id);
+        out.retain(|&id| id != fn_id);
         out.sort_unstable();
         out.dedup();
-        out
+        (out, loose)
     }
 
     fn resolve_free(&self, caller: &FnItem, name: &str) -> Vec<usize> {
@@ -370,10 +431,7 @@ impl Workspace {
         }
         // A `use` binding for the bare name.
         for entry in &self.uses {
-            if entry.crate_name == caller.crate_name
-                && entry.module == caller.module
-                && entry.local == name
-            {
+            if entry.file == caller.file && entry.module == caller.module && entry.local == name {
                 let hits = self.resolve_path_suffix(&entry.target);
                 if !hits.is_empty() {
                     return hits;
@@ -398,47 +456,73 @@ impl Workspace {
     }
 
     /// Functions whose qualified segments end with `suffix`.
-    /// `deepoheat_x` crate prefixes normalize to the short crate name and
-    /// `crate`/`self`/`super` heads are dropped before matching.
+    /// `deepoheat_x` crate prefixes normalize to the short crate name (the
+    /// core crate, `deepoheat`, to `core`) and `crate`/`self`/`super` heads
+    /// are dropped before matching. A path that matches nothing and starts
+    /// at a crate name names a re-export (`deepoheat_linalg::block_cg`): it
+    /// matches that crate's functions of the same name, and of the same
+    /// type when the segment before the name is a type.
     fn resolve_path_suffix(&self, suffix: &[String]) -> Vec<usize> {
-        let suffix: Vec<String> = suffix
+        let mut suffix: Vec<String> = suffix
             .iter()
             .filter(|s| !matches!(s.as_str(), "crate" | "self" | "super"))
-            .map(|s| s.strip_prefix("deepoheat_").unwrap_or(s).to_string())
+            .map(|s| match s.as_str() {
+                "deepoheat" => "core".to_string(),
+                _ => s.strip_prefix("deepoheat_").unwrap_or(s).to_string(),
+            })
             .collect();
+        if let Some(ty) = suffix.len().checked_sub(2).and_then(|i| suffix.get_mut(i)) {
+            *ty = self.unalias(std::mem::take(ty));
+        }
         let Some(name) = suffix.last() else { return Vec::new() };
         let Some(candidates) = self.fn_by_name.get(name.as_str()) else { return Vec::new() };
+        let ends_with = |id: usize, tail: &[String]| {
+            let segs = self.fns[id].segments();
+            segs.len() >= tail.len() && segs[segs.len() - tail.len()..] == tail[..]
+        };
+        let exact: Vec<usize> =
+            candidates.iter().copied().filter(|&id| ends_with(id, &suffix)).collect();
+        if !exact.is_empty() || suffix.len() < 2 {
+            return exact;
+        }
+        let ty = (suffix.len() > 2)
+            .then(|| &suffix[suffix.len() - 2])
+            .filter(|s| s.starts_with(|c: char| c.is_ascii_uppercase()));
         candidates
             .iter()
             .copied()
             .filter(|&id| {
-                let segs = self.fns[id].segments();
-                segs.len() >= suffix.len() && segs[segs.len() - suffix.len()..] == suffix[..]
+                let f = &self.fns[id];
+                f.crate_name == suffix[0] && f.self_type.as_ref() == ty
             })
             .collect()
     }
 
-    fn resolve_method(&self, fn_id: usize, chain: &[String], name: &str) -> Vec<usize> {
+    fn resolve_method(
+        &self,
+        fn_id: usize,
+        chain: &[String],
+        name: &str,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let same_named = || self.method_by_name.get(name).cloned().unwrap_or_default();
         match self.receiver_type(fn_id, chain) {
-            ReceiverType::Struct(ty) => self
-                .method_by_name
-                .get(name)
-                .map(|ids| {
-                    ids.iter()
-                        .copied()
-                        .filter(|&id| self.fns[id].self_type.as_deref() == Some(ty.as_str()))
-                        .collect()
-                })
-                .unwrap_or_default(),
+            ReceiverType::Struct(ty) => {
+                let mut ids = same_named();
+                ids.retain(|&id| self.fns[id].self_type.as_deref() == Some(ty.as_str()));
+                (ids, Vec::new())
+            }
+            ReceiverType::Enum(ty) => {
+                let mut ids = same_named();
+                ids.retain(|&id| self.fns[id].self_type.as_deref() == Some(ty.as_str()));
+                (Vec::new(), ids)
+            }
             // A concretely-typed external receiver (Condvar, Vec, …):
             // its methods live outside the workspace.
-            ReceiverType::External => Vec::new(),
-            ReceiverType::Unknown => {
-                if FALLBACK_STOPLIST.contains(&name) {
-                    return Vec::new();
-                }
-                self.method_by_name.get(name).cloned().unwrap_or_default()
+            ReceiverType::External => (Vec::new(), Vec::new()),
+            ReceiverType::Unknown if FALLBACK_STOPLIST.contains(&name) => {
+                (Vec::new(), same_named())
             }
+            ReceiverType::Unknown => (same_named(), Vec::new()),
         }
     }
 
@@ -472,12 +556,14 @@ impl Workspace {
             let Some((_, ty)) = s.fields.iter().find(|(n, _)| n == seg) else {
                 return ReceiverType::External; // not a field ⇒ std/deref territory
             };
-            cur = peel_type(ty);
+            cur = self.unalias(peel_type(ty));
         }
         if self.struct_in_crate(&cur, &caller.crate_name).is_some()
             || self.struct_by_name.contains_key(&cur)
         {
             ReceiverType::Struct(cur)
+        } else if self.enums.contains(&cur) {
+            ReceiverType::Enum(cur)
         } else if cur.chars().next().is_some_and(char::is_uppercase) {
             ReceiverType::External
         } else {
@@ -506,7 +592,7 @@ impl Workspace {
             let sid = self.struct_in_crate(&cur, &caller.crate_name)?;
             let (name, ty) = self.structs[sid].fields.iter().find(|(n, _)| n == seg)?.clone();
             last = Some((sid, name, ty.clone()));
-            cur = peel_type(&ty);
+            cur = self.unalias(peel_type(&ty));
         }
         last
     }
@@ -545,11 +631,17 @@ impl Workspace {
                         }
                         ty.push_str(s);
                     }
-                    return Some(peel_type(&ty));
+                    return Some(self.unalias(peel_type(&ty)));
                 }
             }
         }
-        self.constructor_type(f, var)
+        self.constructor_type(f, var).map(|ty| self.unalias(ty))
+    }
+
+    /// The head type a type name stands for: an alias's target, else the
+    /// name itself.
+    fn unalias(&self, ty: String) -> String {
+        self.alias_target.get(&ty).cloned().unwrap_or(ty)
     }
 
     /// Infers a local's type from `let [mut] var = [path::]Type::ctor(…)`:
@@ -596,6 +688,7 @@ impl Workspace {
 
 enum ReceiverType {
     Struct(String),
+    Enum(String),
     External,
     Unknown,
 }
@@ -776,6 +869,50 @@ mod tests {
             ("crates/telemetry/src/lib.rs", "pub fn counter() {}\n"),
         ]);
         assert_eq!(edge_names(&ws, "serve::tick"), vec!["telemetry::counter"]);
+    }
+
+    #[test]
+    fn aliases_re_exports_and_passed_paths_resolve() {
+        let ws = build(&[
+            (
+                "crates/core/src/experiments/experiment.rs",
+                "pub struct Experiment;\nimpl Experiment { pub fn new() {} pub fn parse() {} }\n",
+            ),
+            (
+                "crates/core/src/experiments/power_map.rs",
+                "pub type PowerMapExperiment = Experiment<PowerMap>;\n",
+            ),
+            ("crates/linalg/src/block_cg.rs", "pub fn block_cg() {}\n"),
+            (
+                "crates/fdm/src/problem.rs",
+                "fn solve() { deepoheat::experiments::PowerMapExperiment::new(); \
+                 deepoheat_linalg::block_cg(); run(Experiment::parse); }\nfn run() {}\n",
+            ),
+        ]);
+        assert_eq!(
+            edge_names(&ws, "fdm::problem::solve"),
+            vec![
+                "core::experiments::experiment::Experiment::new",
+                "core::experiments::experiment::Experiment::parse",
+                "linalg::block_cg::block_cg",
+                "fdm::problem::run",
+            ]
+        );
+    }
+
+    #[test]
+    fn enum_receivers_and_stoplisted_names_only_add_loose_candidates() {
+        let src = "pub enum Face { Min }\nimpl Face { fn flip(&self) {} }\n\
+                   struct Coo;\nimpl Coo { fn push(&self) {} }\n\
+                   fn f(face: Face) { face.flip(); mystery().push(); }\nfn mystery() {}\n";
+        let ws = build(&[("crates/fdm/src/lib.rs", src)]);
+        assert_eq!(edge_names(&ws, "fdm::f"), vec!["fdm::mystery"]);
+        let f = ws.fn_by_qualified("fdm::f").unwrap();
+        let loose: Vec<String> = ws.calls[f]
+            .iter()
+            .flat_map(|site| site.loose.iter().map(|&id| ws.fns[id].qualified()))
+            .collect();
+        assert_eq!(loose, vec!["fdm::Face::flip", "fdm::Coo::push"]);
     }
 
     #[test]

@@ -57,7 +57,8 @@ impl FnItem {
     }
 }
 
-/// One struct and its named fields (tuple/unit structs record no fields).
+/// One struct or enum and its named fields (tuple/unit structs and enums
+/// record no fields).
 #[derive(Debug, Clone)]
 pub struct StructItem {
     pub file: usize,
@@ -66,17 +67,29 @@ pub struct StructItem {
     pub name: String,
     /// `(field name, concatenated type text)`, e.g. `("state", "Mutex<QueueState>")`.
     pub fields: Vec<(String, String)>,
+    pub is_enum: bool,
 }
 
 /// One `use` binding: `local` becomes visible in `module` as `target`.
 #[derive(Debug, Clone)]
 pub struct UseEntry {
-    pub crate_name: String,
+    /// Index of the declaring file: every binary of a crate maps to the
+    /// crate's root module, so the file tells their bindings apart.
+    pub file: usize,
     pub module: Vec<String>,
     /// The name introduced locally (`*` for glob imports).
     pub local: String,
     /// Full path segments of the imported item.
     pub target: Vec<String>,
+}
+
+/// One module-level `type Name = Target<…>;` alias.
+#[derive(Debug, Clone)]
+pub struct TypeAlias {
+    pub name: String,
+    /// The target's head type name (`Experiment` for
+    /// `Experiment<PowerMap>`), smart pointers peeled.
+    pub target: String,
 }
 
 /// Everything extracted from one file.
@@ -85,6 +98,7 @@ pub struct FileItems {
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
     pub uses: Vec<UseEntry>,
+    pub aliases: Vec<TypeAlias>,
 }
 
 /// Derives the module path a file contributes from its workspace-relative
@@ -184,7 +198,13 @@ impl Walker<'_> {
                 (TokKind::Ident, "use") => {
                     *pos = self.parse_use(i);
                 }
-                (TokKind::Ident, "enum" | "union") => {
+                (TokKind::Ident, "enum") => {
+                    if let Some(name) = self.peek_text(i + 1) {
+                        self.push_struct(name.to_string(), Vec::new(), true);
+                    }
+                    *pos = self.skip_to_block_or_semi(i + 1);
+                }
+                (TokKind::Ident, "union") => {
                     *pos = self.skip_to_block_or_semi(i + 1);
                 }
                 (TokKind::Ident, "unsafe" | "async" | "extern") => {
@@ -200,6 +220,9 @@ impl Walker<'_> {
                 {
                     *pos += 1; // `const fn`: a qualifier, not a const item
                     continue;
+                }
+                (TokKind::Ident, "type") if self_type.is_none() => {
+                    *pos = self.parse_type_alias(i);
                 }
                 (TokKind::Ident, "const" | "static" | "type") => {
                     *pos = self.skip_statement(i + 1);
@@ -361,6 +384,20 @@ impl Walker<'_> {
         after
     }
 
+    /// `type Name<…> = Target<…>;`: records the alias, returns the index
+    /// after the `;`.
+    fn parse_type_alias(&mut self, i: usize) -> usize {
+        let end = self.skip_statement(i + 1);
+        let name = self.peek_text(i + 1).filter(|_| self.toks[i + 1].kind == TokKind::Ident);
+        let eq = (i + 2..end).find(|&j| self.text(j) == "=");
+        if let (Some(name), Some(eq)) = (name, eq) {
+            let target: String = (eq + 1..end.saturating_sub(1)).map(|j| self.text(j)).collect();
+            let target = crate::callgraph::peel_type(&target);
+            self.out.aliases.push(TypeAlias { name: name.to_string(), target });
+        }
+        end
+    }
+
     /// `mod name { … }` (recursing with the name pushed) or `mod name;`.
     fn parse_mod(&mut self, i: usize, self_type: Option<&str>) -> usize {
         let name_idx = i + 1;
@@ -395,20 +432,20 @@ impl Walker<'_> {
                 "<" => angle += 1,
                 ">" => angle = (angle - 1).max(0),
                 ";" if angle == 0 => {
-                    self.push_struct(name, Vec::new());
+                    self.push_struct(name, Vec::new(), false);
                     return j + 1;
                 }
                 "(" => {
                     let end = self.skip_balanced(j, "(", ")");
                     // Tuple struct: `struct X(A, B);` — no named fields.
                     let after = self.skip_statement(end);
-                    self.push_struct(name, Vec::new());
+                    self.push_struct(name, Vec::new(), false);
                     return after;
                 }
                 "{" if angle == 0 => {
                     let end = self.skip_balanced(j, "{", "}");
                     let fields = self.parse_fields(j + 1, end.saturating_sub(1));
-                    self.push_struct(name, fields);
+                    self.push_struct(name, fields, false);
                     return end;
                 }
                 _ => {}
@@ -418,13 +455,14 @@ impl Walker<'_> {
         j
     }
 
-    fn push_struct(&mut self, name: String, fields: Vec<(String, String)>) {
+    fn push_struct(&mut self, name: String, fields: Vec<(String, String)>, is_enum: bool) {
         self.out.structs.push(StructItem {
             file: self.file_idx,
             crate_name: self.crate_name.to_string(),
             module: self.module.clone(),
             name,
             fields,
+            is_enum,
         });
     }
 
@@ -621,7 +659,7 @@ impl Walker<'_> {
 
     fn push_use_with_target(&mut self, local: String, target: Vec<String>) {
         self.out.uses.push(UseEntry {
-            crate_name: self.crate_name.to_string(),
+            file: self.file_idx,
             module: self.module.clone(),
             local,
             target,
@@ -729,6 +767,18 @@ mod tests {
         assert!(m.contains(&("Mu", "std::sync::Mutex".to_string())), "{m:?}");
         assert!(m.contains(&("submit", "crate::frontend::submit".to_string())), "{m:?}");
         assert!(m.contains(&("*", "super::helpers".to_string())), "{m:?}");
+    }
+
+    #[test]
+    fn module_level_type_aliases_are_recorded() {
+        let src = "pub type PowerMapExperiment = Experiment<PowerMap>;\n\
+                   pub type Job<'s> = Box<Worker<'s>>;\n\
+                   impl Iterator for It { type Item = u32; fn next(&mut self) {} }\n";
+        let items = extract_src("crates/demo/src/lib.rs", src);
+        let a: Vec<_> =
+            items.aliases.iter().map(|a| (a.name.as_str(), a.target.as_str())).collect();
+        assert_eq!(a, vec![("PowerMapExperiment", "Experiment"), ("Job", "Worker")]);
+        assert_eq!(items.fns.len(), 1);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! Exceptions live in `xtask/lint-allow.txt`, one justification per line.
 //! See STATIC_ANALYSIS.md for the workflow.
 //!
+//! Alongside, it reports the public library functions that nothing
+//! outside tests calls (the [`uncalled`] module), as data, not as a gate.
+//! The fixture tests look call-graph functions up by name with
+//! [`callgraph::Workspace::fn_by_qualified`].
+//!
 //! `cargo xtask benchcheck` is the CI perf-regression gate: it compares
 //! fresh `BENCH_*.json` manifests against the committed
 //! `xtask/bench-baseline.json` within per-gauge tolerance bands (see the
@@ -40,6 +45,7 @@ pub mod metricsdoc;
 pub mod reach;
 pub mod report;
 pub mod scanner;
+pub mod uncalled;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -80,6 +86,8 @@ pub struct LintOutcome {
     pub reach: reach::ReachReport,
     /// The lock-order graph and any cycles.
     pub locks: locks::LockReport,
+    /// Public library functions with no caller outside tests.
+    pub uncalled: Vec<uncalled::UncalledFn>,
 }
 
 impl LintOutcome {
@@ -108,8 +116,8 @@ pub fn lint_sources(
 
     let mut raw_diags = Vec::new();
     let mut outcome = LintOutcome::default();
-    let mut lib_files = Vec::new();
-    let mut lib_classes = Vec::new();
+    let mut graph_files = Vec::new();
+    let mut graph_classes = Vec::new();
     for (path, text) in sources {
         let Some(class) = lints::classify(path) else { continue };
         let file = ScannedFile::new(path.clone(), text.clone());
@@ -129,18 +137,19 @@ pub fn lint_sources(
         {
             outcome.unsafe_inventory.extend(lints::unsafe_sites(&file));
         }
-        if class.kind == FileKind::Library {
-            lib_files.push(file);
-            lib_classes.push(class);
-        }
+        graph_files.push(file);
+        graph_classes.push(class);
     }
 
-    // The workspace analyses: call graph, panic reachability, lock order.
-    let ws = callgraph::Workspace::build(lib_files, lib_classes);
-    outcome.functions = ws.fns.len();
+    // The workspace analyses: call graph, panic reachability, lock order,
+    // and the public functions nothing outside tests calls.
+    let ws = callgraph::Workspace::build(graph_files, graph_classes);
+    outcome.functions =
+        ws.fns.iter().filter(|f| ws.classes[f.file].kind == FileKind::Library).count();
     outcome.call_edges = ws.edge_count();
     outcome.reach = reach::analyze(&ws);
     outcome.locks = locks::analyze(&ws, &mut raw_diags);
+    outcome.uncalled = uncalled::analyze(&ws);
 
     let (mut kept, suppressed) = allowlist::apply(raw_diags, &allow);
     // Ratchet diagnostics bypass the allowlist: baselines are the only
@@ -296,7 +305,8 @@ pub fn format_report(outcome: &LintOutcome, verbose: bool) -> String {
     ));
     out.push_str(&format!(
         "analysis: {} function(s), {} call edge(s); {} of {} entry point(s) reach a panic; \
-         {} lock(s), {} ordering edge(s), {} cycle(s)\n",
+         {} lock(s), {} ordering edge(s), {} cycle(s); {} public fn(s) with no caller \
+         outside tests\n",
         outcome.functions,
         outcome.call_edges,
         outcome.reach.reaching().len(),
@@ -304,6 +314,7 @@ pub fn format_report(outcome: &LintOutcome, verbose: bool) -> String {
         outcome.locks.locks.len(),
         outcome.locks.edges.len(),
         outcome.locks.cycles.len(),
+        outcome.uncalled.len(),
     ));
     out
 }

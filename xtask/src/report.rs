@@ -104,6 +104,19 @@ pub fn render(outcome: &LintOutcome, duration_ms: u64) -> String {
     w.close(']');
     w.close('}');
 
+    w.key("uncalled_pub_fns");
+    w.open('[');
+    for u in &outcome.uncalled {
+        w.item();
+        w.open('{');
+        w.field("fn", &str_json(&u.qualified));
+        w.field("path", &str_json(&u.path));
+        w.field("line", &u.line.to_string());
+        w.field("tested", if u.tested { "true" } else { "false" });
+        w.close('}');
+    }
+    w.close(']');
+
     w.close('}');
     w.out.push('\n');
     w.out
@@ -198,6 +211,7 @@ mod tests {
     use super::*;
     use crate::json::{self, Json};
     use crate::lints::{lint, Diagnostic};
+    use crate::uncalled::UncalledFn;
 
     #[test]
     fn report_round_trips_through_the_json_parser() {
@@ -210,6 +224,12 @@ mod tests {
             message: "exact \"float\" comparison\nwith a newline".into(),
         });
         outcome.locks.locks.push("serve::Queue.inner".into());
+        outcome.uncalled.push(UncalledFn {
+            qualified: "grf::tile::TilePowerMap::rows".into(),
+            path: "crates/grf/src/tile.rs".into(),
+            line: 36,
+            tested: true,
+        });
         let text = render(&outcome, 41);
         let doc = json::parse(&text).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{text}"));
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
@@ -222,6 +242,10 @@ mod tests {
             doc.get_path(&["lock_order", "locks"]).and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)
         );
+        let u = doc.get("uncalled_pub_fns").and_then(Json::as_arr).unwrap();
+        assert_eq!(u.len(), 1);
+        assert_eq!(u[0].get("fn").and_then(Json::as_str), Some("grf::tile::TilePowerMap::rows"));
+        assert_eq!(u[0].get("tested"), Some(&Json::Bool(true)));
     }
 
     #[test]

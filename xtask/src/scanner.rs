@@ -44,11 +44,6 @@ impl ScannedFile {
     pub fn in_test_code(&self, offset: usize) -> bool {
         self.test_spans.iter().any(|&(start, end)| offset >= start && offset < end)
     }
-
-    /// The raw text of line `line` (1-based), without the newline.
-    pub fn raw_line(&self, line: usize) -> &str {
-        self.raw.lines().nth(line.saturating_sub(1)).unwrap_or("")
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -375,6 +370,5 @@ mod tests {
         assert_eq!(f.line_of(0), 1);
         assert_eq!(f.line_of(2), 2);
         assert_eq!(f.line_of(4), 3);
-        assert_eq!(f.raw_line(2), "b");
     }
 }
